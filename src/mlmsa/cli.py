@@ -54,7 +54,6 @@ _BASE_DEFAULTS = {
     "rates": {"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5},
     "experiment": {},
     "seed": 1234,
-    "workers": 1,
     "output": None,
 }
 
@@ -211,8 +210,6 @@ def _validate_types(cfg: dict) -> None:
              "must be 'polynomial' or 'constant'")
     _require(isinstance(sch["n_total"], int), "schedule.n_total", "must be an integer")
     _require(isinstance(cfg["seed"], int), "seed", "must be a 64-bit integer")
-    _require(isinstance(cfg["workers"], int) and cfg["workers"] >= 1, "workers",
-             "must be a positive integer")
     _require(isinstance(cfg["output"], str), "output", "must be a directory path")
 
 
@@ -345,10 +342,10 @@ def _cmd_run_msa(cfg, parts, outdir, trace=False):
                    exp["theta0"], exp["x0"], cfg["seed"])
     _write_csv(outdir / "run_msa.csv",
                ("level", "n_steps", "seed", "theta_final", "psi_final", "n_reprojections",
-                "theta0", "x0", "resets_state"),
+                "theta0", "x0"),
                [(exp["level"], exp["n_steps"], cfg["seed"], traj.theta_final,
                  int(traj.psi_path[-1]), len(traj.reprojection_events), traj.theta0,
-                 traj.x0, traj.resets_state)])
+                 traj.x0)])
     if trace:
         rows = zip(range(len(traj.theta_path)), traj.theta_path, traj.x_path,
                    traj.psi_path)
@@ -366,11 +363,11 @@ def _cmd_run_coupled(cfg, parts, outdir, trace=False):
     _write_csv(outdir / "run_coupled.csv",
                ("level", "n_steps", "seed", "coupling", "increment_final",
                 "fine_theta_final", "coarse_theta_final", "psi_final",
-                "n_reprojections", "resets_state"),
+                "n_reprojections"),
                [(exp["level"], exp["n_steps"], cfg["seed"], traj.coupling,
                  traj.increment_final, float(traj.fine_theta_path[-1]),
                  float(traj.coarse_theta_path[-1]), int(traj.psi_path[-1]),
-                 len(traj.reprojection_events), traj.resets_state)])
+                 len(traj.reprojection_events))])
     if trace:
         rows = zip(range(len(traj.psi_path)), traj.fine_theta_path,
                    traj.coarse_theta_path, traj.fine_x_path, traj.coarse_x_path,
@@ -468,8 +465,6 @@ def main(argv=None) -> int:
                         help="JSON config file (defaults used when omitted)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--output", default=None, help="override output directory")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker-count knob (results are identical for any value)")
     parser.add_argument("--trace", action="store_true",
                         help="dump per-step trajectory CSV (run-msa / run-coupled)")
     try:
@@ -483,8 +478,6 @@ def main(argv=None) -> int:
             overrides.append(("seed", args.seed))
         if args.output is not None:
             overrides.append(("output", args.output))
-        if args.workers is not None:
-            overrides.append(("workers", args.workers))
         return run(args.subcommand, args.config, overrides, trace=args.trace)
     except ConfigError as exc:
         print(f"mlmsa: configuration error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "NumericalError",
-    "Level",
     "StepSchedule",
     "make_step_schedule",
     "ReprojectionFamily",
@@ -30,21 +29,6 @@ class ParameterError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical computation failed a correctness check."""
-
-
-@dataclass(frozen=True)
-class Level:
-    """Accuracy level l with mesh proxy delta = 2**-l (l = 0 is coarsest)."""
-
-    l: int
-
-    def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
-            raise ParameterError(f"level index must be a nonnegative integer, got {self.l!r}")
-
-    @property
-    def delta(self) -> float:
-        return 2.0 ** (-self.l)
 
 
 def level_delta(l) -> float:
@@ -169,11 +153,6 @@ class ReprojectionFamily:
             raise ParameterError(f"theta must be finite, got {theta}")
         excess = abs(theta) - self.r0
         return 0 if excess <= 0 else math.ceil(excess / self.growth)
-
-
-def reprojection_set(family: ReprojectionFamily, k: int) -> tuple[float, float]:
-    """Closed interval of the k-th constraint set."""
-    return family.bounds(k)
 
 
 @dataclass(frozen=True)

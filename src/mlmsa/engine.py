@@ -11,8 +11,7 @@ at the current parameter, take the tentative Robbins-Monro step
 theta + gamma_n * H(theta, X_n) evaluated at the fresh state, then either
 accept it (if it lies in the current constraint set) or reset to the
 initial parameter and enlarge the set.  On reset the chain state is
-restored to its initial value as well; this choice is recorded on the
-trajectory so output consumers can see it.
+restored to its initial value as well.
 
 Determinism contract: every run owns a generator seeded from its explicit
 seed, each step consumes a fixed number of uniforms (two per step for a
@@ -46,6 +45,21 @@ __all__ = [
 _CHUNK = 8192
 
 
+def _validate_containment(family: ReprojectionFamily, theta_paths, psi_path,
+                          events) -> None:
+    """Check theta_n in K_{psi_n} for every path and n, that psi increments
+    exactly at the recorded reprojection events, and that psi never
+    decreases."""
+    bounds = family.r0 + family.growth * psi_path
+    if any(np.any(np.abs(path) > bounds) for path in theta_paths):
+        raise NumericalError("containment violated: a parameter left its constraint set")
+    jumps = np.flatnonzero(np.diff(psi_path) != 0) + 1
+    if not np.array_equal(jumps, np.asarray(events, dtype=jumps.dtype)):
+        raise NumericalError("psi jumps do not match recorded reprojection events")
+    if np.any(np.diff(psi_path) < 0):
+        raise NumericalError("psi must be nondecreasing")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Single-level run record; paths have length n_steps + 1 (entry 0 is
@@ -59,23 +73,14 @@ class Trajectory:
     reprojection_events: tuple[int, ...]
     theta0: float
     x0: int
-    resets_state: bool = True  # reprojection restores x to x0 as well as theta
 
     @property
     def theta_final(self) -> float:
         return float(self.theta_path[-1])
 
     def validate_containment(self, family: ReprojectionFamily) -> None:
-        """Check theta_n in K_{psi_n} for every n and that psi increments
-        exactly at the recorded reprojection events."""
-        bounds = family.r0 + family.growth * self.psi_path
-        if np.any(np.abs(self.theta_path) > bounds):
-            raise NumericalError("containment violated: theta left its constraint set")
-        jumps = np.flatnonzero(np.diff(self.psi_path) != 0) + 1
-        if not np.array_equal(jumps, np.asarray(self.reprojection_events, dtype=jumps.dtype)):
-            raise NumericalError("psi jumps do not match recorded reprojection events")
-        if np.any(np.diff(self.psi_path) < 0):
-            raise NumericalError("psi must be nondecreasing")
+        _validate_containment(family, (self.theta_path,), self.psi_path,
+                              self.reprojection_events)
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,6 @@ class CoupledTrajectory:
     theta0_bar: float
     x0: int
     x0_bar: int
-    resets_state: bool = True
 
     @property
     def increments(self) -> np.ndarray:
@@ -106,13 +110,8 @@ class CoupledTrajectory:
         return float(self.fine_theta_path[-1] - self.coarse_theta_path[-1])
 
     def validate_containment(self, family: ReprojectionFamily) -> None:
-        bounds = family.r0 + family.growth * self.psi_path
-        if np.any(np.abs(self.fine_theta_path) > bounds) or \
-                np.any(np.abs(self.coarse_theta_path) > bounds):
-            raise NumericalError("containment violated: a parameter left its constraint set")
-        jumps = np.flatnonzero(np.diff(self.psi_path) != 0) + 1
-        if not np.array_equal(jumps, np.asarray(self.reprojection_events, dtype=jumps.dtype)):
-            raise NumericalError("psi jumps do not match recorded reprojection events")
+        _validate_containment(family, (self.fine_theta_path, self.coarse_theta_path),
+                              self.psi_path, self.reprojection_events)
 
 
 class _Ensemble:
@@ -121,7 +120,6 @@ class _Ensemble:
     def __init__(self, rngs, m, theta0, theta0_bar, x0, x0_bar, coupled):
         R = len(rngs)
         self.rngs = rngs
-        self.m = m
         self.coupled = coupled
         self.theta0 = np.full(R, theta0, dtype=float)
         self.x0 = np.empty(R, dtype=np.int64)
@@ -140,13 +138,13 @@ class _Ensemble:
         self.last_reproj = np.zeros(R, dtype=np.int64)
 
 
-def _move(x, d, u_acc, theta, up, dn, m):
-    """Vectorized Metropolis move given direction and acceptance uniform."""
-    xp = x + d
-    valid = (xp >= 0) & (xp < m)
-    diff = np.where(d == 1, up[x], dn[x])
-    acc = np.where(valid, np.exp(np.minimum(theta * diff, 0.0)), 0.0)
-    return np.where(u_acc < acc, np.clip(xp, 0, m - 1), x)
+def _move(x, u_dir, u_acc, theta, table):
+    """Vectorized Metropolis move given direction and acceptance uniforms;
+    table is the level's move table from _step_diffs."""
+    diff, dest = table
+    i = 2 * x + (u_dir < 0.5)
+    acc = np.exp(np.minimum(theta * diff[i], 0.0))
+    return np.where(u_acc < acc, dest[i], x)
 
 
 def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
@@ -159,16 +157,17 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     own generator (batching does not change a generator's stream)."""
     if coupling not in ("crn", "independent"):
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
-    m = model.m
     R = len(rngs)
-    st = _Ensemble(rngs, m, theta0, theta0_bar, x0, x0_bar, coupled)
+    st = _Ensemble(rngs, model.m, theta0, theta0_bar, x0, x0_bar, coupled)
     s_f = level_statistic(model, l)
-    up_f, dn_f = _step_diffs(model, l)
+    table_f = _step_diffs(model, l)
     if coupled:
         s_c = level_statistic(model, l - 1)
-        up_c, dn_c = _step_diffs(model, l - 1)
+        table_c = _step_diffs(model, l - 1)
     gammas = schedule.step_sizes(n_steps)
-    n_uniform = (4 if coupling == "independent" else 2) if coupled else 2
+    # CRN reuses the fine chain's (direction, acceptance) columns for the
+    # coarse chain; the independent coupling draws two more
+    n_uniform, dir_c, acc_c = (4, 2, 3) if coupled and coupling == "independent" else (2, 0, 1)
     paths = None
     if record:
         paths = {"theta": np.empty((n_steps + 1, R)), "x": np.empty((n_steps + 1, R), np.int64),
@@ -185,15 +184,10 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
         for t in range(span):
             step += 1
             u = U[t]
-            d = np.where(u[:, 0] < 0.5, 1, -1)
-            xn = _move(st.x, d, u[:, 1], st.theta, up_f, dn_f, m)
+            xn = _move(st.x, u[:, 0], u[:, 1], st.theta, table_f)
             theta_half = st.theta + gammas[step - 1] * (s_f[xn] - st.theta)
             if coupled:
-                if coupling == "crn":
-                    yn = _move(st.x_bar, d, u[:, 1], st.theta_bar, up_c, dn_c, m)
-                else:
-                    dc = np.where(u[:, 2] < 0.5, 1, -1)
-                    yn = _move(st.x_bar, dc, u[:, 3], st.theta_bar, up_c, dn_c, m)
+                yn = _move(st.x_bar, u[:, dir_c], u[:, acc_c], st.theta_bar, table_c)
                 theta_bar_half = st.theta_bar + gammas[step - 1] * (s_c[yn] - st.theta_bar)
                 bound = family.r0 + family.growth * st.psi
                 inside = (np.abs(theta_half) <= bound) & (np.abs(theta_bar_half) <= bound)

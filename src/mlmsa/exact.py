@@ -66,7 +66,7 @@ def _check_stochastic(K: np.ndarray) -> None:
         raise ParameterError("kernel rows do not sum to 1")
 
 
-def stationary_distribution(K: np.ndarray, check_spectrum: bool = True) -> np.ndarray:
+def stationary_distribution(K: np.ndarray) -> np.ndarray:
     """Unique stationary law of a row-stochastic matrix.
 
     Solved as a linear system: the balance equations (K - I)^T pi = 0 with
@@ -77,18 +77,17 @@ def stationary_distribution(K: np.ndarray, check_spectrum: bool = True) -> np.nd
     """
     _check_stochastic(K)
     n = K.shape[0]
-    if check_spectrum:
-        ev = np.linalg.eigvals(K)
-        near_one = np.abs(ev - 1.0) < 1e-9
-        if np.sum(near_one) != 1:
-            raise NumericalError(
-                f"spectral check failed: eigenvalue 1 has multiplicity {np.sum(near_one)} "
-                "(chain has several closed classes; stationary law is not unique)")
-        others = np.abs(ev[~near_one])
-        if others.size and np.max(others) > 1.0 - 1e-9:
-            raise NumericalError(
-                f"spectral check failed: unit-modulus eigenvalue {np.max(others):.12f} != 1 "
-                "(periodic chain)")
+    ev = np.linalg.eigvals(K)
+    near_one = np.abs(ev - 1.0) < 1e-9
+    if np.sum(near_one) != 1:
+        raise NumericalError(
+            f"spectral check failed: eigenvalue 1 has multiplicity {np.sum(near_one)} "
+            "(chain has several closed classes; stationary law is not unique)")
+    others = np.abs(ev[~near_one])
+    if others.size and np.max(others) > 1.0 - 1e-9:
+        raise NumericalError(
+            f"spectral check failed: unit-modulus eigenvalue {np.max(others):.12f} != 1 "
+            "(periodic chain)")
     A = (K - np.eye(n)).T
     A[-1, :] = 1.0
     b = np.zeros(n)

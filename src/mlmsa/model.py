@@ -128,17 +128,22 @@ def level_statistic(model: FiniteLevelModel, l) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic increments for +1/-1 proposals, zero-padded at the walls.
+    """Move table of the level-l chain: (statistic increment, landing state).
 
-    The padding value is never used: boundary proposals are masked to
-    acceptance probability 0 before these arrays matter.
+    Entry 2*x + 1 is the +1 proposal from x and entry 2*x the -1 proposal.
+    Wall rule: an off-grid proposal lands on x with increment 0, so it
+    leaves the state in place whatever the acceptance draw; the kernel
+    builders instead zero its acceptance (see acceptance_vectors).
     """
     s = level_statistic(model, l)
-    up = np.append(s[1:] - s[:-1], 0.0)
-    dn = np.append(0.0, s[:-1] - s[1:])
-    up.setflags(write=False)
-    dn.setflags(write=False)
-    return up, dn
+    x = np.arange(model.m)
+    dest = np.empty(2 * model.m, dtype=np.int64)
+    dest[0::2] = np.maximum(x - 1, 0)
+    dest[1::2] = np.minimum(x + 1, model.m - 1)
+    diff = s[dest] - np.repeat(s, 2)
+    diff.setflags(write=False)
+    dest.setflags(write=False)
+    return diff, dest
 
 
 def acceptance_vectors(model: FiniteLevelModel, l, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,9 +152,9 @@ def acceptance_vectors(model: FiniteLevelModel, l, theta: float) -> tuple[np.nda
     min(1, exp(z)) is computed as exp(min(z, 0)), which cannot overflow.
     Off-grid proposals get probability 0 (rejected in place).
     """
-    up, dn = _step_diffs(model, l)
-    a_up = np.exp(np.minimum(theta * up, 0.0))
-    a_dn = np.exp(np.minimum(theta * dn, 0.0))
+    diff, _ = _step_diffs(model, l)
+    a_up = np.exp(np.minimum(theta * diff[1::2], 0.0))
+    a_dn = np.exp(np.minimum(theta * diff[0::2], 0.0))
     a_up[-1] = 0.0
     a_dn[0] = 0.0
     return a_up, a_dn

@@ -167,14 +167,17 @@ def test_output_env_var_supplies_default(tmp_path, monkeypatch):
     assert (target / "manifest.json").exists()
 
 
-def test_seed_and_workers_flags(tmp_path):
+def test_seed_and_workers_flags(tmp_path, capsys):
     out = tmp_path / "s"
-    rc = run_cli("schedule", "--output", str(out), "--seed", "77",
-                 "--workers", "4")
+    rc = run_cli("schedule", "--output", str(out), "--seed", "77")
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 77
-    assert manifest["config"]["workers"] == 4
+    # the worker-count knob is gone: both spellings are unknown options
+    for flag in (("--workers", "4"), ("--workers=4",)):
+        capsys.readouterr()
+        assert run_cli("schedule", "--output", str(out), *flag) == 1
+        assert "mlmsa: configuration error" in capsys.readouterr().err
 
 
 def test_floats_printed_with_17_significant_digits(tmp_path):

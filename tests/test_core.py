@@ -1,27 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
 from mlmsa.core import (
-    Level,
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    level_delta,
     make_step_schedule,
     ratio_diagnostic,
-    reprojection_set,
 )
+from mlmsa.model import build_model, target_density
 
 
 class TestLevel:
     def test_delta_is_exact_power_of_two(self):
         for l in range(12):
-            assert Level(l).delta == 2.0 ** (-l)
-        assert Level(0).delta == 1.0  # coarsest
+            assert level_delta(l) == 2.0 ** (-l)
+        assert level_delta(math.inf) == 0.0  # the limit model
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True])
     def test_rejects_bad_indices(self, bad):
+        # target_density is uncached: lru_cache would treat True as 1
         with pytest.raises(ParameterError):
-            Level(bad)
+            target_density(build_model(m=3), bad, 0.0)
 
 
 class TestStepSchedule:
@@ -82,8 +85,8 @@ class TestStepSchedule:
 class TestReprojectionFamily:
     def test_interval_examples(self):
         fam = ReprojectionFamily(1.0, 1.0)
-        assert reprojection_set(fam, 0) == (-1.0, 1.0)
-        assert reprojection_set(fam, 3) == (-4.0, 4.0)
+        assert fam.bounds(0) == (-1.0, 1.0)
+        assert fam.bounds(3) == (-4.0, 4.0)
 
     def test_nested_over_scanned_range(self):
         fam = ReprojectionFamily(0.5, 2.0)

@@ -9,7 +9,12 @@ from mlmsa.core import (
     ReprojectionFamily,
     make_step_schedule,
 )
-from mlmsa.engine import coupled_msa_run, empirical_clt_variance, msa_run
+from mlmsa.engine import (
+    CoupledTrajectory,
+    coupled_msa_run,
+    empirical_clt_variance,
+    msa_run,
+)
 from mlmsa.exact import asymptotic_variance, level_root
 from mlmsa.model import (
     build_model,
@@ -70,23 +75,27 @@ class TestMsaRun:
         with pytest.raises(ParameterError):
             msa_run(default_model, 2, poly(10), FAMILY, 10, 5.0, None, seed=0)
 
-    def test_step_semantics_replay_scalar_procedure(self, default_model):
+    @pytest.mark.parametrize("m, x0", [(32, 9), (3, 0)])
+    def test_step_semantics_replay_scalar_procedure(self, m, x0):
         # replay the run through the scalar sampler: sample the next state
         # first, then step theta with the statistic at the FRESH state,
-        # then apply the containment rule; must match the engine exactly
+        # then apply the containment rule; must match the engine exactly.
+        # m = 3 keeps the chain at the walls, where proposals leave the grid
+        model = build_model(m=m)
         l, n, seed = 3, 50, 61
         sched = poly(n)
-        traj = msa_run(default_model, l, sched, FAMILY, n, 0.1, 9, seed=seed)
+        traj = msa_run(model, l, sched, FAMILY, n, 0.1, x0, seed=seed)
+        # the engine's step vector: step_size(k) can differ from it in the last ulp
+        gammas = sched.step_sizes(n)
         rng = np.random.default_rng(seed)
-        theta, x, psi = 0.1, 9, 0
+        theta, x, psi = 0.1, x0, 0
         for k in range(1, n + 1):
-            x_new = sample_step(default_model, l, theta, x, rng)
-            tentative = theta + sched.step_size(k) * drift_term(default_model, l,
-                                                                theta, x_new)
+            x_new = sample_step(model, l, theta, x, rng)
+            tentative = theta + gammas[k - 1] * drift_term(model, l, theta, x_new)
             if FAMILY.contains(tentative, psi):
                 theta, x = tentative, x_new
             else:
-                theta, x, psi = 0.1, 9, psi + 1
+                theta, x, psi = 0.1, x0, psi + 1
             assert traj.theta_path[k] == theta
             assert traj.x_path[k] == x
             assert traj.psi_path[k] == psi
@@ -134,6 +143,17 @@ class TestCoupledMsaRun:
         assert traj.fine_x_path[k] == traj.x0
         assert traj.coarse_x_path[k] == traj.x0_bar
 
+    def test_containment_rejects_decreasing_psi(self):
+        # psi jumps at the recorded events, but the second jump goes down
+        zeros = np.zeros(3)
+        traj = CoupledTrajectory(level=1, seed=0, coupling="crn",
+                                 fine_theta_path=zeros, coarse_theta_path=zeros,
+                                 fine_x_path=zeros.astype(int), coarse_x_path=zeros.astype(int),
+                                 psi_path=np.array([0, 1, 0]), reprojection_events=(1, 2),
+                                 theta0=0.0, theta0_bar=0.0, x0=0, x0_bar=0)
+        with pytest.raises(NumericalError):
+            traj.validate_containment(FAMILY)
+
     def test_frozen_occupation_matches_target(self):
         # the coupling's marginal property in action: the fine chain of a
         # frozen coupled run is a plain chain for its own target
@@ -150,25 +170,30 @@ class TestCoupledMsaRun:
         with pytest.raises(ParameterError):
             coupled_msa_run(default_model, 0, poly(10), FAMILY, 10, seed=0)
 
-    def test_step_semantics_replay_scalar_procedure(self, default_model):
+    @pytest.mark.parametrize("coupling", ["crn", "independent"])
+    @pytest.mark.parametrize("m, x0, x0_bar", [(32, 4, 11), (3, 0, 2)])
+    def test_step_semantics_replay_scalar_procedure(self, m, x0, x0_bar, coupling):
         # same replay as the single-level case: one coupled transition, both
         # parameters stepped with the same gamma at their fresh states, then
-        # the joint containment rule
+        # the joint containment rule; m = 3 keeps both chains at the walls
+        model = build_model(m=m)
         l, n, seed = 2, 50, 62
         sched = poly(n)
-        traj = coupled_msa_run(default_model, l, sched, FAMILY, n, seed=seed,
-                               theta0=0.1, theta0_bar=-0.2, x0=4, x0_bar=11)
+        traj = coupled_msa_run(model, l, sched, FAMILY, n, seed=seed,
+                               theta0=0.1, theta0_bar=-0.2, x0=x0, x0_bar=x0_bar,
+                               coupling=coupling)
+        gammas = sched.step_sizes(n)
         rng = np.random.default_rng(seed)
-        th, tb, x, xb, psi = 0.1, -0.2, 4, 11, 0
+        th, tb, x, xb, psi = 0.1, -0.2, x0, x0_bar, 0
         for k in range(1, n + 1):
-            xn, xbn = coupled_sample_step(default_model, l, th, tb, x, xb, rng)
-            g = sched.step_size(k)
-            half = th + g * drift_term(default_model, l, th, xn)
-            half_bar = tb + g * drift_term(default_model, l - 1, tb, xbn)
+            xn, xbn = coupled_sample_step(model, l, th, tb, x, xb, rng, coupling)
+            g = gammas[k - 1]
+            half = th + g * drift_term(model, l, th, xn)
+            half_bar = tb + g * drift_term(model, l - 1, tb, xbn)
             if FAMILY.contains(half, psi) and FAMILY.contains(half_bar, psi):
                 th, tb, x, xb = half, half_bar, xn, xbn
             else:
-                th, tb, x, xb, psi = 0.1, -0.2, 4, 11, psi + 1
+                th, tb, x, xb, psi = 0.1, -0.2, x0, x0_bar, psi + 1
             assert traj.fine_theta_path[k] == th
             assert traj.coarse_theta_path[k] == tb
             assert traj.fine_x_path[k] == x
