@@ -19,6 +19,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,9 @@ _EXPERIMENT_DEFAULTS = {
                     "zeta": 1.0, "r": 1.0},
     "certify": {"levels": list(range(0, 7)), "theta_min": -2.0, "theta_max": 2.0,
                 "n_theta": 9},
-    "run-msa": {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None},
+    "run-msa": {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None, "trace": False},
     "run-coupled": {"level": 4, "n_steps": 10000, "theta0": 0.0, "theta0_bar": 0.0,
-                    "x0": None, "x0_bar": None},
+                    "x0": None, "x0_bar": None, "trace": False},
     "schedule": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100},
     "ml-run": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100, "theta0": 0.0},
     "mse-cost": {"epsilons": [0.2, 0.1, 0.05], "replicates": 50, "c_n": 1.0,
@@ -190,7 +191,7 @@ def resolve_config(subcommand: str, config_path: str | None, overrides=()) -> di
         _apply_override(config, dotted, value)
     if config["output"] is None:
         config["output"] = os.environ.get(OUTPUT_ENV, "mlmsa-out")
-    _validate_types(config)
+    _validate_types(config, defaults)
     return config
 
 
@@ -199,17 +200,33 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
-def _validate_types(cfg: dict) -> None:
-    mdl = cfg["model"]
-    _require(isinstance(mdl["m"], int), "model.m", "must be an integer")
-    _require(isinstance(mdl["beta0"], (int, float)), "model.beta0", "must be a number")
-    _require(mdl["coupling"] in ("crn", "independent"), "model.coupling",
+def _check_leaf_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Each value takes the type of its default: a bool default wants a
+    bool, an int default an int (not a bool), a float default a finite
+    int or float; blocks stay blocks.  Other defaults set no type."""
+    for key, default in defaults.items():
+        value, path = cfg[key], f"{prefix}{key}"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, dict):
+            _require(isinstance(value, dict), path, "must be a block of settings")
+            _check_leaf_types(value, default, prefix=f"{path}.")
+        elif isinstance(default, bool):
+            _require(isinstance(value, bool), path, "must be true or false")
+        elif isinstance(default, int):
+            _require(number and isinstance(value, int), path, "must be an integer")
+        elif isinstance(default, float):
+            # also false for nan, and for ints beyond the float range
+            _require(number and abs(value) <= sys.float_info.max, path,
+                     "must be a finite number")
+
+
+def _validate_types(cfg: dict, defaults: dict) -> None:
+    _check_leaf_types(cfg, defaults)
+    _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
              "must be 'crn' or 'independent'")
-    sch = cfg["schedule"]
-    _require(sch["kind"] in ("polynomial", "constant"), "schedule.kind",
+    _require(cfg["schedule"]["kind"] in ("polynomial", "constant"), "schedule.kind",
              "must be 'polynomial' or 'constant'")
-    _require(isinstance(sch["n_total"], int), "schedule.n_total", "must be an integer")
-    _require(isinstance(cfg["seed"], int), "seed", "must be a 64-bit integer")
+    _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
     _require(isinstance(cfg["output"], str), "output", "must be a directory path")
 
 
@@ -320,22 +337,11 @@ def _cmd_certify(cfg, parts, outdir):
     exp = cfg["experiment"]
     grid = np.linspace(exp["theta_min"], exp["theta_max"], int(exp["n_theta"]))
     cert = certify_drift_minorization(model, [int(l) for l in exp["levels"]], grid)
-    _write_json(outdir / "certificate.json", {
-        "epsilon_minor": cert.epsilon_minor,
-        "small_set": list(cert.small_set),
-        "nu_mass": cert.nu_mass,
-        "lambda_drift": cert.lambda_drift,
-        "b_drift": cert.b_drift,
-        "rho_hat": cert.rho_hat,
-        "n_steps_minor": cert.n_steps_minor,
-        "thetas": list(cert.thetas),
-        "levels": list(cert.levels),
-        "extended_states": list(cert.extended_states),
-    })
+    _write_json(outdir / "certificate.json", asdict(cert))
     return {"lambda_drift": cert.lambda_drift}
 
 
-def _cmd_run_msa(cfg, parts, outdir, trace=False):
+def _cmd_run_msa(cfg, parts, outdir):
     model, schedule, reproj, _ = parts
     exp = cfg["experiment"]
     traj = msa_run(model, exp["level"], schedule, reproj, exp["n_steps"],
@@ -346,14 +352,14 @@ def _cmd_run_msa(cfg, parts, outdir, trace=False):
                [(exp["level"], exp["n_steps"], cfg["seed"], traj.theta_final,
                  int(traj.psi_path[-1]), len(traj.reprojection_events), traj.theta0,
                  traj.x0)])
-    if trace:
+    if exp["trace"]:
         rows = zip(range(len(traj.theta_path)), traj.theta_path, traj.x_path,
                    traj.psi_path)
         _write_csv(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), rows)
     return {"theta_final": traj.theta_final}
 
 
-def _cmd_run_coupled(cfg, parts, outdir, trace=False):
+def _cmd_run_coupled(cfg, parts, outdir):
     model, schedule, reproj, _ = parts
     exp = cfg["experiment"]
     traj = coupled_msa_run(model, exp["level"], schedule, reproj, exp["n_steps"],
@@ -368,7 +374,7 @@ def _cmd_run_coupled(cfg, parts, outdir, trace=False):
                  traj.increment_final, float(traj.fine_theta_path[-1]),
                  float(traj.coarse_theta_path[-1]), int(traj.psi_path[-1]),
                  len(traj.reprojection_events))])
-    if trace:
+    if exp["trace"]:
         rows = zip(range(len(traj.psi_path)), traj.fine_theta_path,
                    traj.coarse_theta_path, traj.fine_x_path, traj.coarse_x_path,
                    traj.psi_path)
@@ -383,7 +389,7 @@ def _cmd_schedule(cfg, parts, outdir):
     exp = cfg["experiment"]
     plan = _block(cfg, "experiment", lambda: schedule_levels(
         exp["epsilon"], rates, n_min=exp["n_min"], c_n=exp["c_n"]))
-    _write_json(outdir / "level_plan.json", plan.to_dict())
+    _write_json(outdir / "level_plan.json", asdict(plan))
     return {"L": plan.L, "predicted_cost": plan.predicted_cost}
 
 
@@ -399,7 +405,7 @@ def _cmd_ml_run(cfg, parts, outdir):
         "level_estimates": list(est.level_estimates),
         "realized_cost": est.realized_cost,
         "seeds": [list(s) for s in est.seeds],
-        "plan": plan.to_dict(),
+        "plan": asdict(plan),
     })
     return {"theta_hat": est.theta_hat, "realized_cost": est.realized_cost}
 
@@ -423,29 +429,24 @@ _DISPATCH = {
     "rate-check": _cmd_rate_check,
     "lemma-check": _cmd_lemma_check,
     "certify": _cmd_certify,
+    "run-msa": _cmd_run_msa,
+    "run-coupled": _cmd_run_coupled,
     "schedule": _cmd_schedule,
     "ml-run": _cmd_ml_run,
     "mse-cost": _cmd_mse_cost,
 }
 
 
-def run(subcommand: str, config_path: str | None, overrides=(), trace: bool = False) -> int:
+def run(subcommand: str, config_path: str | None, overrides=()) -> int:
     """Resolve config, execute the subcommand, write manifest and results."""
     config = resolve_config(subcommand, config_path, overrides)
     outdir = Path(config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
-    parts = _build_parts(config)
-    if subcommand == "run-msa":
-        extras = _cmd_run_msa(config, parts, outdir, trace=trace)
-    elif subcommand == "run-coupled":
-        extras = _cmd_run_coupled(config, parts, outdir, trace=trace)
-    else:
-        extras = _DISPATCH[subcommand](config, parts, outdir)
+    extras = _DISPATCH[subcommand](config, _build_parts(config), outdir)
     _write_json(outdir / "manifest.json", {
         "subcommand": subcommand,
         "tool_version": __version__,
         "seed": config["seed"],
-        "trace": trace,
         "config": config,
         "results": extras,
     })
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--output", default=None, help="override output directory")
     parser.add_argument("--trace", action="store_true",
-                        help="dump per-step trajectory CSV (run-msa / run-coupled)")
+                        help="same as --experiment.trace=true (run-msa / run-coupled)")
     try:
         args, unknown = parser.parse_known_args(argv)
         overrides = []
@@ -478,7 +479,9 @@ def main(argv=None) -> int:
             overrides.append(("seed", args.seed))
         if args.output is not None:
             overrides.append(("output", args.output))
-        return run(args.subcommand, args.config, overrides, trace=args.trace)
+        if args.trace:
+            overrides.append(("experiment.trace", True))
+        return run(args.subcommand, args.config, overrides)
     except ConfigError as exc:
         print(f"mlmsa: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -118,6 +118,11 @@ class _Ensemble:
     """Vectorized replicate state for the stepping loop (internal)."""
 
     def __init__(self, rngs, m, theta0, theta0_bar, x0, x0_bar, coupled):
+        for name, x in (("x0", x0), ("x0_bar", x0_bar)):  # None: drawn or shared
+            if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                                  or not 0 <= x < m):
+                raise ParameterError(f"{name} must be None or an integer in [0, m) with "
+                                     f"m={m}, got {x!r}")
         R = len(rngs)
         self.rngs = rngs
         self.coupled = coupled

@@ -12,7 +12,9 @@ what makes decay-rate assertions testable: every perturbation norm across
 levels inherits the rate beta0 by construction.
 
 The Markov kernel per (theta, l) is a random-walk Metropolis chain with
-nearest-neighbour proposals, off-grid proposals rejected in place.  The
+nearest-neighbour proposals, off-grid proposals rejected in place; the
+move table of _step_diffs states this rule once for the dense kernels and
+the engine, and the scalar samplers restate it as a reference.  The
 coupled kernel advances a fine chain at (theta, l) and a coarse chain at
 (theta_bar, l-1) with shared proposal direction and shared acceptance
 uniform (common random numbers); an independent product coupling is
@@ -132,8 +134,7 @@ def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
 
     Entry 2*x + 1 is the +1 proposal from x and entry 2*x the -1 proposal.
     Wall rule: an off-grid proposal lands on x with increment 0, so it
-    leaves the state in place whatever the acceptance draw; the kernel
-    builders instead zero its acceptance (see acceptance_vectors).
+    leaves the state in place whatever the acceptance draw.
     """
     s = level_statistic(model, l)
     x = np.arange(model.m)
@@ -146,18 +147,13 @@ def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
     return diff, dest
 
 
-def acceptance_vectors(model: FiniteLevelModel, l, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metropolis acceptance probabilities for +1 and -1 proposals per state.
-
-    min(1, exp(z)) is computed as exp(min(z, 0)), which cannot overflow.
-    Off-grid proposals get probability 0 (rejected in place).
-    """
-    diff, _ = _step_diffs(model, l)
-    a_up = np.exp(np.minimum(theta * diff[1::2], 0.0))
-    a_dn = np.exp(np.minimum(theta * diff[0::2], 0.0))
-    a_up[-1] = 0.0
-    a_dn[0] = 0.0
-    return a_up, a_dn
+def _move_probabilities(model: FiniteLevelModel, l, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(acceptance, landing state) of every entry of the level-l move table;
+    min(1, exp(z)) is exp(min(z, 0)), which cannot overflow.  A move that
+    stays in place gets 0: the kernels put all rejected mass on the diagonal."""
+    diff, dest = _step_diffs(model, l)
+    moves = dest != np.repeat(np.arange(model.m), 2)
+    return np.where(moves, np.exp(np.minimum(theta * diff, 0.0)), 0.0), dest
 
 
 def drift_term(model: FiniteLevelModel, l, theta: float, x: int) -> float:
@@ -183,12 +179,11 @@ def kernel_matrix(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
     reversible with respect to target_density(model, l, theta).
     """
     m = model.m
-    a_up, a_dn = acceptance_vectors(model, l, theta)
+    acc, dest = _move_probabilities(model, l, theta)
     K = np.zeros((m, m))
     idx = np.arange(m)
-    K[idx[:-1], idx[:-1] + 1] = 0.5 * a_up[:-1]
-    K[idx[1:], idx[1:] - 1] = 0.5 * a_dn[1:]
-    K[idx, idx] = 1.0 - 0.5 * a_up - 0.5 * a_dn
+    K[np.repeat(idx, 2), dest] = 0.5 * acc
+    K[idx, idx] = 1.0 - 0.5 * acc[1::2] - 0.5 * acc[0::2]
     return K
 
 
@@ -211,15 +206,15 @@ def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: f
     if coupling != "crn":
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     m = model.m
-    af_up, af_dn = acceptance_vectors(model, l, theta)
-    ac_up, ac_dn = acceptance_vectors(model, l - 1, theta_bar)
+    acc_f, dest_f = _move_probabilities(model, l, theta)
+    acc_c, dest_c = _move_probabilities(model, l - 1, theta_bar)
     x = np.repeat(np.arange(m), m)
     y = np.tile(np.arange(m), m)
     pair = np.arange(m * m)
     K = np.zeros((m * m, m * m))
-    for d, af, ac in ((1, af_up[x], ac_up[y]), (-1, af_dn[x], ac_dn[y])):
-        xn = np.clip(x + d, 0, m - 1)  # clip targets are dead when acceptance is 0
-        yn = np.clip(y + d, 0, m - 1)
+    for up in (1, 0):  # +1 proposals (entries 2*x + 1) first: add.at order sets rounding
+        i, j = 2 * x + up, 2 * y + up
+        af, ac, xn, yn = acc_f[i], acc_c[j], dest_f[i], dest_c[j]
         mn = np.minimum(af, ac)
         np.add.at(K, (pair, xn * m + yn), 0.5 * mn)
         np.add.at(K, (pair, xn * m + y), 0.5 * (af - mn))
@@ -241,15 +236,24 @@ def metric_matrix(model: FiniteLevelModel) -> np.ndarray:
     return np.abs(u[:, None] - u[None, :])
 
 
+def _reference_move(model: FiniteLevelModel, l, theta: float, x: int,
+                    u_dir: float, u_acc: float) -> int:
+    """One Metropolis move from x without the move table: propose x+1 if
+    u_dir < 1/2, else x-1, and reject an off-grid proposal in place.  np.exp
+    on numpy scalars rounds like the engine's vectorized exp; math.exp does not."""
+    s = level_statistic(model, l)
+    y = x + 1 if u_dir < 0.5 else x - 1
+    if not 0 <= y < model.m:
+        return int(x)
+    return int(y) if u_acc < np.exp(np.minimum(theta * (s[y] - s[x]), 0.0)) else int(x)
+
+
 def sample_step(model: FiniteLevelModel, l, theta: float, x: int,
                 rng: np.random.Generator) -> int:
     """One Metropolis transition from x; consumes exactly two uniforms
     (direction, acceptance) so the stream layout is state-independent."""
     u = rng.random(2)
-    a_up, a_dn = acceptance_vectors(model, l, theta)
-    d = 1 if u[0] < 0.5 else -1
-    accept = u[1] < (a_up[x] if d == 1 else a_dn[x])
-    return int(x + d) if accept else int(x)
+    return _reference_move(model, l, theta, x, u[0], u[1])
 
 
 def coupled_sample_step(model: FiniteLevelModel, l, theta: float, theta_bar: float,
@@ -262,21 +266,12 @@ def coupled_sample_step(model: FiniteLevelModel, l, theta: float, theta_bar: flo
     first.
     """
     _check_level(l, minimum=1)
-    af_up, af_dn = acceptance_vectors(model, l, theta)
-    ac_up, ac_dn = acceptance_vectors(model, l - 1, theta_bar)
     if coupling == "crn":
         u = rng.random(2)
-        d = 1 if u[0] < 0.5 else -1
-        af = af_up[x] if d == 1 else af_dn[x]
-        ac = ac_up[x_bar] if d == 1 else ac_dn[x_bar]
-        xn = x + d if u[1] < af else x
-        yn = x_bar + d if u[1] < ac else x_bar
-        return int(xn), int(yn)
+        return (_reference_move(model, l, theta, x, u[0], u[1]),
+                _reference_move(model, l - 1, theta_bar, x_bar, u[0], u[1]))
     if coupling != "independent":
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     u = rng.random(4)
-    df = 1 if u[0] < 0.5 else -1
-    xn = x + df if u[1] < (af_up[x] if df == 1 else af_dn[x]) else x
-    dc = 1 if u[2] < 0.5 else -1
-    yn = x_bar + dc if u[3] < (ac_up[x_bar] if dc == 1 else ac_dn[x_bar]) else x_bar
-    return int(xn), int(yn)
+    return (_reference_move(model, l, theta, x, u[0], u[1]),
+            _reference_move(model, l - 1, theta_bar, x_bar, u[2], u[3]))

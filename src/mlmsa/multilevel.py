@@ -74,20 +74,6 @@ class LevelPlan:
         if not math.isfinite(self.predicted_cost):
             raise ParameterError("predicted cost must be finite")
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "L": self.L,
-            "n_l": list(self.n_l),
-            "gamma_l": list(self.gamma_l),
-            "predicted_cost": self.predicted_cost,
-            "rates": {"alpha": self.rates.alpha, "beta": self.rates.beta,
-                      "zeta": self.rates.zeta, "kappa": self.rates.kappa},
-            "c_n": self.c_n,
-            "n_min": self.n_min,
-            "cost_note": self.cost_note,
-        }
-
 
 def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
                     c_n: float = 1.0) -> LevelPlan:

@@ -159,6 +159,53 @@ def test_trace_flag_writes_trajectory(tmp_path):
     assert not (out2 / "trace_msa.csv").exists()
 
 
+def test_trace_is_a_config_value_of_the_run_commands_only(tmp_path, capsys):
+    rc = run_cli("variance-exact", "--output", str(tmp_path / "v"), "--trace")
+    assert rc == 1
+    assert "unknown config key 'experiment.trace'" in capsys.readouterr().err
+
+    out1 = tmp_path / "a"
+    assert run_cli("run-msa", "--output", str(out1), "--experiment.n_steps=50",
+                   "--schedule.n_total=50", "--trace") == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["config"]["experiment"]["trace"] is True
+    assert "trace" not in manifest
+    out2 = tmp_path / "b"
+    assert run_cli("run-msa", str(out1 / "manifest.json"), "--output", str(out2)) == 0
+    assert (out2 / "trace_msa.csv").read_bytes() == (out1 / "trace_msa.csv").read_bytes()
+
+
+@pytest.mark.parametrize("override", ["--experiment.x0=-1", "--experiment.x0=99"])
+def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, override):
+    rc = run_cli("run-msa", "--output", str(tmp_path / "x"), override, "--trace")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "x0" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("run-msa", "--experiment.n_steps=1e3"), "experiment.n_steps"),
+    (("schedule", "--rates.kappa=nan"), "rates.kappa"),
+    (("schedule", "--rates.kappa=NaN"), "rates.kappa"),
+    (("schedule", "--rates.kappa=" + "9" * 400), "rates.kappa"),  # beyond the float range
+    (("schedule", "--seed=-1"), "seed"),
+])
+def test_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, key):
+    out = tmp_path / "never"
+    rc = run_cli(*argv, "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and repr(key) in err
+    assert not out.exists()
+
+
+def test_block_replaced_by_a_value_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": 5}))
+    assert run_cli("schedule", str(cfg), "--output", str(tmp_path / "never")) == 1
+    assert "'model': must be a block" in capsys.readouterr().err
+
+
 def test_output_env_var_supplies_default(tmp_path, monkeypatch):
     target = tmp_path / "fromenv"
     monkeypatch.setenv(cli.OUTPUT_ENV, str(target))

@@ -75,6 +75,11 @@ class TestMsaRun:
         with pytest.raises(ParameterError):
             msa_run(default_model, 2, poly(10), FAMILY, 10, 5.0, None, seed=0)
 
+    @pytest.mark.parametrize("x0", [-1, 32])
+    def test_initial_state_off_grid_rejected(self, default_model, x0):
+        with pytest.raises(ParameterError, match="x0 .*m=32"):
+            msa_run(default_model, 2, poly(10), FAMILY, 10, 0.0, x0, seed=0)
+
     @pytest.mark.parametrize("m, x0", [(32, 9), (3, 0)])
     def test_step_semantics_replay_scalar_procedure(self, m, x0):
         # replay the run through the scalar sampler: sample the next state
@@ -169,6 +174,12 @@ class TestCoupledMsaRun:
     def test_level_zero_rejected(self, default_model):
         with pytest.raises(ParameterError):
             coupled_msa_run(default_model, 0, poly(10), FAMILY, 10, seed=0)
+
+    @pytest.mark.parametrize("state", [-1, 32])
+    @pytest.mark.parametrize("name", ["x0", "x0_bar"])
+    def test_initial_state_off_grid_rejected(self, default_model, name, state):
+        with pytest.raises(ParameterError, match=f"{name} .*m=32"):
+            coupled_msa_run(default_model, 2, poly(10), FAMILY, 10, seed=0, **{name: state})
 
     @pytest.mark.parametrize("coupling", ["crn", "independent"])
     @pytest.mark.parametrize("m, x0, x0_bar", [(32, 4, 11), (3, 0, 2)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmsa.core import ParameterError
 from mlmsa.model import (
@@ -200,6 +202,77 @@ class TestCoupledKernel:
     def test_coarse_level_must_exist(self, default_model):
         with pytest.raises(ParameterError):
             coupled_kernel_matrix(default_model, 0, 0.1, 0.1)
+
+
+def reference_kernel(model, l, theta):
+    """Single kernel from per-state loops over phi_l: an off-grid proposal
+    is rejected in place and its rejected mass stays on the diagonal."""
+    s, m = level_statistic(model, l), model.m
+    K = np.zeros((m, m))
+    for x in range(m):
+        a = {}
+        for d in (1, -1):
+            y = x + d
+            a[d] = np.exp(np.minimum(theta * (s[y] - s[x]), 0.0)) if 0 <= y < m else 0.0
+            if 0 <= y < m:
+                K[x, y] = 0.5 * a[d]
+        K[x, x] = 1.0 - 0.5 * a[1] - 0.5 * a[-1]
+    return K
+
+
+def reference_crn_kernel(model, l, theta, theta_bar):
+    """CRN kernel from per-pair loops: for each shared direction, the four
+    outcomes (both move, fine only, coarse only, neither) are added to the
+    pair's row in that order, +1 proposals before -1 proposals."""
+    m = model.m
+    s_f, s_c = level_statistic(model, l), level_statistic(model, l - 1)
+
+    def accept(s, th, x, d):
+        y = x + d
+        if not 0 <= y < m:
+            return 0.0, x
+        return np.exp(np.minimum(th * (s[y] - s[x]), 0.0)), y
+
+    K = np.zeros((m * m, m * m))
+    for x in range(m):
+        for y in range(m):
+            row = K[x * m + y]
+            for d in (1, -1):
+                af, xn = accept(s_f, theta, x, d)
+                ac, yn = accept(s_c, theta_bar, y, d)
+                mn = min(af, ac)
+                row[xn * m + yn] += 0.5 * mn
+                row[xn * m + y] += 0.5 * (af - mn)
+                row[x * m + yn] += 0.5 * (ac - mn)
+                row[x * m + y] += 0.5 * (1.0 - max(af, ac))
+    return K
+
+
+_MODELS = {m: build_model(m=m) for m in range(3, 10)}
+_THETAS = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+class TestKernelsAgainstReference:
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(3, 9), l=st.integers(1, 6), theta=_THETAS, theta_bar=_THETAS,
+           coupling=st.sampled_from(["crn", "independent"]))
+    def test_kernels_equal_loop_reference(self, m, l, theta, theta_bar, coupling):
+        model = _MODELS[m]
+        K_f, K_c = kernel_matrix(model, l, theta), kernel_matrix(model, l - 1, theta_bar)
+        np.testing.assert_array_equal(K_f, reference_kernel(model, l, theta))
+        np.testing.assert_array_equal(K_c, reference_kernel(model, l - 1, theta_bar))
+        T = coupled_kernel_matrix(model, l, theta, theta_bar, coupling)
+        if coupling == "crn":
+            expect = reference_crn_kernel(model, l, theta, theta_bar)
+        else:
+            expect = np.kron(reference_kernel(model, l, theta),
+                             reference_kernel(model, l - 1, theta_bar))
+        np.testing.assert_array_equal(T, expect)
+        T = T.reshape(m, m, m, m)
+        np.testing.assert_allclose(T.sum(axis=3), np.broadcast_to(K_f[:, None, :], (m, m, m)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(T.sum(axis=2), np.broadcast_to(K_c[None, :, :], (m, m, m)),
+                                   rtol=0, atol=1e-12)
 
 
 class TestLyapunov:

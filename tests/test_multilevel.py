@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestScheduleLevels:
                       cost_note="")
 
     def test_serializable(self):
-        d = schedule_levels(0.2, RATES).to_dict()
+        d = dataclasses.asdict(schedule_levels(0.2, RATES))
         assert d["L"] >= 1 and len(d["n_l"]) == d["L"] + 1
         assert d["rates"]["kappa"] == 0.5
 
