@@ -114,15 +114,21 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+def _write_text(path: Path, text: str) -> None:
+    # the output directory appears with the first result: a failed run leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, _json_text(obj) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _merge_strict(defaults: dict, given: dict, prefix: str = "") -> dict:
@@ -200,28 +206,32 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
-def _check_leaf_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Each value takes the type of its default: a bool default wants a
-    bool, an int default an int (not a bool), a float default a finite
-    int or float; blocks stay blocks.  Other defaults set no type."""
-    for key, default in defaults.items():
-        value, path = cfg[key], f"{prefix}{key}"
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, dict):
-            _require(isinstance(value, dict), path, "must be a block of settings")
-            _check_leaf_types(value, default, prefix=f"{path}.")
-        elif isinstance(default, bool):
-            _require(isinstance(value, bool), path, "must be true or false")
-        elif isinstance(default, int):
-            _require(number and isinstance(value, int), path, "must be an integer")
-        elif isinstance(default, float):
-            # also false for nan, and for ints beyond the float range
-            _require(number and abs(value) <= sys.float_info.max, path,
-                     "must be a finite number")
+def _check_types(value, default, key: str = "", what: str = "") -> None:
+    """A value takes the type of its default: a block wants a block, a list
+    a list whose elements each take the type of the default's first
+    element, a bool a bool, an int an int (not a bool), a float a finite
+    int or float.  Other defaults set no type."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, dict):
+        _require(isinstance(value, dict), key, "must be a block of settings")
+        for k in default:
+            _check_types(value[k], default[k], f"{key}.{k}" if key else k)
+    elif isinstance(default, list):
+        _require(isinstance(value, list), key, "must be a list")
+        for item in value:
+            _check_types(item, default[0], key, f"element {item!r} ")
+    elif isinstance(default, bool):
+        _require(isinstance(value, bool), key, f"{what}must be true or false")
+    elif isinstance(default, int):
+        _require(number and isinstance(value, int), key, f"{what}must be an integer")
+    elif isinstance(default, float):
+        # also false for nan, and for ints beyond the float range
+        _require(number and abs(value) <= sys.float_info.max, key,
+                 f"{what}must be a finite number")
 
 
 def _validate_types(cfg: dict, defaults: dict) -> None:
-    _check_leaf_types(cfg, defaults)
+    _check_types(cfg, defaults)
     _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
              "must be 'crn' or 'independent'")
     _require(cfg["schedule"]["kind"] in ("polynomial", "constant"), "schedule.kind",
@@ -258,7 +268,7 @@ def _cmd_variance_exact(cfg, parts, outdir):
     model = parts[0]
     rows, records = [], []
     for l in cfg["experiment"]["levels"]:
-        rep = asymptotic_variance(model, int(l), coupling=cfg["model"]["coupling"])
+        rep = asymptotic_variance(model, l, coupling=cfg["model"]["coupling"])
         rows.append((rep.level, 2.0 ** (-rep.level), rep.sigma, rep.t1, rep.t2,
                      rep.theta_star_l, rep.dh_l))
         records.append({
@@ -303,8 +313,7 @@ def _slope_verdicts(slopes: dict, target: float, tol: float) -> dict:
 def _cmd_rate_check(cfg, parts, outdir):
     model = parts[0]
     exp = cfg["experiment"]
-    diag = rate_diagnostics(model, [int(l) for l in exp["levels"]], exp["theta"],
-                            r=exp["r"])
+    diag = rate_diagnostics(model, exp["levels"], exp["theta"], r=exp["r"])
     rows = [(name, l, val) for name, vals in sorted(diag.quantities.items())
             for l, val in zip(diag.levels, vals)]
     _write_csv(outdir / "rate_check.csv", ("quantity", "level", "value"), rows)
@@ -316,7 +325,7 @@ def _cmd_rate_check(cfg, parts, outdir):
 def _cmd_lemma_check(cfg, parts, outdir):
     model = parts[0]
     exp = cfg["experiment"]
-    diag = lemma_diagnostics(model, [int(l) for l in exp["levels"]], exp["theta"],
+    diag = lemma_diagnostics(model, exp["levels"], exp["theta"],
                              exp["theta_prime"], zeta=exp["zeta"], r=exp["r"],
                              coupling=cfg["model"]["coupling"])
     rows = [(name, l, val) for name, vals in sorted(diag.quantities.items())
@@ -335,8 +344,8 @@ def _cmd_lemma_check(cfg, parts, outdir):
 def _cmd_certify(cfg, parts, outdir):
     model = parts[0]
     exp = cfg["experiment"]
-    grid = np.linspace(exp["theta_min"], exp["theta_max"], int(exp["n_theta"]))
-    cert = certify_drift_minorization(model, [int(l) for l in exp["levels"]], grid)
+    grid = np.linspace(exp["theta_min"], exp["theta_max"], exp["n_theta"])
+    cert = certify_drift_minorization(model, exp["levels"], grid)
     _write_json(outdir / "certificate.json", asdict(cert))
     return {"lambda_drift": cert.lambda_drift}
 
@@ -441,7 +450,6 @@ def run(subcommand: str, config_path: str | None, overrides=()) -> int:
     """Resolve config, execute the subcommand, write manifest and results."""
     config = resolve_config(subcommand, config_path, overrides)
     outdir = Path(config["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
     extras = _DISPATCH[subcommand](config, _build_parts(config), outdir)
     _write_json(outdir / "manifest.json", {
         "subcommand": subcommand,

@@ -14,12 +14,15 @@ initial parameter and enlarge the set.  On reset the chain state is
 restored to its initial value as well.
 
 Determinism contract: every run owns a generator seeded from its explicit
-seed, each step consumes a fixed number of uniforms (two per step for a
-single chain and the CRN coupling, four for the independent coupling,
-after one integer draw per chain for an unconfigured initial state), and
-identical (arguments, seed) reproduce bit-identical trajectories.
+seed, and identical (arguments, seed) reproduce bit-identical
+trajectories.  An unconfigured initial state takes one integer draw; then
+each step draws two uniforms, four under the independent coupling.  The
+fine chain reads columns (0, 1) as its (direction, acceptance) pair, the
+coarse chain (0, 1) under CRN and (2, 3) under the independent coupling.
 Replicated estimators seed replicate i with seed0 + i; replicates are
-mutually independent and are executed as one vectorized ensemble.
+mutually independent and are executed as one vectorized ensemble, whose
+state has layout (chains, replicates): row 0 is the fine chain at level
+l, row 1 (coupled runs only) the coarse chain at level l - 1.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ class CoupledTrajectory:
 
 
 class _Ensemble:
-    """Vectorized replicate state for the stepping loop (internal)."""
+    """Vectorized replicate state for the stepping loop (internal): theta,
+    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate."""
 
     def __init__(self, rngs, m, theta0, theta0_bar, x0, x0_bar, coupled):
         for name, x in (("x0", x0), ("x0_bar", x0_bar)):  # None: drawn or shared
@@ -124,30 +128,24 @@ class _Ensemble:
                 raise ParameterError(f"{name} must be None or an integer in [0, m) with "
                                      f"m={m}, got {x!r}")
         R = len(rngs)
-        self.rngs = rngs
-        self.coupled = coupled
-        self.theta0 = np.full(R, theta0, dtype=float)
-        self.x0 = np.empty(R, dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            self.x0[i] = rng.integers(m) if x0 is None else x0
+        C = 2 if coupled else 1
+        fine = np.array([rng.integers(m) if x0 is None else x0 for rng in rngs], np.int64)
+        # an unconfigured coarse chain starts at the fine chain's state:
+        # the pair begins coalesced, which is what the coupling is for
+        coarse = fine if x0_bar is None else np.full(R, x0_bar, np.int64)
+        self.theta0 = np.repeat([[theta0], [theta0_bar]][:C], R, axis=1).astype(float)
+        self.x0 = np.stack([fine, coarse][:C])
         self.theta = self.theta0.copy()
         self.x = self.x0.copy()
-        if coupled:
-            self.theta0_bar = np.full(R, theta0_bar, dtype=float)
-            # an unconfigured coarse chain starts at the fine chain's state:
-            # the pair begins coalesced, which is what the coupling is for
-            self.x0_bar = self.x0.copy() if x0_bar is None else np.full(R, x0_bar, np.int64)
-            self.theta_bar = self.theta0_bar.copy()
-            self.x_bar = self.x0_bar.copy()
         self.psi = np.zeros(R, dtype=np.int64)
         self.last_reproj = np.zeros(R, dtype=np.int64)
 
 
-def _move(x, u_dir, u_acc, theta, table):
-    """Vectorized Metropolis move given direction and acceptance uniforms;
-    table is the level's move table from _step_diffs."""
+def _move(x, up, u_acc, theta, table):
+    """Vectorized Metropolis move given the direction flags (proposal is
+    +1) and acceptance uniforms; table is a move table from _step_diffs."""
     diff, dest = table
-    i = 2 * x + (u_dir < 0.5)
+    i = 2 * x + up
     acc = np.exp(np.minimum(theta * diff[i], 0.0))
     return np.where(u_acc < acc, dest[i], x)
 
@@ -158,63 +156,59 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
                   coupled: bool = False, coupling: str = "crn",
                   record: bool = False):
     """Advance all replicates n_steps; the inner loop is vectorized across
-    replicates and uniforms are pre-drawn per chunk from each replicate's
-    own generator (batching does not change a generator's stream)."""
+    chains and replicates, and uniforms are pre-drawn per chunk from each
+    replicate's own generator (batching does not change a generator's
+    stream)."""
+    if n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     if coupling not in ("crn", "independent"):
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
-    R = len(rngs)
-    st = _Ensemble(rngs, model.m, theta0, theta0_bar, x0, x0_bar, coupled)
-    s_f = level_statistic(model, l)
-    table_f = _step_diffs(model, l)
-    if coupled:
-        s_c = level_statistic(model, l - 1)
-        table_c = _step_diffs(model, l - 1)
+    R, m = len(rngs), model.m
+    st = _Ensemble(rngs, m, theta0, theta0_bar, x0, x0_bar, coupled)
+    levels = (l, l - 1) if coupled else (l,)
+    # one table for all chains: chain c's states, landing states included,
+    # are offset by c*m, so one gather serves every chain
+    offsets = m * np.arange(len(levels))[:, None]
+    diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
+    table = np.concatenate(diffs), (np.stack(dests) + offsets).ravel()
+    s = np.concatenate([level_statistic(model, k) for k in levels])
+    st.x += offsets
+    st.x0 += offsets
     gammas = schedule.step_sizes(n_steps)
-    # CRN reuses the fine chain's (direction, acceptance) columns for the
-    # coarse chain; the independent coupling draws two more
-    n_uniform, dir_c, acc_c = (4, 2, 3) if coupled and coupling == "independent" else (2, 0, 1)
+    # each chain's (direction, acceptance) columns start here: CRN reuses the
+    # fine chain's pair for the coarse chain, the independent coupling draws two more
+    cols = np.array([0, 2 if coupling == "independent" else 0][:len(levels)])
     paths = None
     if record:
-        paths = {"theta": np.empty((n_steps + 1, R)), "x": np.empty((n_steps + 1, R), np.int64),
+        paths = {"theta": np.empty((n_steps + 1,) + st.theta.shape),
+                 "x": np.empty((n_steps + 1,) + st.x.shape, np.int64),
                  "psi": np.empty((n_steps + 1, R), np.int64), "events": [[] for _ in range(R)]}
         paths["theta"][0], paths["x"][0], paths["psi"][0] = st.theta, st.x, st.psi
-        if coupled:
-            paths["theta_bar"] = np.empty((n_steps + 1, R))
-            paths["x_bar"] = np.empty((n_steps + 1, R), np.int64)
-            paths["theta_bar"][0], paths["x_bar"][0] = st.theta_bar, st.x_bar
     step = 0
     while step < n_steps:
         span = min(_CHUNK, n_steps - step)
-        U = np.stack([rng.random((span, n_uniform)) for rng in rngs], axis=1)
+        U = np.stack([rng.random((span, cols[-1] + 2)) for rng in rngs], axis=2)
+        ups, accs = U[:, cols] < 0.5, U[:, cols + 1]  # (span, chains, replicates)
         for t in range(span):
             step += 1
-            u = U[t]
-            xn = _move(st.x, u[:, 0], u[:, 1], st.theta, table_f)
-            theta_half = st.theta + gammas[step - 1] * (s_f[xn] - st.theta)
-            if coupled:
-                yn = _move(st.x_bar, u[:, dir_c], u[:, acc_c], st.theta_bar, table_c)
-                theta_bar_half = st.theta_bar + gammas[step - 1] * (s_c[yn] - st.theta_bar)
-                bound = family.r0 + family.growth * st.psi
-                inside = (np.abs(theta_half) <= bound) & (np.abs(theta_bar_half) <= bound)
-                st.theta_bar = np.where(inside, theta_bar_half, st.theta0_bar)
-                st.x_bar = np.where(inside, yn, st.x0_bar)
-            else:
-                bound = family.r0 + family.growth * st.psi
-                inside = np.abs(theta_half) <= bound
-            st.theta = np.where(inside, theta_half, st.theta0)
-            st.x = np.where(inside, xn, st.x0)
-            st.psi = st.psi + ~inside
-            st.last_reproj = np.where(~inside, step, st.last_reproj)
+            xn = _move(st.x, ups[t], accs[t], st.theta, table)
+            theta_half = st.theta + gammas[step - 1] * (s[xn] - st.theta)
+            # one chain outside the set, or nan, resets both chains
+            reset = ~(np.maximum.reduce(np.abs(theta_half)) <= family.r0 + family.growth * st.psi)
+            st.theta = np.where(reset, st.theta0, theta_half)
+            st.x = np.where(reset, st.x0, xn)
+            st.psi = st.psi + reset
+            st.last_reproj = np.where(reset, step, st.last_reproj)
             if record:
                 paths["theta"][step], paths["x"][step], paths["psi"][step] = st.theta, st.x, st.psi
-                if coupled:
-                    paths["theta_bar"][step], paths["x_bar"][step] = st.theta_bar, st.x_bar
-                for r in np.flatnonzero(~inside):
+                for r in np.flatnonzero(reset):
                     paths["events"][r].append(step)
         if not np.all(np.isfinite(st.theta)):
             raise NumericalError(f"non-finite parameter encountered by step {step}")
-        if coupled and not np.all(np.isfinite(st.theta_bar)):
-            raise NumericalError(f"non-finite coarse parameter encountered by step {step}")
+    st.x -= offsets
+    st.x0 -= offsets
+    if record:
+        paths["x"] -= offsets
     return st, paths
 
 
@@ -227,19 +221,17 @@ def msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
     initial state uniformly from the grid (one integer draw before the
     per-step uniforms).
     """
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     if not reproj.contains(theta0, 0):
         raise ParameterError(f"theta0={theta0} is outside the initial constraint set")
     rng = np.random.default_rng(seed)
     st, paths = _run_ensemble(model, l, schedule, reproj, n_steps, [rng],
                               theta0, x0, record=True)
     return Trajectory(level=l, seed=seed,
-                      theta_path=paths["theta"][:, 0].copy(),
-                      x_path=paths["x"][:, 0].copy(),
+                      theta_path=paths["theta"][:, 0, 0].copy(),
+                      x_path=paths["x"][:, 0, 0].copy(),
                       psi_path=paths["psi"][:, 0].copy(),
                       reprojection_events=tuple(paths["events"][0]),
-                      theta0=theta0, x0=int(st.x0[0]))
+                      theta0=theta0, x0=int(st.x0[0, 0]))
 
 
 def coupled_msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
@@ -257,8 +249,6 @@ def coupled_msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
     """
     if l == math.inf or l < 1:
         raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     if not (reproj.contains(theta0, 0) and reproj.contains(theta0_bar, 0)):
         raise ParameterError("initial parameters must lie in the initial constraint set")
     rng = np.random.default_rng(seed)
@@ -266,14 +256,14 @@ def coupled_msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
                               theta0, x0, theta0_bar, x0_bar,
                               coupled=True, coupling=coupling, record=True)
     return CoupledTrajectory(level=int(l), seed=seed, coupling=coupling,
-                             fine_theta_path=paths["theta"][:, 0].copy(),
-                             coarse_theta_path=paths["theta_bar"][:, 0].copy(),
-                             fine_x_path=paths["x"][:, 0].copy(),
-                             coarse_x_path=paths["x_bar"][:, 0].copy(),
+                             fine_theta_path=paths["theta"][:, 0, 0].copy(),
+                             coarse_theta_path=paths["theta"][:, 1, 0].copy(),
+                             fine_x_path=paths["x"][:, 0, 0].copy(),
+                             coarse_x_path=paths["x"][:, 1, 0].copy(),
                              psi_path=paths["psi"][:, 0].copy(),
                              reprojection_events=tuple(paths["events"][0]),
                              theta0=theta0, theta0_bar=theta0_bar,
-                             x0=int(st.x0[0]), x0_bar=int(st.x0_bar[0]))
+                             x0=int(st.x0[0, 0]), x0_bar=int(st.x0[1, 0]))
 
 
 @dataclass(frozen=True)
@@ -324,7 +314,7 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     if n_disc > 0.2 * R:
         warnings.warn(f"{n_disc}/{R} replicates reprojected late (reprojection family too "
                       "tight for this model); estimate may be biased", stacklevel=2)
-    inc = (st.theta - st.theta_bar)[keep]
+    inc = (st.theta[0] - st.theta[1])[keep]
     n = inc.size
     if n < 3:
         raise NumericalError(f"only {n} replicates survived the settling rule")

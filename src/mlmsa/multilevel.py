@@ -151,18 +151,13 @@ def _run_plan_ensemble(model: FiniteLevelModel, plan: LevelPlan, root_seeds,
         sched = make_step_schedule("constant", plan.gamma_l[l], n_total=n)
         rngs = _level_rngs(root_seeds, plan.L, l)
         try:
-            if l == 0:
-                st, _ = _run_ensemble(model, 0, sched, reproj, n, rngs, theta0, None)
-                estimates[0] = st.theta
-                cost += n * 1.0  # delta_0**-kappa = 1
-            else:
-                st, _ = _run_ensemble(model, l, sched, reproj, n, rngs,
-                                      theta0, None, theta0, None,
-                                      coupled=True, coupling=coupling)
-                estimates[l] = st.theta - st.theta_bar
-                cost += n * (2.0 ** (l * kappa) + 2.0 ** ((l - 1) * kappa))
+            st, _ = _run_ensemble(model, l, sched, reproj, n, rngs, theta0, None,
+                                  theta0, None, coupled=l > 0, coupling=coupling)
         except NumericalError as exc:
             raise NumericalError(f"level {l} run aborted: {exc}") from exc
+        # level 0 is a single chain; level l >= 1 a fine-minus-coarse pair
+        estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
+        cost += n * (2.0 ** (l * kappa) + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))
     theta_hat = estimates[0].copy()
     for l in range(1, plan.L + 1):
         theta_hat = theta_hat + estimates[l]

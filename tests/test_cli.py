@@ -189,6 +189,10 @@ def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, override
     (("schedule", "--rates.kappa=NaN"), "rates.kappa"),
     (("schedule", "--rates.kappa=" + "9" * 400), "rates.kappa"),  # beyond the float range
     (("schedule", "--seed=-1"), "seed"),
+    (("rate-check", "--experiment.levels=abc"), "experiment.levels"),
+    (("mse-cost", '--experiment.epsilons=["x",0.1,0.05]'), "experiment.epsilons"),
+    (("lemma-check", "--experiment.levels=[2.5,3,4,5]"), "experiment.levels"),
+    (("variance-exact", "--experiment.levels=[true]"), "experiment.levels"),
 ])
 def test_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, key):
     out = tmp_path / "never"
@@ -196,6 +200,16 @@ def test_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: configuration error") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_nonpositive_step_count_is_a_validation_error(tmp_path, capsys, n_steps):
+    out = tmp_path / "never"
+    rc = run_cli("variance-empirical", f"--experiment.n_steps={n_steps}", "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "n_steps" in err
     assert not out.exists()
 
 

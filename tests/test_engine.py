@@ -10,7 +10,9 @@ from mlmsa.core import (
     make_step_schedule,
 )
 from mlmsa.engine import (
+    _CHUNK,
     CoupledTrajectory,
+    _run_ensemble,
     coupled_msa_run,
     empirical_clt_variance,
     msa_run,
@@ -222,6 +224,10 @@ class TestEmpiricalCltVariance:
             assert est.increments[i] == pytest.approx(traj.increment_final,
                                                       abs=1e-12)
 
+    def test_zero_steps_rejected(self, default_model):
+        with pytest.raises(ParameterError, match="n_steps"):
+            empirical_clt_variance(default_model, 2, poly(100), 0, 100, 0)
+
     def test_degenerate_levels_give_zero_estimate(self, bias_off_model):
         est = empirical_clt_variance(bias_off_model, 2, poly(2000), 2000, 100, 7)
         assert est.estimate == 0.0
@@ -273,3 +279,33 @@ class TestEmpiricalCltVariance:
             est = empirical_clt_variance(default_model, 1, poly(400), 400, 100, 3,
                                          reproj=tight)
         assert est.n_discarded > 20
+
+
+class TestRunEnsemble:
+    @pytest.mark.parametrize("family", [FAMILY, ReprojectionFamily(0.001, 0.001)],
+                             ids=["roomy", "tight"])
+    @pytest.mark.parametrize("coupled, coupling", [(False, "crn"), (True, "crn"),
+                                                   (True, "independent")],
+                             ids=["single", "crn", "independent"])
+    def test_replicates_equal_standalone_runs_across_a_chunk(self, default_model, family,
+                                                            coupled, coupling):
+        # replicate i of the ensemble is bit for bit the standalone run with
+        # seed seed0 + i, also after the uniforms are drawn for a second chunk
+        l, n, R, seed0 = 2, _CHUNK + 37, 4, 80
+        rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
+        st, _ = _run_ensemble(default_model, l, poly(n), family, n, rngs, 0.0, None,
+                              0.0, None, coupled=coupled, coupling=coupling)
+        for i in (0, 1, R - 1):
+            if coupled:
+                traj = coupled_msa_run(default_model, l, poly(n), family, n, seed0 + i,
+                                       coupling=coupling)
+                assert st.theta[0, i] == traj.fine_theta_path[-1]
+                assert st.theta[1, i] == traj.coarse_theta_path[-1]
+                assert st.x[0, i] == traj.fine_x_path[-1]
+                assert st.x[1, i] == traj.coarse_x_path[-1]
+            else:
+                traj = msa_run(default_model, l, poly(n), family, n, 0.0, None, seed0 + i)
+                assert st.theta[0, i] == traj.theta_path[-1]
+                assert st.x[0, i] == traj.x_path[-1]
+            assert st.psi[i] == traj.psi_path[-1]
+            assert (st.psi[i] > 0) == (family is not FAMILY)

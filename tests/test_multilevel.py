@@ -116,13 +116,10 @@ class TestMlEstimate:
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(plan.L + 1)[l])
             n = plan.n_l[l]
             sched = make_step_schedule("constant", plan.gamma_l[l], n_total=n)
-            if l == 0:
-                st, _ = _run_ensemble(default_model, 0, sched, fam, n, [rng], 0.0, None)
-                parts[0] = float(st.theta[0])
-            else:
-                st, _ = _run_ensemble(default_model, l, sched, fam, n, [rng],
-                                      0.0, None, 0.0, None, coupled=True)
-                parts[l] = float(st.theta[0] - st.theta_bar[0])
+            st, _ = _run_ensemble(default_model, l, sched, fam, n, [rng],
+                                  0.0, None, 0.0, None, coupled=l > 0)
+            # rows: the fine chain, then (l >= 1) the coarse chain
+            parts[l] = float(st.theta[0, 0] - st.theta[1, 0]) if l > 0 else float(st.theta[0, 0])
         assert tuple(parts[l] for l in range(plan.L + 1)) == est.level_estimates
 
     def test_seed_bookkeeping(self, default_model, plan):
