@@ -299,6 +299,8 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     settling rule, which indicates a reprojection family that is too
     tight for the model.
     """
+    if l == math.inf or l < 1:
+        raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
     if R < 100:
         raise ParameterError(f"need R >= 100 replicates, got {R}")
     if schedule.kind != "polynomial":

@@ -5,7 +5,10 @@ laws, Poisson-equation solutions, mean fields and their roots, the
 asymptotic variance of the coupled level-increment estimator with its full
 term breakdown, geometric-ergodicity rates, drift/minorization
 certificates, and the decay-rate diagnostics that check the model's level
-hierarchy behaves as advertised.
+hierarchy behaves as advertised.  The one exception is the check that a
+stationary law is unique and the chain aperiodic, which walks the support
+graph of the kernel (one closed communicating class, of period 1) instead
+of computing its spectrum.
 
 Conventions.  For a weight vector V >= 1, |f|_V = max_x |f(x)|/V(x); for
 signed measures, ||mu - xi||_V = sum_y V(y)|mu(y) - xi(y)| (the V-weighted
@@ -60,10 +63,89 @@ _ROOT_TOL = 1e-12
 def _check_stochastic(K: np.ndarray) -> None:
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ParameterError(f"kernel must be square, got shape {K.shape}")
-    if np.min(K) < -1e-12:
-        raise ParameterError("kernel has negative entries")
+    if not np.all(K >= -1e-12):
+        raise ParameterError("kernel has negative or NaN entries")
     if np.max(np.abs(K.sum(axis=1) - 1.0)) > 1e-9:
         raise ParameterError("kernel rows do not sum to 1")
+
+
+def _communicating_classes(indptr: list, indices: list) -> tuple[np.ndarray, np.ndarray]:
+    """Communicating-class label and depth-first-tree depth of every state
+    of a support graph in CSR form (iterative Tarjan).  The tree reaches
+    each class's states through that class only, so depth differences
+    within a class are path lengths from its first-visited state."""
+    n = len(indptr) - 1
+    order = [-1] * n  # discovery index
+    low = [0] * n
+    depth = [0] * n
+    label = [-1] * n
+    on_stack = [False] * n
+    stack, n_classes, count = [], 0, 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [[root, indptr[root]]]
+        while work:
+            frame = work[-1]
+            v, i = frame
+            if i < indptr[v + 1]:
+                frame[1] = i + 1
+                w = indices[i]
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    depth[w] = depth[v] + 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append([w, indptr[w]])
+                elif on_stack[w]:
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    label[w] = n_classes
+                    if w == v:
+                        break
+                n_classes += 1
+    return np.array(label), np.array(depth)
+
+
+def _check_unique_aperiodic(K: np.ndarray) -> None:
+    """Structural check on the support graph of K (edges where K > 0).
+
+    The multiplicity of eigenvalue 1 equals the number of closed
+    communicating classes (classes no edge leaves), so exactly one is
+    required.  The period of that class is the gcd over its edges u -> v
+    of level(u) + 1 - level(v), for levels that are path lengths from any
+    one of its states; period 1 is required.
+    """
+    src, dst = np.nonzero(K > 0.0)
+    indptr = np.searchsorted(src, np.arange(K.shape[0] + 1)).tolist()
+    label, level = _communicating_classes(indptr, dst.tolist())
+    left = np.zeros(label.max() + 1, dtype=bool)  # classes some edge leaves
+    left[label[src[label[src] != label[dst]]]] = True
+    closed = np.flatnonzero(~left)
+    if closed.size != 1:
+        raise NumericalError(
+            f"support check failed: eigenvalue 1 has multiplicity {closed.size} "
+            "(chain has several closed classes; stationary law is not unique)")
+    members = label == closed[0]
+    inside = members[src]
+    period = math.gcd(*(level[src[inside]] + 1 - level[dst[inside]]).tolist())
+    if period != 1:
+        raise NumericalError(
+            f"support check failed: the closed class of {int(members.sum())} states has "
+            f"period {period} (periodic chain)")
 
 
 def stationary_distribution(K: np.ndarray) -> np.ndarray:
@@ -71,24 +153,18 @@ def stationary_distribution(K: np.ndarray) -> np.ndarray:
 
     Solved as a linear system: the balance equations (K - I)^T pi = 0 with
     one equation replaced by normalization.  Requires a unique stationary
-    law and aperiodicity; chains failing the spectral check are rejected
-    with the failed check named (multiple unit eigenvalues for a reducible
-    chain, other unit-modulus eigenvalues for a periodic one).
+    law and aperiodicity, checked on the support graph of K (the entries
+    K > 0) rather than on its spectrum: a chain with several closed
+    communicating classes is rejected for the multiplicity of eigenvalue
+    1, and one whose closed class has period d > 1 as periodic.  Transient
+    states, periodic or not, are allowed.  The check costs one pass over
+    K plus a walk over its nonzeros.
     """
     _check_stochastic(K)
+    _check_unique_aperiodic(K)
     n = K.shape[0]
-    ev = np.linalg.eigvals(K)
-    near_one = np.abs(ev - 1.0) < 1e-9
-    if np.sum(near_one) != 1:
-        raise NumericalError(
-            f"spectral check failed: eigenvalue 1 has multiplicity {np.sum(near_one)} "
-            "(chain has several closed classes; stationary law is not unique)")
-    others = np.abs(ev[~near_one])
-    if others.size and np.max(others) > 1.0 - 1e-9:
-        raise NumericalError(
-            f"spectral check failed: unit-modulus eigenvalue {np.max(others):.12f} != 1 "
-            "(periodic chain)")
-    A = (K - np.eye(n)).T
+    A = K.T.copy()
+    A[np.diag_indices(n)] -= 1.0
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0

@@ -58,6 +58,9 @@ _PHI_CHOICES = ("sine", "zero")
 # and cos(2*pi*u) under which several signed level-perturbation integrals
 # cancel identically; use it when a diagnostic needs the generic decay rate.
 _BIAS_CHOICES = ("cosine", "shifted-cosine", "zero")
+# Largest dense m**2 x m**2 coupled kernel built (m = 76 fits); the exact
+# solves on it need a few more arrays of the same size.
+_COUPLED_KERNEL_BUDGET = 256 * 2 ** 20  # bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,12 +203,17 @@ def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: f
     single-level kernels exactly as coordinate marginals.
     """
     _check_level(l, minimum=1)
+    m = model.m
+    need = 8 * m ** 4
+    if need > _COUPLED_KERNEL_BUDGET:
+        raise ParameterError(
+            f"coupled kernel for m={m} needs {need:,} bytes ({need / 2 ** 30:.1f} GiB), "
+            f"over the {_COUPLED_KERNEL_BUDGET:,}-byte budget for dense exact work")
     if coupling == "independent":
         return np.kron(kernel_matrix(model, l, theta),
                        kernel_matrix(model, l - 1, theta_bar))
     if coupling != "crn":
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
-    m = model.m
     acc_f, dest_f = _move_probabilities(model, l, theta)
     acc_c, dest_c = _move_probabilities(model, l - 1, theta_bar)
     x = np.repeat(np.arange(m), m)

@@ -213,6 +213,24 @@ def test_nonpositive_step_count_is_a_validation_error(tmp_path, capsys, n_steps)
     assert not out.exists()
 
 
+def test_coupled_level_zero_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    rc = run_cli("variance-empirical", "--experiment.level=0", "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "level l >= 1, got 0" in err
+    assert not out.exists()
+
+
+def test_oversized_exact_model_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    rc = run_cli("variance-exact", "--model.m=200", "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "m=200" in err and "bytes" in err
+    assert not out.exists()
+
+
 def test_block_replaced_by_a_value_is_a_configuration_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": 5}))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmsa.core import NumericalError, ParameterError, make_step_schedule, ReprojectionFamily
 from mlmsa.engine import coupled_msa_run, msa_run
@@ -21,6 +23,7 @@ from mlmsa.exact import (
 )
 from mlmsa.model import (
     build_model,
+    coupled_kernel_matrix,
     kernel_matrix,
     level_statistic,
     lyapunov_vector,
@@ -43,6 +46,47 @@ def random_reversible_chain(n, seed):
     np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, 1.0 - K.sum(axis=1))
     return K, pi
+
+
+def spectral_verdict(K):
+    """Reference for stationary_distribution's support check, from the
+    spectrum: "multiplicity" when eigenvalue 1 is repeated (several closed
+    classes), "periodic" when another eigenvalue has modulus 1, else None."""
+    ev = np.linalg.eigvals(K)
+    near_one = np.abs(ev - 1.0) < 1e-9
+    if np.sum(near_one) != 1:
+        return "multiplicity"
+    others = np.abs(ev[~near_one])
+    if others.size and np.max(others) > 1.0 - 1e-9:
+        return "periodic"
+    return None
+
+
+def structural_verdict(K):
+    try:
+        pi = stationary_distribution(K)
+    except NumericalError as exc:
+        for verdict in ("multiplicity", "periodic"):
+            if verdict in str(exc):
+                return verdict
+        raise
+    assert np.max(np.abs(pi @ K - pi)) <= 1e-9
+    return None
+
+
+@st.composite
+def sparse_stochastic(draw):
+    """Row-stochastic n x n matrix, n in [1, 9], on a random support; every
+    positive entry is at least 1/20 of the largest weight in its row."""
+    n = draw(st.integers(1, 9))
+    support = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                       dtype=bool).reshape(n, n)
+    empty = ~support.any(axis=1)
+    support[empty, empty.nonzero()[0]] = True  # a row with no edge becomes absorbing
+    weights = np.array(draw(st.lists(st.floats(1.0, 20.0), min_size=n * n,
+                                     max_size=n * n))).reshape(n, n)
+    W = np.where(support, weights, 0.0)
+    return W / W.sum(axis=1, keepdims=True)
 
 
 class TestStationary:
@@ -74,6 +118,68 @@ class TestStationary:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ParameterError):
             stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_nan_kernel_rejected(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            stationary_distribution(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+    def test_periodic_closed_class_behind_transient_state_rejected(self):
+        K = np.array([[0.5, 0.5, 0.0],
+                      [0.0, 0.0, 1.0],
+                      [0.0, 1.0, 0.0]])
+        assert spectral_verdict(K) == "periodic"
+        with pytest.raises(NumericalError, match="periodic"):
+            stationary_distribution(K)
+
+    def test_two_closed_classes_with_transient_states_rejected(self):
+        K = np.array([[0.2, 0.4, 0.4, 0.0, 0.0],
+                      [0.5, 0.0, 0.0, 0.5, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.3, 0.7],
+                      [0.0, 0.0, 0.0, 0.6, 0.4]])
+        assert spectral_verdict(K) == "multiplicity"
+        with pytest.raises(NumericalError, match="multiplicity"):
+            stationary_distribution(K)
+
+    def test_periodic_transient_class_draining_into_aperiodic_class_accepted(self):
+        # {0, 1} alternate with period 2 but leak into the closed class {2, 3}
+        K = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.9, 0.1],
+                      [0.0, 0.0, 0.2, 0.8]])
+        assert spectral_verdict(K) is None
+        np.testing.assert_allclose(stationary_distribution(K), [0, 0, 2 / 3, 1 / 3],
+                                   atol=1e-14)
+
+    def test_aperiodic_class_without_self_loop_accepted(self):
+        # no diagonal entry; cycles 0-1-0 and 0-1-2-0 have coprime lengths 2, 3
+        K = np.array([[0.0, 1.0, 0.0],
+                      [0.5, 0.0, 0.5],
+                      [1.0, 0.0, 0.0]])
+        assert spectral_verdict(K) is None
+        np.testing.assert_allclose(stationary_distribution(K), [0.4, 0.4, 0.2],
+                                   atol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(K=sparse_stochastic())
+    def test_support_check_agrees_with_spectrum(self, K):
+        assert structural_verdict(K) == spectral_verdict(K)
+
+    @pytest.mark.parametrize("coupling", ["crn", "independent"])
+    def test_coupled_kernels_pass_both_checks(self, small_model, coupling):
+        K = coupled_kernel_matrix(small_model, 2, 0.6, -0.9, coupling)
+        assert spectral_verdict(K) is None
+        assert structural_verdict(K) is None
+
+    def test_no_dense_spectral_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense spectral decomposition called")
+
+        for name in ("eigvals", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        # a fresh model: no cached coupled solve can hide the call
+        rep = asymptotic_variance(build_model(), 2)
+        assert rep.sigma > 0.0
 
 
 class TestPoisson:

@@ -153,6 +153,16 @@ class TestKernelMatrix:
 
 
 class TestCoupledKernel:
+    @pytest.mark.parametrize("m", [48, 64])
+    def test_largest_supported_sizes_build(self, m):
+        K = coupled_kernel_matrix(build_model(m=m), 2, 0.4, -0.3, "independent")
+        assert K.shape == (m * m, m * m)
+
+    @pytest.mark.parametrize("coupling", ["crn", "independent"])
+    def test_oversized_kernel_rejected_before_allocation(self, coupling):
+        with pytest.raises(ParameterError, match=r"m=200 needs 12,800,000,000 bytes"):
+            coupled_kernel_matrix(build_model(m=200), 1, 0.0, 0.0, coupling)
+
     def test_rows_sum_to_one(self, default_model):
         Kc = coupled_kernel_matrix(default_model, 2, 0.4, -0.3)
         np.testing.assert_allclose(Kc.sum(axis=1), 1.0, atol=1e-12)
