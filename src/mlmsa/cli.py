@@ -271,13 +271,9 @@ def _cmd_variance_exact(cfg, parts, outdir):
         rep = asymptotic_variance(model, l, coupling=cfg["model"]["coupling"])
         rows.append((rep.level, 2.0 ** (-rep.level), rep.sigma, rep.t1, rep.t2,
                      rep.theta_star_l, rep.dh_l))
-        records.append({
-            "level": rep.level, "delta": 2.0 ** (-rep.level),
-            "coupling": rep.coupling, "sigma": rep.sigma, "t1": rep.t1,
-            "t2": rep.t2, "dh_l": rep.dh_l, "dh_lm1": rep.dh_lm1,
-            "theta_star_l": rep.theta_star_l, "theta_star_lm1": rep.theta_star_lm1,
-            "cross_term": rep.cross_term,
-        })
+        record = asdict(rep)
+        del record["coupled_stationary"]
+        records.append(record | {"delta": 2.0 ** (-rep.level)})
     _write_csv(outdir / "variance_exact.csv",
                ("l", "delta", "sigma", "t1", "t2", "theta_star_l", "dh_l"), rows)
     _write_json(outdir / "variance_exact.json", records)
@@ -344,6 +340,7 @@ def _cmd_lemma_check(cfg, parts, outdir):
 def _cmd_certify(cfg, parts, outdir):
     model = parts[0]
     exp = cfg["experiment"]
+    _require(exp["n_theta"] >= 1, "experiment.n_theta", "must be a positive integer")
     grid = np.linspace(exp["theta_min"], exp["theta_max"], exp["n_theta"])
     cert = certify_drift_minorization(model, exp["levels"], grid)
     _write_json(outdir / "certificate.json", asdict(cert))

@@ -58,14 +58,21 @@ __all__ = [
 
 _ROOT_BRACKET = (-2.0, 2.0)
 _ROOT_TOL = 1e-12
+_RATE_MAX_POWERS = 2000  # power steps of estimate_geometric_rate
+_RATE_N_PROBES = 6  # probe functions: constant, alternating, seeded random signs
+_RATE_SEED = 0
+_DRIFT_MARGIN = 0.05  # added to the worst drift ratio to give lambda_drift
+_MINOR_TARGET = 0.05  # minorization mass the doubling search for n0 aims at
+_MINOR_N0_CAP = 1 << 15
 
 
-def _check_stochastic(K: np.ndarray) -> None:
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+def _check_stochastic(K: np.ndarray, stack: bool = False) -> None:
+    """K, or with stack set every kernel of a (B, n, n) stack, is row-stochastic."""
+    if K.ndim != 2 + stack or K.shape[-1] != K.shape[-2]:
         raise ParameterError(f"kernel must be square, got shape {K.shape}")
     if not np.all(K >= -1e-12):
         raise ParameterError("kernel has negative or NaN entries")
-    if np.max(np.abs(K.sum(axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(K.sum(axis=-1) - 1.0)) > 1e-9:
         raise ParameterError("kernel rows do not sum to 1")
 
 
@@ -327,24 +334,14 @@ def asymptotic_variance(model: FiniteLevelModel, l, coupling: str = "crn") -> Va
     """
     if l == math.inf or l < 1:
         raise ParameterError(f"variance needs a finite level l >= 1, got {l!r}")
-    th_f = level_root(model, l)
-    th_c = level_root(model, l - 1)
+    th_f, th_c, P, (f2, Kf2, c2, Kc2, cross, Kcross) = _level_pair(model, l, coupling)
     dh_f = mean_field_derivative(model, l, th_f)
     dh_c = mean_field_derivative(model, l - 1, th_c)
     if dh_f >= 0.0 or dh_c >= 0.0:
         raise NumericalError(f"mean-field derivatives must be negative, got {dh_f}, {dh_c}")
-
-    sol_f = _poisson_for(model, l, th_f)
-    sol_c = _poisson_for(model, l - 1, th_c)
-    A, KA = sol_f.g_hat, sol_f.Kg_hat
-    B, KB = sol_c.g_hat, sol_c.Kg_hat
-    pc = _coupled_stationary(model, l, th_f, th_c, coupling)
-    P = pc.reshape(model.m, model.m)
-    marg_f = P.sum(axis=1)
-    marg_c = P.sum(axis=0)
-    fine_raw = marg_f @ (A * A) - marg_f @ (KA * KA)
-    coarse_raw = marg_c @ (B * B) - marg_c @ (KB * KB)
-    cross_raw = A @ P @ B - KA @ P @ KB
+    fine_raw = f2 - Kf2
+    coarse_raw = c2 - Kc2
+    cross_raw = cross - Kcross
     pref_f = -1.0 / (2.0 * dh_f)
     pref_c = -1.0 / (2.0 * dh_c)
     pref_x = 1.0 / (dh_f + dh_c)
@@ -357,7 +354,24 @@ def asymptotic_variance(model: FiniteLevelModel, l, coupling: str = "crn") -> Va
             "(formula implementation bug)")
     return VarianceReport(level=int(l), coupling=coupling, sigma=sigma, t1=t1, t2=t2,
                           dh_l=dh_f, dh_lm1=dh_c, theta_star_l=th_f, theta_star_lm1=th_c,
-                          coupled_stationary=pc, cross_term=cross_raw)
+                          coupled_stationary=P.ravel(), cross_term=cross_raw)
+
+
+def _level_pair(model: FiniteLevelModel, l, coupling: str):
+    """Roots (theta*_l, theta*_{l-1}), the m x m coupled stationary law P and, for
+    Poisson solutions A = g_l, B = g_{l-1} and P's marginals marg_f, marg_c, the raw
+    moments marg_f(A^2), marg_f((KA)^2), marg_c(B^2), marg_c((KB)^2), APB, KA P KB."""
+    th_f = level_root(model, l)
+    th_c = level_root(model, l - 1)
+    sol_f = _poisson_for(model, l, th_f)
+    sol_c = _poisson_for(model, l - 1, th_c)
+    A, KA = sol_f.g_hat, sol_f.Kg_hat
+    B, KB = sol_c.g_hat, sol_c.Kg_hat
+    P = _coupled_stationary(model, l, th_f, th_c, coupling).reshape(model.m, model.m)
+    marg_f = P.sum(axis=1)
+    marg_c = P.sum(axis=0)
+    return th_f, th_c, P, (marg_f @ (A * A), marg_f @ (KA * KA), marg_c @ (B * B),
+                           marg_c @ (KB * KB), A @ P @ B, KA @ P @ KB)
 
 
 @dataclass(frozen=True)
@@ -369,42 +383,54 @@ class GeometricRate:
     n_powers: int
 
 
-def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray, V: np.ndarray,
-                            max_powers: int = 2000, n_probes: int = 6,
-                            seed: int = 0) -> GeometricRate:
+def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
+                            V: np.ndarray) -> GeometricRate | tuple[GeometricRate, ...]:
     """Fit rho in |(K^n - pi)(f)|_V <= C rho^n over a probe set |f| <= V.
 
     Probes are sign patterns times V (constant, alternating, and seeded
     random signs).  The decay of the probe maximum is fitted log-linearly
     past a short transient; the second-largest eigenvalue modulus is
     reported alongside as the spectral reference.
+
+    K may be one (n, n) kernel, with pi and V of shape (n,), or a (B, n, n)
+    stack with pi and V of shape (B, n); a stack returns a tuple of rates in
+    stack order.  One power loop serves the whole stack: each kernel stops
+    at its own first power n with sup_n < 1e-13 max(sup_1, 1), the loop
+    ends once every kernel has stopped or after _RATE_MAX_POWERS powers,
+    and each fit reads its kernel's sequence up to its own stop.
     """
-    _check_stochastic(K)
-    n = K.shape[0]
-    rng = np.random.default_rng(seed)
+    single = np.ndim(K) == 2
+    if single:
+        K, pi, V = K[None], pi[None], V[None]
+    _check_stochastic(K, stack=True)
+    n = K.shape[-1]
+    rng = np.random.default_rng(_RATE_SEED)
     signs = [np.ones(n), (-1.0) ** np.arange(n)]
-    while len(signs) < n_probes:
+    while len(signs) < _RATE_N_PROBES:
         signs.append(rng.choice([-1.0, 1.0], size=n))
-    F = np.stack([V * s for s in signs], axis=1)
-    means = pi @ F
-    curr = F.copy()
-    sup = []
-    for _ in range(max_powers):
+    curr = np.stack([V * s for s in signs], axis=-1)  # (B, n, probes)
+    means = pi[:, None, :] @ curr
+    sup, stop = [], np.zeros(len(K), dtype=int)  # the power each kernel stopped at
+    for power in range(1, _RATE_MAX_POWERS + 1):
         curr = K @ curr
-        sup.append(np.max(np.abs(curr - means) / V[:, None]))
-        if sup[-1] < 1e-13 * max(sup[0], 1.0):
+        sup.append(np.max(np.abs(curr - means) / V[:, :, None], axis=(1, 2)))
+        stop[(stop == 0) & (sup[-1] < 1e-13 * np.maximum(sup[0], 1.0))] = power
+        if stop.all():
             break
-    sup = np.asarray(sup)
+    stop[stop == 0] = _RATE_MAX_POWERS
     ev = np.abs(np.linalg.eigvals(K))
-    order = np.argsort(-ev)
-    slem = float(ev[order[1]]) if n > 1 else 0.0
-    start = min(5, max(len(sup) - 3, 0))
-    usable = sup[start:] > 1e-300
-    if np.sum(usable) < 3:
-        return GeometricRate(rho_hat=0.0, slem=slem, n_powers=len(sup))
-    ns = np.arange(start + 1, len(sup) + 1)[usable]
-    slope = np.polyfit(ns, np.log(sup[start:][usable]), 1)[0]
-    return GeometricRate(rho_hat=float(np.exp(slope)), slem=slem, n_powers=len(sup))
+    slems = np.sort(ev, axis=-1)[:, -2] if n > 1 else np.zeros(len(K))
+    rates = []
+    for row, n_powers, slem in zip(np.array(sup).T, stop.tolist(), slems.tolist()):
+        row = row[:n_powers]
+        start = min(5, max(n_powers - 3, 0))
+        usable = row[start:] > 1e-300
+        rho = 0.0
+        if np.sum(usable) >= 3:
+            ns = np.arange(start + 1, n_powers + 1)[usable]
+            rho = float(np.exp(np.polyfit(ns, np.log(row[start:][usable]), 1)[0]))
+        rates.append(GeometricRate(rho_hat=rho, slem=slem, n_powers=n_powers))
+    return rates[0] if single else tuple(rates)
 
 
 @dataclass(frozen=True)
@@ -433,16 +459,21 @@ class ErgodicityCertificate:
     extended_states: tuple[int, ...]  # states added to the top-mass core
 
 
-def certify_drift_minorization(model: FiniteLevelModel, levels, theta_grid,
-                               ratio_margin: float = 0.05,
-                               minor_target: float = 0.05,
-                               n0_cap: int = 1 << 15) -> ErgodicityCertificate:
+def certify_drift_minorization(model: FiniteLevelModel, levels,
+                               theta_grid) -> ErgodicityCertificate:
     """Search a uniform drift/minorization certificate over the grid.
+
+    The grid's kernels K, Lyapunov vectors V and stationary laws pi are
+    stacked once, levels outer and theta inner, and every step below is one
+    array expression over the stack.
 
     The small set starts as the union over the grid of the smallest
     top-mass state sets holding half the stationary mass; states whose
     worst-case drift ratio max K(V)/V is not below 1 are then moved into
     the set greedily (reflecting walls are the usual culprits).
+    lambda_drift is the worst ratio outside the set plus _DRIFT_MARGIN, and
+    n0 doubles from m until every kernel's column-minimum mass of K^n0
+    reaches _MINOR_TARGET or n0 reaches _MINOR_N0_CAP.
 
     When the scan includes a flat target (theta = 0 makes V identically 1,
     so K(V)/V is 1 at every state) no proper small set can carry a
@@ -457,23 +488,17 @@ def certify_drift_minorization(model: FiniteLevelModel, levels, theta_grid,
     if not levels or not thetas:
         raise ParameterError("need at least one level and one theta")
     m = model.m
-    kernels, vees = {}, {}
+    grid = [(l, th) for l in levels for th in thetas]
+    K = np.stack([kernel_matrix(model, l, th) for l, th in grid])
+    V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
+    pi = np.stack([target_density(model, l, th) for l, th in grid])
+    order = np.argsort(-pi, axis=1)
+    take = (np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1) < 0.5).sum(axis=1) + 1
     core = np.zeros(m, dtype=bool)
-    ratios = np.full(m, -np.inf)
-    all_ratios = []
-    for l in levels:
-        for th in thetas:
-            K = kernel_matrix(model, l, th)
-            V = lyapunov_vector(model, l, th)
-            kernels[(l, th)] = K
-            vees[(l, th)] = V
-            pi = target_density(model, l, th)
-            order = np.argsort(-pi)
-            take = np.searchsorted(np.cumsum(pi[order]), 0.5) + 1
-            core[order[:take]] = True
-            r = (K @ V) / V
-            ratios = np.maximum(ratios, r)
-            all_ratios.append(r)
+    core[order[np.arange(m) < take[:, None]]] = True  # union of the top-mass sets
+    KV = (K @ V[:, :, None])[:, :, 0]
+    all_ratios = KV / V
+    ratios = all_ratios.max(axis=0)
     extended = []
     while np.any(~core):
         outside = ~core
@@ -485,43 +510,36 @@ def certify_drift_minorization(model: FiniteLevelModel, levels, theta_grid,
         extended.append(grow)
     if np.all(core):
         # flat-target degeneracy: fall back to the worst sub-unit contraction
-        pool = np.concatenate(all_ratios)
-        pool = pool[pool < 1.0 - 1e-9]
+        pool = all_ratios[all_ratios < 1.0 - 1e-9]
         worst_ratio = float(np.max(pool)) if pool.size else 0.5
-    lam = min(worst_ratio + ratio_margin, 1.0 - 1e-6)
+    lam = min(worst_ratio + _DRIFT_MARGIN, 1.0 - 1e-6)
     if lam <= worst_ratio:
         lam = 0.5 * (worst_ratio + 1.0)
-    b = 0.0
-    for (l, th), K in kernels.items():
-        V = vees[(l, th)]
-        b = max(b, np.max((K @ V - lam * V)[core], initial=0.0))
-    b = 1.05 * b + 1e-9
+    b = 1.05 * np.max((KV - lam * V)[:, core], initial=0.0) + 1e-9
 
     # multi-step minorization: smallest doubling n0 with colmin mass >= target
     n0 = m
     while True:
-        eps = math.inf
-        nu_mass = math.inf
-        for (l, th), K in kernels.items():
-            Kn = np.linalg.matrix_power(K, n0)
-            colmin = Kn.min(axis=0)
-            e = colmin.sum()
-            eps = min(eps, e)
-            if e > 0.0:
-                nu_mass = min(nu_mass, colmin[core].sum() / e)
-        if eps >= minor_target or n0 >= n0_cap:
+        colmin = np.linalg.matrix_power(K, n0).min(axis=1)
+        mass = colmin.sum(axis=1)
+        eps = mass.min()
+        if eps >= _MINOR_TARGET or n0 >= _MINOR_N0_CAP:
             break
         n0 *= 2
     if not (0.0 < eps < 1.0):
         raise NumericalError(
             f"minorization mass {eps:.3e} at n0={n0} not in (0, 1); chain mixes too slowly")
+    # compress keeps rows C-ordered, so each row sums as the 1-D colmin[core] would
+    nu_mass = np.min(colmin.compress(core, axis=1).sum(axis=1) / mass)
+    rho = max(rate.rho_hat for rate in estimate_geometric_rate(K, pi, V))
 
-    rho = 0.0
-    for (l, th), K in kernels.items():
-        pi = target_density(model, l, th)
-        rho = max(rho, estimate_geometric_rate(K, pi, vees[(l, th)]).rho_hat)
-
-    cert = ErgodicityCertificate(
+    # defensive: the reported inequality must hold entrywise on the grid
+    gap = KV - (lam * V + b * core)
+    if np.max(gap) > 1e-12:
+        k, x = np.unravel_index(np.argmax(gap), gap.shape)
+        raise NumericalError(f"drift inequality fails at (theta={grid[k][1]}, l={grid[k][0]}, "
+                             f"x={x}) by {np.max(gap):.3e}")
+    return ErgodicityCertificate(
         epsilon_minor=float(eps),
         small_set=tuple(int(i) for i in np.flatnonzero(core)),
         nu_mass=float(nu_mass),
@@ -533,17 +551,6 @@ def certify_drift_minorization(model: FiniteLevelModel, levels, theta_grid,
         levels=tuple(levels),
         extended_states=tuple(extended),
     )
-    # defensive: the reported inequality must hold entrywise on the grid
-    ind = np.zeros(m)
-    ind[list(cert.small_set)] = 1.0
-    for (l, th), K in kernels.items():
-        V = vees[(l, th)]
-        gap = K @ V - (lam * V + b * ind)
-        if np.max(gap) > 1e-12:
-            x = int(np.argmax(gap))
-            raise NumericalError(
-                f"drift inequality fails at (theta={th}, l={l}, x={x}) by {np.max(gap):.3e}")
-    return cert
 
 
 def _v_weighted_measure_gap(mu: np.ndarray, xi: np.ndarray, W: np.ndarray) -> float:
@@ -601,6 +608,8 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
     levels = [int(l) for l in levels]
     if len(levels) < 4:
         raise ParameterError(f"need at least 4 levels for a slope fit, got {len(levels)}")
+    if min(levels) < 1:
+        raise ParameterError("levels must be >= 1 (gaps pair l with l-1)")
     if not (0.0 < r <= 1.0):
         raise ParameterError(f"r must lie in (0, 1], got {r}")
     K_inf = kernel_matrix(model, math.inf, theta)
@@ -701,19 +710,11 @@ def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime
         gaps = np.abs(sol_l.g_hat[:, None] - sol_l.g_hat[None, :])
         q["lipschitz_ratio"].append(float(np.max(gaps[off] / D[off])))
 
-        th_f = level_root(model, l)
-        th_c = level_root(model, l - 1)
-        sol_f = _poisson_for(model, l, th_f)
-        sol_c = _poisson_for(model, l - 1, th_c)
-        A, KA = sol_f.g_hat, sol_f.Kg_hat
-        B, KB = sol_c.g_hat, sol_c.Kg_hat
-        P = _coupled_stationary(model, l, th_f, th_c, coupling).reshape(model.m, model.m)
-        cross = A @ P @ B
-        cross_s = KA @ P @ KB
-        q["block_fine"].append(abs(float(P.sum(axis=1) @ (A * A) - cross)))
-        q["block_coarse"].append(abs(float(P.sum(axis=0) @ (B * B) - cross)))
-        q["block_fine_smoothed"].append(abs(float(P.sum(axis=1) @ (KA * KA) - cross_s)))
-        q["block_coarse_smoothed"].append(abs(float(P.sum(axis=0) @ (KB * KB) - cross_s)))
+        th_f, th_c, P, (f2, Kf2, c2, Kc2, cross, Kcross) = _level_pair(model, l, coupling)
+        q["block_fine"].append(abs(float(f2 - cross)))
+        q["block_coarse"].append(abs(float(c2 - cross)))
+        q["block_fine_smoothed"].append(abs(float(Kf2 - Kcross)))
+        q["block_coarse_smoothed"].append(abs(float(Kc2 - Kcross)))
         q["coupled_d2_sqrt"].append(float(np.sqrt(np.sum(P * D * D))))
         q["root_gap"].append(abs(th_f - th_c))
     quantities = {k: np.asarray(v) for k, v in q.items()}

@@ -213,12 +213,26 @@ def test_nonpositive_step_count_is_a_validation_error(tmp_path, capsys, n_steps)
     assert not out.exists()
 
 
-def test_coupled_level_zero_is_a_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv, fragment", [
+    (("variance-empirical", "--experiment.level=0"), "level l >= 1, got 0"),
+    (("rate-check", "--experiment.levels=[0,1,2,3]"), "levels must be >= 1"),
+], ids=["variance-empirical", "rate-check"])
+def test_coupled_level_zero_is_a_validation_error(tmp_path, capsys, argv, fragment):
     out = tmp_path / "never"
-    rc = run_cli("variance-empirical", "--experiment.level=0", "--output", str(out))
+    rc = run_cli(*argv, "--output", str(out))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("mlmsa: validation error") and "level l >= 1, got 0" in err
+    assert err.startswith("mlmsa: validation error") and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_theta", [0, -1])
+def test_empty_theta_grid_is_a_configuration_error(tmp_path, capsys, n_theta):
+    out = tmp_path / "never"
+    rc = run_cli("certify", f"--experiment.n_theta={n_theta}", "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and "'experiment.n_theta'" in err
     assert not out.exists()
 
 

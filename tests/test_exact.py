@@ -371,6 +371,27 @@ class TestGeometricRate:
             rate = estimate_geometric_rate(K, pi, V)
             assert abs(rate.rho_hat - rate.slem) <= 0.05
 
+    def test_stack_equals_single_kernel_calls(self):
+        # an iid chain stops within a few powers while lazy random chains run
+        # on: each kernel keeps its own stopping power and fit
+        rng = np.random.default_rng(11)
+        chains = [random_reversible_chain(8, seed) for seed in range(7)]
+        Ks = [0.9 * np.eye(8) + 0.1 * K for K, _ in chains]
+        pis = [pi for _, pi in chains]
+        Ks.insert(3, np.tile(pis[0], (8, 1)))
+        pis.insert(3, pis[0])
+        Vs = [1.0 + rng.random(8) for _ in Ks]
+        stacked = estimate_geometric_rate(np.stack(Ks), np.stack(pis), np.stack(Vs))
+        singles = [estimate_geometric_rate(K, pi, V) for K, pi, V in zip(Ks, pis, Vs)]
+        assert isinstance(stacked, tuple) and len(stacked) == 8
+        assert stacked == tuple(singles)
+        assert singles[3].n_powers <= 3 < min(r.n_powers for r in singles[:3] + singles[4:])
+
+    def test_stack_rejects_a_non_stochastic_kernel(self):
+        K = np.stack([np.eye(3), np.full((3, 3), 0.5)])
+        with pytest.raises(ParameterError, match="sum to 1"):
+            estimate_geometric_rate(K, np.full((2, 3), 1.0 / 3.0), np.ones((2, 3)))
+
 
 @pytest.fixture(scope="module")
 def cert(default_model):
@@ -407,11 +428,12 @@ class TestCertificate:
             assert (K @ V)[x] <= cert.lambda_drift * V[x] + cert.b_drift * ind[x] + 1e-12
 
     def test_multistep_minorization_mass(self, default_model, cert):
-        # K^n0(x,.) >= eps nu(.) for every x, one (theta, l) re-checked
-        th, l = cert.thetas[1], cert.levels[2]
-        Kn = np.linalg.matrix_power(kernel_matrix(default_model, l, th),
-                                    cert.n_steps_minor)
-        assert Kn.min(axis=0).sum() >= cert.epsilon_minor - 1e-12
+        # K^n0(x,.) >= eps nu(.) for every x, re-checked at every (theta, l)
+        for l in cert.levels:
+            for th in cert.thetas:
+                Kn = np.linalg.matrix_power(kernel_matrix(default_model, l, th),
+                                            cert.n_steps_minor)
+                assert Kn.min(axis=0).sum() >= cert.epsilon_minor - 1e-12, (th, l)
 
     def test_flat_target_degenerates_to_whole_space(self):
         tiny = build_model(m=8)
