@@ -23,6 +23,15 @@ Replicated estimators seed replicate i with seed0 + i; replicates are
 mutually independent and are executed as one vectorized ensemble, whose
 state has layout (chains, replicates): row 0 is the fine chain at level
 l, row 1 (coupled runs only) the coarse chain at level l - 1.
+
+The stepping loop is one code path for every run, and its cost is numpy
+call overhead, so it keeps the calls per step few.  Inside the loop chain
+c's state x is held as its move-table index base 2*(x + c*m): a move's
+table entry is then one add, and landing states and the statistic are
+stored against that base.  Resets are rare, so each step asks once
+whether every tentative parameter lies in its set; only when one does
+not are the resets, the psi increments and the set bounds worked out.
+A nan parameter fails |theta| <= bound, so it resets like one outside.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ __all__ = [
     "empirical_clt_variance",
 ]
 
-_CHUNK = 8192
+_CHUNK = 1024
 
 
 def _validate_containment(family: ReprojectionFamily, theta_paths, psi_path,
@@ -141,13 +150,15 @@ class _Ensemble:
         self.last_reproj = np.zeros(R, dtype=np.int64)
 
 
-def _move(x, up, u_acc, theta, table):
-    """Vectorized Metropolis move given the direction flags (proposal is
-    +1) and acceptance uniforms; table is a move table from _step_diffs."""
-    diff, dest = table
-    i = 2 * x + up
+def _move(x2, up, u_acc, theta, table):
+    """Vectorized Metropolis move of states held as their move-table index
+    base 2*x, given the direction flags (proposal is +1) and acceptance
+    uniforms; table is (increment, doubled landing state) per entry of a
+    _step_diffs table, and the result is again an index base."""
+    diff, dest2 = table
+    i = x2 + up
     acc = np.exp(np.minimum(theta * diff[i], 0.0))
-    return np.where(u_acc < acc, dest[i], x)
+    return np.where(u_acc < acc, dest2[i], x2)
 
 
 def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
@@ -167,14 +178,16 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     st = _Ensemble(rngs, m, theta0, theta0_bar, x0, x0_bar, coupled)
     levels = (l, l - 1) if coupled else (l,)
     # one table for all chains: chain c's states, landing states included,
-    # are offset by c*m, so one gather serves every chain
+    # are offset by c*m, so one gather serves every chain; states are held
+    # doubled (the index base), and s2[2*x] is the statistic at x
     offsets = m * np.arange(len(levels))[:, None]
     diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
-    table = np.concatenate(diffs), (np.stack(dests) + offsets).ravel()
-    s = np.concatenate([level_statistic(model, k) for k in levels])
-    st.x += offsets
-    st.x0 += offsets
+    table = np.concatenate(diffs), 2 * (np.stack(dests) + offsets).ravel()
+    s2 = np.repeat(np.concatenate([level_statistic(model, k) for k in levels]), 2)
+    st.x = 2 * (st.x + offsets)
+    st.x0 = 2 * (st.x0 + offsets)
     gammas = schedule.step_sizes(n_steps)
+    bound = family.r0 + family.growth * st.psi
     # each chain's (direction, acceptance) columns start here: CRN reuses the
     # fine chain's pair for the coarse chain, the independent coupling draws two more
     cols = np.array([0, 2 if coupling == "independent" else 0][:len(levels)])
@@ -192,22 +205,29 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
         for t in range(span):
             step += 1
             xn = _move(st.x, ups[t], accs[t], st.theta, table)
-            theta_half = st.theta + gammas[step - 1] * (s[xn] - st.theta)
-            # one chain outside the set, or nan, resets both chains
-            reset = ~(np.maximum.reduce(np.abs(theta_half)) <= family.r0 + family.growth * st.psi)
-            st.theta = np.where(reset, st.theta0, theta_half)
-            st.x = np.where(reset, st.x0, xn)
-            st.psi = st.psi + reset
-            st.last_reproj = np.where(reset, step, st.last_reproj)
+            theta_half = st.theta + gammas[step - 1] * (s2[xn] - st.theta)
+            ok = np.abs(theta_half) <= bound
+            if ok.all():
+                st.theta, st.x = theta_half, xn
+            else:
+                # one chain outside the set, or nan, resets both chains
+                reset = ~ok.all(axis=0)
+                st.theta = np.where(reset, st.theta0, theta_half)
+                st.x = np.where(reset, st.x0, xn)
+                st.psi = st.psi + reset
+                st.last_reproj = np.where(reset, step, st.last_reproj)
+                bound = family.r0 + family.growth * st.psi
+                if record:
+                    for r in np.flatnonzero(reset):
+                        paths["events"][r].append(step)
             if record:
                 paths["theta"][step], paths["x"][step], paths["psi"][step] = st.theta, st.x, st.psi
-                for r in np.flatnonzero(reset):
-                    paths["events"][r].append(step)
         if not np.all(np.isfinite(st.theta)):
             raise NumericalError(f"non-finite parameter encountered by step {step}")
-    st.x -= offsets
-    st.x0 -= offsets
+    st.x = st.x // 2 - offsets
+    st.x0 = st.x0 // 2 - offsets
     if record:
+        paths["x"] //= 2
         paths["x"] -= offsets
     return st, paths
 

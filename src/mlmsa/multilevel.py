@@ -130,11 +130,6 @@ class MLEstimate:
     plan: LevelPlan = field(repr=False)
 
 
-def _level_rngs(root_seeds, L: int, l: int):
-    return [np.random.default_rng(np.random.SeedSequence(rs).spawn(L + 1)[l])
-            for rs in root_seeds]
-
-
 def _run_plan_ensemble(model: FiniteLevelModel, plan: LevelPlan, root_seeds,
                        reproj: ReprojectionFamily, theta0: float,
                        coupling: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -145,11 +140,12 @@ def _run_plan_ensemble(model: FiniteLevelModel, plan: LevelPlan, root_seeds,
     kappa = plan.rates.kappa
     R = len(root_seeds)
     estimates = np.empty((plan.L + 1, R))
+    children = [np.random.SeedSequence(rs).spawn(plan.L + 1) for rs in root_seeds]
     cost = 0.0
     for l in range(plan.L + 1):
         n = plan.n_l[l]
         sched = make_step_schedule("constant", plan.gamma_l[l], n_total=n)
-        rngs = _level_rngs(root_seeds, plan.L, l)
+        rngs = [np.random.default_rng(seqs[l]) for seqs in children]
         try:
             st, _ = _run_ensemble(model, l, sched, reproj, n, rngs, theta0, None,
                                   theta0, None, coupled=l > 0, coupling=coupling)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmsa.core import (
     NumericalError,
@@ -27,6 +29,9 @@ from mlmsa.model import (
 )
 
 FAMILY = ReprojectionFamily(2.0, 1.0)
+# resets a few times in 50 steps at m = 32; at m = 3 every |statistic| is
+# at most 0.25 and theta never leaves [-0.25, 0.25], so it never resets there
+TIGHT = ReprojectionFamily(0.25, 0.05)
 
 
 def poly(n_total, gamma0=1.0, rho=0.75):
@@ -91,21 +96,24 @@ class TestMsaRun:
         model = build_model(m=m)
         l, n, seed = 3, 50, 61
         sched = poly(n)
-        traj = msa_run(model, l, sched, FAMILY, n, 0.1, x0, seed=seed)
+        traj = msa_run(model, l, sched, TIGHT, n, 0.1, x0, seed=seed)
         # the engine's step vector: step_size(k) can differ from it in the last ulp
         gammas = sched.step_sizes(n)
         rng = np.random.default_rng(seed)
-        theta, x, psi = 0.1, x0, 0
+        theta, x, psi, events = 0.1, x0, 0, []
         for k in range(1, n + 1):
             x_new = sample_step(model, l, theta, x, rng)
             tentative = theta + gammas[k - 1] * drift_term(model, l, theta, x_new)
-            if FAMILY.contains(tentative, psi):
+            if TIGHT.contains(tentative, psi):
                 theta, x = tentative, x_new
             else:
                 theta, x, psi = 0.1, x0, psi + 1
+                events.append(k)
             assert traj.theta_path[k] == theta
             assert traj.x_path[k] == x
             assert traj.psi_path[k] == psi
+        assert psi > 0 or m == 3  # the reset path is replayed too
+        assert traj.reprojection_events == tuple(events)
 
     def test_long_run_is_stable_without_reprojection(self, default_model):
         roomy = ReprojectionFamily(10.0, 1.0)
@@ -192,25 +200,29 @@ class TestCoupledMsaRun:
         model = build_model(m=m)
         l, n, seed = 2, 50, 62
         sched = poly(n)
-        traj = coupled_msa_run(model, l, sched, FAMILY, n, seed=seed,
+        traj = coupled_msa_run(model, l, sched, TIGHT, n, seed=seed,
                                theta0=0.1, theta0_bar=-0.2, x0=x0, x0_bar=x0_bar,
                                coupling=coupling)
         gammas = sched.step_sizes(n)
         rng = np.random.default_rng(seed)
-        th, tb, x, xb, psi = 0.1, -0.2, x0, x0_bar, 0
+        th, tb, x, xb, psi, events = 0.1, -0.2, x0, x0_bar, 0, []
         for k in range(1, n + 1):
             xn, xbn = coupled_sample_step(model, l, th, tb, x, xb, rng, coupling)
             g = gammas[k - 1]
             half = th + g * drift_term(model, l, th, xn)
             half_bar = tb + g * drift_term(model, l - 1, tb, xbn)
-            if FAMILY.contains(half, psi) and FAMILY.contains(half_bar, psi):
+            if TIGHT.contains(half, psi) and TIGHT.contains(half_bar, psi):
                 th, tb, x, xb = half, half_bar, xn, xbn
             else:
                 th, tb, x, xb, psi = 0.1, -0.2, x0, x0_bar, psi + 1
+                events.append(k)
             assert traj.fine_theta_path[k] == th
             assert traj.coarse_theta_path[k] == tb
             assert traj.fine_x_path[k] == x
             assert traj.coarse_x_path[k] == xb
+            assert traj.psi_path[k] == psi
+        assert psi > 0 or m == 3  # the reset path is replayed too
+        assert traj.reprojection_events == tuple(events)
 
 
 class TestEmpiricalCltVariance:
@@ -309,3 +321,29 @@ class TestRunEnsemble:
                 assert st.x[0, i] == traj.x_path[-1]
             assert st.psi[i] == traj.psi_path[-1]
             assert (st.psi[i] > 0) == (family is not FAMILY)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(3, 12), l=st.integers(1, 6), R=st.integers(1, 4),
+           run=st.sampled_from([(False, "crn"), (True, "crn"), (True, "independent")]),
+           family=st.sampled_from([FAMILY, TIGHT, ReprojectionFamily(0.001, 0.001)]),
+           n=st.integers(1, _CHUNK + 40), seed0=st.integers(0, 2**32))
+    def test_replicates_equal_standalone_runs_over_random_runs(self, m, l, R, run, family, n,
+                                                               seed0):
+        coupled, coupling = run
+        model = build_model(m=m)
+        rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
+        ens, _ = _run_ensemble(model, l, poly(n), family, n, rngs, 0.0, None,
+                               0.0, None, coupled=coupled, coupling=coupling)
+        for i in range(R):
+            if coupled:
+                traj = coupled_msa_run(model, l, poly(n), family, n, seed0 + i,
+                                       coupling=coupling)
+                theta = (traj.fine_theta_path[-1], traj.coarse_theta_path[-1])
+                x = (traj.fine_x_path[-1], traj.coarse_x_path[-1])
+            else:
+                traj = msa_run(model, l, poly(n), family, n, 0.0, None, seed0 + i)
+                theta, x = (traj.theta_path[-1],), (traj.x_path[-1],)
+            assert tuple(ens.theta[:, i]) == theta
+            assert tuple(ens.x[:, i]) == x
+            assert ens.psi[i] == traj.psi_path[-1]
+            assert ens.last_reproj[i] == (traj.reprojection_events or (0,))[-1]
