@@ -50,7 +50,7 @@ OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
 _BASE_DEFAULTS = {
     "model": {"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
               "bias_choice": "cosine", "coupling": "crn"},
-    "schedule": {"kind": "polynomial", "gamma0": 1.0, "rho": 0.75, "n_total": 100000},
+    "schedule": {"kind": "polynomial", "gamma0": 1.0, "rho": 0.75},
     "reprojection": {"r0": 2.0, "growth": 1.0},
     "rates": {"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5},
     "experiment": {},
@@ -63,7 +63,7 @@ _EXPERIMENT_DEFAULTS = {
     "variance-empirical": {"level": 3, "n_steps": 100000, "replicates": 400},
     "rate-check": {"levels": list(range(2, 9)), "theta": 0.7, "r": 1.0},
     "lemma-check": {"levels": list(range(2, 9)), "theta": 0.7, "theta_prime": 0.9,
-                    "zeta": 1.0, "r": 1.0},
+                    "r": 1.0},
     "certify": {"levels": list(range(0, 7)), "theta_min": -2.0, "theta_max": 2.0,
                 "n_theta": 9},
     "run-msa": {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None, "trace": False},
@@ -255,7 +255,7 @@ def _build_parts(cfg: dict):
         phi_choice=cfg["model"]["phi_choice"], bias_choice=cfg["model"]["bias_choice"]))
     sch = cfg["schedule"]
     schedule = _block(cfg, "schedule", lambda: make_step_schedule(
-        sch["kind"], sch["gamma0"], sch.get("rho"), sch["n_total"]))
+        sch["kind"], sch["gamma0"], sch["rho"]))
     reproj = _block(cfg, "reprojection", lambda: ReprojectionFamily(
         cfg["reprojection"]["r0"], cfg["reprojection"]["growth"]))
     rates = _block(cfg, "rates", lambda: RateParameters(
@@ -319,10 +319,10 @@ def _cmd_rate_check(cfg, parts, outdir):
 
 
 def _cmd_lemma_check(cfg, parts, outdir):
-    model = parts[0]
+    model, rates = parts[0], parts[3]
     exp = cfg["experiment"]
     diag = lemma_diagnostics(model, exp["levels"], exp["theta"],
-                             exp["theta_prime"], zeta=exp["zeta"], r=exp["r"],
+                             exp["theta_prime"], zeta=rates.zeta, r=exp["r"],
                              coupling=cfg["model"]["coupling"])
     rows = [(name, l, val) for name, vals in sorted(diag.quantities.items())
             for l, val in zip(diag.levels, vals)]

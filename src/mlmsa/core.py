@@ -4,6 +4,10 @@ Everything here is immutable after construction and safe to share across
 threads.  Stochastic code lives in :mod:`mlmsa.engine`; this module only
 encodes the deterministic contracts (step-size admissibility, nested
 constraint sets, rate parameters).
+
+A step schedule has no length: every caller passes its run length to
+:meth:`StepSchedule.step_sizes`, and that vector is the one statement of
+the step rule, so a step read off it is the step the engine takes.
 """
 
 from __future__ import annotations
@@ -51,24 +55,15 @@ class StepSchedule:
     kind: str  # "polynomial" | "constant"
     gamma0: float
     rho: float | None
-    n_total: int
 
-    def step_size(self, n: int) -> float:
-        """gamma_n for n >= 1."""
+    def step_sizes(self, n_steps: int) -> np.ndarray:
+        """Vector (gamma_1, ..., gamma_n_steps)."""
         if self.kind == "constant":
-            return self.gamma0
-        return self.gamma0 * float(n) ** (-self.rho)
-
-    def step_sizes(self, n_steps: int | None = None) -> np.ndarray:
-        """Vector (gamma_1, ..., gamma_n)."""
-        n = self.n_total if n_steps is None else n_steps
-        if self.kind == "constant":
-            return np.full(n, self.gamma0)
-        return self.gamma0 * np.arange(1, n + 1, dtype=float) ** (-self.rho)
+            return np.full(n_steps, self.gamma0)
+        return self.gamma0 * np.arange(1, n_steps + 1, dtype=float) ** (-self.rho)
 
 
-def make_step_schedule(kind: str, gamma0: float, rho: float | None = None,
-                       n_total: int = 1) -> StepSchedule:
+def make_step_schedule(kind: str, gamma0: float, rho: float | None = None) -> StepSchedule:
     """Validated step-size schedule.
 
     Rejects polynomial exponents outside (1/2, 1) with a diagnostic naming
@@ -84,12 +79,10 @@ def make_step_schedule(kind: str, gamma0: float, rho: float | None = None,
     """
     if kind not in ("polynomial", "constant"):
         raise ParameterError(f"schedule kind must be 'polynomial' or 'constant', got {kind!r}")
-    if not isinstance(n_total, int) or n_total < 1:
-        raise ParameterError(f"n_total must be a positive integer, got {n_total!r}")
     if kind == "constant":
         if gamma0 < 0:
             raise ParameterError(f"constant schedule needs gamma0 >= 0, got {gamma0}")
-        return StepSchedule("constant", float(gamma0), None, n_total)
+        return StepSchedule("constant", float(gamma0), None)
     if gamma0 <= 0:
         raise ParameterError(f"polynomial schedule needs gamma0 > 0, got {gamma0}")
     if rho is None:
@@ -104,12 +97,12 @@ def make_step_schedule(kind: str, gamma0: float, rho: float | None = None,
     if rho > 1.0:
         raise ParameterError(
             f"rho={rho} violates divergence: sum of gamma_n is finite for rho > 1")
-    return StepSchedule("polynomial", float(gamma0), float(rho), n_total)
+    return StepSchedule("polynomial", float(gamma0), float(rho))
 
 
-def ratio_diagnostic(schedule: StepSchedule, n_steps: int | None = None) -> np.ndarray:
-    """|log(gamma_n/gamma_{n-1})| / gamma_n for n = 2..n; must decay to 0
-    for an admissible polynomial schedule."""
+def ratio_diagnostic(schedule: StepSchedule, n_steps: int) -> np.ndarray:
+    """|log(gamma_n/gamma_{n-1})| / gamma_n for n = 2..n_steps; must decay
+    to 0 for an admissible polynomial schedule."""
     g = schedule.step_sizes(n_steps)
     if len(g) < 2:
         return np.empty(0)

@@ -31,7 +31,13 @@ table entry is then one add, and landing states and the statistic are
 stored against that base.  Resets are rare, so each step asks once
 whether every tentative parameter lies in its set; only when one does
 not are the resets, the psi increments and the set bounds worked out.
-A nan parameter fails |theta| <= bound, so it resets like one outside.
+A nan or infinite tentative parameter fails |theta| <= bound, so a
+blow-up resets and counts as a reprojection like any exit from the set.
+
+The run inputs are checked once, in the ensemble driver every procedure
+goes through: n_steps >= 1, the coupling, a finite level l >= 1 for a
+coupled run, each start parameter in K_0 and each configured start state
+on the grid.
 """
 
 from __future__ import annotations
@@ -128,22 +134,27 @@ class CoupledTrajectory:
 
 class _Ensemble:
     """Vectorized replicate state for the stepping loop (internal): theta,
-    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate."""
+    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate.
+    theta0s and x0s hold one start per chain, the fine chain's first."""
 
-    def __init__(self, rngs, m, theta0, theta0_bar, x0, x0_bar, coupled):
-        for name, x in (("x0", x0), ("x0_bar", x0_bar)):  # None: drawn or shared
+    def __init__(self, rngs, m, family, theta0s, x0s):
+        for name, theta in zip(("theta0", "theta0_bar"), theta0s):
+            if not family.contains(theta, 0):
+                raise ParameterError(f"{name}={theta} is outside the initial constraint "
+                                     f"set {list(family.bounds(0))}")
+        for name, x in zip(("x0", "x0_bar"), x0s):  # None: drawn or shared
             if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
                                   or not 0 <= x < m):
                 raise ParameterError(f"{name} must be None or an integer in [0, m) with "
                                      f"m={m}, got {x!r}")
         R = len(rngs)
-        C = 2 if coupled else 1
-        fine = np.array([rng.integers(m) if x0 is None else x0 for rng in rngs], np.int64)
+        fine = np.array([rng.integers(m) if x0s[0] is None else x0s[0] for rng in rngs],
+                        np.int64)
         # an unconfigured coarse chain starts at the fine chain's state:
         # the pair begins coalesced, which is what the coupling is for
-        coarse = fine if x0_bar is None else np.full(R, x0_bar, np.int64)
-        self.theta0 = np.repeat([[theta0], [theta0_bar]][:C], R, axis=1).astype(float)
-        self.x0 = np.stack([fine, coarse][:C])
+        coarse = [fine if x is None else np.full(R, x, np.int64) for x in x0s[1:]]
+        self.theta0 = np.repeat(np.array(theta0s, float)[:, None], R, axis=1)
+        self.x0 = np.stack([fine] + coarse)
         self.theta = self.theta0.copy()
         self.x = self.x0.copy()
         self.psi = np.zeros(R, dtype=np.int64)
@@ -174,13 +185,16 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     if coupling not in ("crn", "independent"):
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
+    if coupled and (l == math.inf or l < 1):
+        raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
     R, m = len(rngs), model.m
-    st = _Ensemble(rngs, m, theta0, theta0_bar, x0, x0_bar, coupled)
     levels = (l, l - 1) if coupled else (l,)
+    C = len(levels)
+    st = _Ensemble(rngs, m, family, (theta0, theta0_bar)[:C], (x0, x0_bar)[:C])
     # one table for all chains: chain c's states, landing states included,
     # are offset by c*m, so one gather serves every chain; states are held
     # doubled (the index base), and s2[2*x] is the statistic at x
-    offsets = m * np.arange(len(levels))[:, None]
+    offsets = m * np.arange(C)[:, None]
     diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
     table = np.concatenate(diffs), 2 * (np.stack(dests) + offsets).ravel()
     s2 = np.repeat(np.concatenate([level_statistic(model, k) for k in levels]), 2)
@@ -190,7 +204,7 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     bound = family.r0 + family.growth * st.psi
     # each chain's (direction, acceptance) columns start here: CRN reuses the
     # fine chain's pair for the coarse chain, the independent coupling draws two more
-    cols = np.array([0, 2 if coupling == "independent" else 0][:len(levels)])
+    cols = np.array([0, 2 if coupling == "independent" else 0][:C])
     paths = None
     if record:
         paths = {"theta": np.empty((n_steps + 1,) + st.theta.shape),
@@ -222,8 +236,6 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
                         paths["events"][r].append(step)
             if record:
                 paths["theta"][step], paths["x"][step], paths["psi"][step] = st.theta, st.x, st.psi
-        if not np.all(np.isfinite(st.theta)):
-            raise NumericalError(f"non-finite parameter encountered by step {step}")
     st.x = st.x // 2 - offsets
     st.x0 = st.x0 // 2 - offsets
     if record:
@@ -241,8 +253,6 @@ def msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
     initial state uniformly from the grid (one integer draw before the
     per-step uniforms).
     """
-    if not reproj.contains(theta0, 0):
-        raise ParameterError(f"theta0={theta0} is outside the initial constraint set")
     rng = np.random.default_rng(seed)
     st, paths = _run_ensemble(model, l, schedule, reproj, n_steps, [rng],
                               theta0, x0, record=True)
@@ -267,10 +277,6 @@ def coupled_msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
     draw (coalesced), which is the point of the coupling; pass explicit
     distinct states to study excursions.
     """
-    if l == math.inf or l < 1:
-        raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
-    if not (reproj.contains(theta0, 0) and reproj.contains(theta0_bar, 0)):
-        raise ParameterError("initial parameters must lie in the initial constraint set")
     rng = np.random.default_rng(seed)
     st, paths = _run_ensemble(model, l, schedule, reproj, n_steps, [rng],
                               theta0, x0, theta0_bar, x0_bar,
@@ -319,8 +325,6 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     settling rule, which indicates a reprojection family that is too
     tight for the model.
     """
-    if l == math.inf or l < 1:
-        raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
     if R < 100:
         raise ParameterError(f"need R >= 100 replicates, got {R}")
     if schedule.kind != "polynomial":
@@ -340,7 +344,7 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     n = inc.size
     if n < 3:
         raise NumericalError(f"only {n} replicates survived the settling rule")
-    gamma_n = schedule.step_size(n_steps)
+    gamma_n = schedule.step_sizes(n_steps)[-1]  # the engine's last step
     est = float(np.var(inc, ddof=1) / gamma_n)
     # leave-one-out variances in closed form for the jackknife
     s1, s2 = inc.sum(), np.dot(inc, inc)

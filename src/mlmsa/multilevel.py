@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    NumericalError,
     ParameterError,
     RateParameters,
     ReprojectionFamily,
@@ -144,13 +143,10 @@ def _run_plan_ensemble(model: FiniteLevelModel, plan: LevelPlan, root_seeds,
     cost = 0.0
     for l in range(plan.L + 1):
         n = plan.n_l[l]
-        sched = make_step_schedule("constant", plan.gamma_l[l], n_total=n)
+        sched = make_step_schedule("constant", plan.gamma_l[l])
         rngs = [np.random.default_rng(seqs[l]) for seqs in children]
-        try:
-            st, _ = _run_ensemble(model, l, sched, reproj, n, rngs, theta0, None,
-                                  theta0, None, coupled=l > 0, coupling=coupling)
-        except NumericalError as exc:
-            raise NumericalError(f"level {l} run aborted: {exc}") from exc
+        st, _ = _run_ensemble(model, l, sched, reproj, n, rngs, theta0, None,
+                              theta0, None, coupled=l > 0, coupling=coupling)
         # level 0 is a single chain; level l >= 1 a fine-minus-coarse pair
         estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
         cost += n * (2.0 ** (l * kappa) + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))

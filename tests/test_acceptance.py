@@ -82,7 +82,7 @@ def test_criterion_3_exact_vs_empirical_clt_variance(default_model):
     t0 = time.time()
     n, R = 100000, 400
     exact = asymptotic_variance(default_model, 3).sigma
-    sched = make_step_schedule("polynomial", 1.0, 0.75, n)
+    sched = make_step_schedule("polynomial", 1.0, 0.75)
     est = empirical_clt_variance(default_model, 3, sched, n, R, seed0=1000)
     z = (est.estimate - exact) / est.stderr
     assert abs(est.estimate - exact) <= 3 * est.stderr
@@ -97,7 +97,7 @@ def test_criterion_4_perfect_coupling_zero(bias_off_model):
     t0 = time.time()
     rep = asymptotic_variance(bias_off_model, 3)
     assert abs(rep.sigma) <= 1e-8
-    sched = make_step_schedule("polynomial", 1.0, 0.75, 20000)
+    sched = make_step_schedule("polynomial", 1.0, 0.75)
     traj = coupled_msa_run(bias_off_model, 3, sched, ReprojectionFamily(2.0, 1.0),
                            20000, seed=5, theta0=0.4, theta0_bar=0.4)
     assert np.all(traj.increments == 0.0)
@@ -187,15 +187,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         "variance-exact": ["--experiment.levels=[1,2]"],
         "variance-empirical": ["--experiment.n_steps=1200",
                                "--experiment.replicates=100",
-                               "--experiment.level=2",
-                               "--schedule.n_total=1200"],
+                               "--experiment.level=2"],
         "rate-check": ["--experiment.levels=[2,3,4,5]"],
         "lemma-check": ["--experiment.levels=[2,3,4,5]"],
         "certify": ["--experiment.levels=[0,1]", "--experiment.n_theta=3"],
-        "run-msa": ["--experiment.n_steps=400", "--schedule.n_total=400",
-                    "--trace"],
-        "run-coupled": ["--experiment.n_steps=400", "--schedule.n_total=400",
-                        "--trace"],
+        "run-msa": ["--experiment.n_steps=400", "--trace"],
+        "run-coupled": ["--experiment.n_steps=400", "--trace"],
         "schedule": ["--experiment.epsilon=0.25"],
         "ml-run": ["--experiment.epsilon=0.5", "--experiment.n_min=20"],
         "mse-cost": ["--experiment.epsilons=[0.5,0.4,0.3]",

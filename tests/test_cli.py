@@ -21,13 +21,12 @@ FAST_ARGS = {
     "variance-exact": ["--experiment.levels=[1,2]"],
     "variance-empirical": ["--experiment.n_steps=1500",
                            "--experiment.replicates=100",
-                           "--experiment.level=2",
-                           "--schedule.n_total=1500"],
+                           "--experiment.level=2"],
     "rate-check": ["--experiment.levels=[2,3,4,5]"],
     "lemma-check": ["--experiment.levels=[2,3,4,5]"],
     "certify": ["--experiment.levels=[0,1,2]", "--experiment.n_theta=3"],
-    "run-msa": ["--experiment.n_steps=500", "--schedule.n_total=500"],
-    "run-coupled": ["--experiment.n_steps=500", "--schedule.n_total=500"],
+    "run-msa": ["--experiment.n_steps=500"],
+    "run-coupled": ["--experiment.n_steps=500"],
     "schedule": ["--experiment.epsilon=0.25"],
     "ml-run": ["--experiment.epsilon=0.5", "--experiment.n_min=20"],
     "mse-cost": ["--experiment.epsilons=[0.5,0.4,0.3]",
@@ -126,8 +125,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "rep"
-    args = ["run-coupled", "--output", str(out), "--experiment.n_steps=800",
-            "--schedule.n_total=800", "--trace"]
+    args = ["run-coupled", "--output", str(out), "--experiment.n_steps=800", "--trace"]
     assert run_cli(*args) == 0
     first = hash_dir(out)
     assert run_cli(*args) == 0
@@ -145,17 +143,46 @@ def test_manifest_roundtrip_reproduces_outputs(tmp_path):
         (out2 / "level_plan.json").read_bytes()
 
 
+@pytest.mark.parametrize("block, key, value", [("schedule", "n_total", 100000),
+                                               ("experiment", "zeta", 1.0)])
+def test_manifest_echoing_a_removed_key_is_rejected(tmp_path, capsys, block, key, value):
+    # manifests written while the run length and lemma-check's zeta were
+    # also config keys echo them; re-fed as a config they are unknown keys
+    config = cli.resolve_config("lemma-check", None, [("output", str(tmp_path / "never"))])
+    config[block][key] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"subcommand": "lemma-check", "tool_version": "0",
+                                    "seed": config["seed"], "config": config,
+                                    "results": {}}))
+    assert run_cli("lemma-check", str(manifest)) == 1
+    assert f"unknown config key '{block}.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_lemma_check_reads_zeta_from_the_rates_block(tmp_path, capsys):
+    assert run_cli("lemma-check", "--experiment.zeta=0.5", "--output", str(tmp_path / "a")) == 1
+    assert "unknown config key 'experiment.zeta'" in capsys.readouterr().err
+    assert run_cli("lemma-check", "--rates.zeta=0.4", "--output", str(tmp_path / "b")) == 1
+    assert capsys.readouterr().err.startswith("mlmsa: configuration error")
+    out = tmp_path / "c"
+    assert run_cli("lemma-check", "--rates.zeta=0.75", "--experiment.levels=[2,3,4,5]",
+                   "--output", str(out)) == 0
+    q = {}
+    for line in (out / "lemma_check.csv").read_text().split()[1:]:
+        name, _, value = line.split(",")
+        q.setdefault(name, []).append(float(value))
+    assert q["holder_ratio"] == [gap / abs(0.7 - 0.9) ** 0.75 for gap in q["theta_gap"]]
+
+
 def test_trace_flag_writes_trajectory(tmp_path):
     out = tmp_path / "t"
-    run_cli("run-msa", "--output", str(out), "--experiment.n_steps=50",
-            "--schedule.n_total=50", "--trace")
+    run_cli("run-msa", "--output", str(out), "--experiment.n_steps=50", "--trace")
     lines = (out / "trace_msa.csv").read_text().strip().split("\n")
     assert lines[0] == "step,theta,x,psi"
     assert len(lines) == 52  # header + n_steps + 1 states
 
     out2 = tmp_path / "t2"
-    run_cli("run-msa", "--output", str(out2), "--experiment.n_steps=50",
-            "--schedule.n_total=50")
+    run_cli("run-msa", "--output", str(out2), "--experiment.n_steps=50")
     assert not (out2 / "trace_msa.csv").exists()
 
 
@@ -166,7 +193,7 @@ def test_trace_is_a_config_value_of_the_run_commands_only(tmp_path, capsys):
 
     out1 = tmp_path / "a"
     assert run_cli("run-msa", "--output", str(out1), "--experiment.n_steps=50",
-                   "--schedule.n_total=50", "--trace") == 0
+                   "--trace") == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config"]["experiment"]["trace"] is True
     assert "trace" not in manifest
@@ -175,12 +202,20 @@ def test_trace_is_a_config_value_of_the_run_commands_only(tmp_path, capsys):
     assert (out2 / "trace_msa.csv").read_bytes() == (out1 / "trace_msa.csv").read_bytes()
 
 
-@pytest.mark.parametrize("override", ["--experiment.x0=-1", "--experiment.x0=99"])
-def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, override):
-    rc = run_cli("run-msa", "--output", str(tmp_path / "x"), override, "--trace")
+@pytest.mark.parametrize("argv, name", [
+    (("run-msa", "--experiment.x0=-1", "--trace"), "x0"),
+    (("run-msa", "--experiment.x0=99", "--trace"), "x0"),
+    (("ml-run", "--experiment.theta0=3.0"), "theta0"),
+    (("mse-cost", "--experiment.theta0=3.0"), "theta0"),
+], ids=["--experiment.x0=-1", "--experiment.x0=99", "ml-run-theta0", "mse-cost-theta0"])
+def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, argv, name):
+    # a start state off the grid, or a start parameter outside K_0
+    out = tmp_path / "never"
+    rc = run_cli(*argv, "--output", str(out))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("mlmsa: validation error") and "x0" in err
+    assert err.startswith("mlmsa: validation error") and name in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, key", [

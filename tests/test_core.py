@@ -29,40 +29,40 @@ class TestLevel:
 
 class TestStepSchedule:
     def test_polynomial_value(self):
-        sched = make_step_schedule("polynomial", 1.0, 0.75, 10)
+        sched = make_step_schedule("polynomial", 1.0, 0.75)
         # direct evaluation of gamma0 * n**-rho at n = 3
-        assert sched.step_size(3) == pytest.approx(0.4386913376508308, rel=1e-15)
-        assert sched.step_size(1) == 1.0
+        assert sched.step_sizes(3)[-1] == pytest.approx(0.4386913376508308, rel=1e-15)
+        assert sched.step_sizes(1)[-1] == 1.0
 
     def test_constant_value(self):
-        sched = make_step_schedule("constant", 0.1, n_total=100)
-        assert all(sched.step_size(n) == 0.1 for n in (1, 50, 100))
+        sched = make_step_schedule("constant", 0.1)
+        assert all(sched.step_sizes(n)[-1] == 0.1 for n in (1, 50, 100))
 
     def test_constant_allows_zero_for_frozen_runs(self):
-        sched = make_step_schedule("constant", 0.0, n_total=10)
-        assert sched.step_size(5) == 0.0
+        sched = make_step_schedule("constant", 0.0)
+        assert sched.step_sizes(5)[-1] == 0.0
 
     def test_rho_one_rejected_naming_ratio_condition(self):
         # log(gamma_n/gamma_{n-1}) ~ -1/n is of exact order gamma_n = 1/n
         with pytest.raises(ParameterError, match="ratio condition"):
-            make_step_schedule("polynomial", 1.0, 1.0, 10)
+            make_step_schedule("polynomial", 1.0, 1.0)
 
     def test_rho_half_rejected_naming_square_summability(self):
         with pytest.raises(ParameterError, match="square summability"):
-            make_step_schedule("polynomial", 1.0, 0.5, 10)
+            make_step_schedule("polynomial", 1.0, 0.5)
 
     def test_rho_above_one_rejected_naming_divergence(self):
         with pytest.raises(ParameterError, match="divergence"):
-            make_step_schedule("polynomial", 1.0, 1.2, 10)
+            make_step_schedule("polynomial", 1.0, 1.2)
 
     def test_gamma0_validation(self):
         with pytest.raises(ParameterError):
-            make_step_schedule("polynomial", 0.0, 0.75, 10)
+            make_step_schedule("polynomial", 0.0, 0.75)
         with pytest.raises(ParameterError):
-            make_step_schedule("constant", -0.1, n_total=10)
+            make_step_schedule("constant", -0.1)
 
     def test_step_sum_diverges_numerically(self):
-        g = make_step_schedule("polynomial", 1.0, 0.75, 200000).step_sizes()
+        g = make_step_schedule("polynomial", 1.0, 0.75).step_sizes(200000)
         partial = np.cumsum(g)
         # increments over successive doublings grow: the sum diverges
         inc_late = partial[-1] - partial[len(g) // 2]
@@ -70,14 +70,14 @@ class TestStepSchedule:
         assert inc_late > inc_early > 0
 
     def test_squared_sum_converges_numerically(self):
-        g = make_step_schedule("polynomial", 1.0, 0.75, 200000).step_sizes()
+        g = make_step_schedule("polynomial", 1.0, 0.75).step_sizes(200000)
         sq = np.cumsum(g ** 2)
         # the tail contributes a vanishing fraction
         assert sq[-1] - sq[len(g) // 2] < 0.01 * sq[-1]
 
     def test_ratio_diagnostic_decreases_to_zero(self):
-        sched = make_step_schedule("polynomial", 1.0, 0.75, 5000)
-        d = ratio_diagnostic(sched)
+        sched = make_step_schedule("polynomial", 1.0, 0.75)
+        d = ratio_diagnostic(sched, 5000)
         assert np.all(np.diff(d) < 0)
         assert d[-1] < 0.2 * d[0]
 

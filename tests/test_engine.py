@@ -34,13 +34,13 @@ FAMILY = ReprojectionFamily(2.0, 1.0)
 TIGHT = ReprojectionFamily(0.25, 0.05)
 
 
-def poly(n_total, gamma0=1.0, rho=0.75):
-    return make_step_schedule("polynomial", gamma0, rho, n_total)
+def poly(gamma0=1.0, rho=0.75):
+    return make_step_schedule("polynomial", gamma0, rho)
 
 
 class TestMsaRun:
     def test_zero_steps_freeze_theta(self, default_model):
-        frozen = make_step_schedule("constant", 0.0, n_total=1)
+        frozen = make_step_schedule("constant", 0.0)
         traj = msa_run(default_model, 2, frozen, FAMILY, 500, 0.3, 4, seed=1)
         assert np.all(traj.theta_path == 0.3)
         assert len(traj.reprojection_events) == 0
@@ -48,25 +48,25 @@ class TestMsaRun:
     def test_zero_drift_keeps_theta_constant(self):
         # constant (zero) statistic and theta0 at its value: H identically 0
         flat = build_model(phi_choice="zero", bias_choice="zero")
-        traj = msa_run(flat, 2, poly(100), FAMILY, 100, 0.0, 3, seed=5)
+        traj = msa_run(flat, 2, poly(), FAMILY, 100, 0.0, 3, seed=5)
         assert np.all(traj.theta_path == 0.0)
 
     def test_deterministic_given_seed(self, default_model):
-        a = msa_run(default_model, 3, poly(2000), FAMILY, 2000, 0.0, None, seed=9)
-        b = msa_run(default_model, 3, poly(2000), FAMILY, 2000, 0.0, None, seed=9)
+        a = msa_run(default_model, 3, poly(), FAMILY, 2000, 0.0, None, seed=9)
+        b = msa_run(default_model, 3, poly(), FAMILY, 2000, 0.0, None, seed=9)
         np.testing.assert_array_equal(a.theta_path, b.theta_path)
         np.testing.assert_array_equal(a.x_path, b.x_path)
         assert a.x0 == b.x0
 
     def test_converges_to_level_root(self, default_model):
-        traj = msa_run(default_model, 4, poly(100000, gamma0=0.1), FAMILY,
+        traj = msa_run(default_model, 4, poly(gamma0=0.1), FAMILY,
                        100000, 0.0, None, seed=12345)
         assert abs(traj.theta_final - level_root(default_model, 4)) <= 0.05
         assert len(traj.reprojection_events) == 0  # r0 = 2 is ample
 
     def test_reprojection_resets_and_counts(self, default_model):
         tight = ReprojectionFamily(0.001, 0.001)
-        traj = msa_run(default_model, 1, poly(3000), tight, 3000, 0.0, None, seed=2)
+        traj = msa_run(default_model, 1, poly(), tight, 3000, 0.0, None, seed=2)
         assert len(traj.reprojection_events) > 0
         traj.validate_containment(tight)
         k = traj.reprojection_events[0]
@@ -75,17 +75,17 @@ class TestMsaRun:
         assert traj.psi_path[k] == traj.psi_path[k - 1] + 1
 
     def test_containment_invariant_on_generic_run(self, default_model):
-        traj = msa_run(default_model, 2, poly(5000), FAMILY, 5000, 0.0, None, seed=3)
+        traj = msa_run(default_model, 2, poly(), FAMILY, 5000, 0.0, None, seed=3)
         traj.validate_containment(FAMILY)
 
     def test_theta0_must_start_inside(self, default_model):
         with pytest.raises(ParameterError):
-            msa_run(default_model, 2, poly(10), FAMILY, 10, 5.0, None, seed=0)
+            msa_run(default_model, 2, poly(), FAMILY, 10, 5.0, None, seed=0)
 
     @pytest.mark.parametrize("x0", [-1, 32])
     def test_initial_state_off_grid_rejected(self, default_model, x0):
         with pytest.raises(ParameterError, match="x0 .*m=32"):
-            msa_run(default_model, 2, poly(10), FAMILY, 10, 0.0, x0, seed=0)
+            msa_run(default_model, 2, poly(), FAMILY, 10, 0.0, x0, seed=0)
 
     @pytest.mark.parametrize("m, x0", [(32, 9), (3, 0)])
     def test_step_semantics_replay_scalar_procedure(self, m, x0):
@@ -95,9 +95,8 @@ class TestMsaRun:
         # m = 3 keeps the chain at the walls, where proposals leave the grid
         model = build_model(m=m)
         l, n, seed = 3, 50, 61
-        sched = poly(n)
+        sched = poly()
         traj = msa_run(model, l, sched, TIGHT, n, 0.1, x0, seed=seed)
-        # the engine's step vector: step_size(k) can differ from it in the last ulp
         gammas = sched.step_sizes(n)
         rng = np.random.default_rng(seed)
         theta, x, psi, events = 0.1, x0, 0, []
@@ -117,7 +116,7 @@ class TestMsaRun:
 
     def test_long_run_is_stable_without_reprojection(self, default_model):
         roomy = ReprojectionFamily(10.0, 1.0)
-        traj = msa_run(default_model, 3, poly(1000000), roomy, 1000000, 0.0,
+        traj = msa_run(default_model, 3, poly(), roomy, 1000000, 0.0,
                        None, seed=77)
         assert len(traj.reprojection_events) == 0
         assert np.all(traj.psi_path == 0)
@@ -125,31 +124,31 @@ class TestMsaRun:
 
 class TestCoupledMsaRun:
     def test_identical_levels_give_zero_increment(self, bias_off_model):
-        traj = coupled_msa_run(bias_off_model, 3, poly(5000), FAMILY, 5000,
+        traj = coupled_msa_run(bias_off_model, 3, poly(), FAMILY, 5000,
                                seed=11, theta0=0.2, theta0_bar=0.2)
         assert np.all(traj.increments == 0.0)  # exact: both chains identical
 
     def test_increment_near_root_gap(self, default_model):
         rep = asymptotic_variance(default_model, 4)
         n = 100000
-        traj = coupled_msa_run(default_model, 4, poly(n), FAMILY, n, seed=777)
-        sd = math.sqrt(poly(n).step_size(n) * rep.sigma)
+        traj = coupled_msa_run(default_model, 4, poly(), FAMILY, n, seed=777)
+        sd = math.sqrt(poly().step_sizes(n)[-1] * rep.sigma)
         truth = rep.theta_star_l - rep.theta_star_lm1
         assert abs(traj.increment_final - truth) <= 3 * sd
 
     def test_deterministic_given_seed(self, default_model):
-        a = coupled_msa_run(default_model, 2, poly(3000), FAMILY, 3000, seed=21)
-        b = coupled_msa_run(default_model, 2, poly(3000), FAMILY, 3000, seed=21)
+        a = coupled_msa_run(default_model, 2, poly(), FAMILY, 3000, seed=21)
+        b = coupled_msa_run(default_model, 2, poly(), FAMILY, 3000, seed=21)
         np.testing.assert_array_equal(a.fine_theta_path, b.fine_theta_path)
         np.testing.assert_array_equal(a.coarse_x_path, b.coarse_x_path)
 
     def test_unconfigured_pair_starts_coalesced(self, default_model):
-        traj = coupled_msa_run(default_model, 2, poly(10), FAMILY, 10, seed=4)
+        traj = coupled_msa_run(default_model, 2, poly(), FAMILY, 10, seed=4)
         assert traj.x0 == traj.x0_bar
 
     def test_joint_reprojection_resets_both(self, default_model):
         tight = ReprojectionFamily(0.001, 0.001)
-        traj = coupled_msa_run(default_model, 1, poly(2000), tight, 2000, seed=6)
+        traj = coupled_msa_run(default_model, 1, poly(), tight, 2000, seed=6)
         assert len(traj.reprojection_events) > 0
         traj.validate_containment(tight)
         k = traj.reprojection_events[0]
@@ -173,7 +172,7 @@ class TestCoupledMsaRun:
         # the coupling's marginal property in action: the fine chain of a
         # frozen coupled run is a plain chain for its own target
         m8 = build_model(m=8)
-        frozen = make_step_schedule("constant", 0.0, n_total=1)
+        frozen = make_step_schedule("constant", 0.0)
         n = 100000
         traj = coupled_msa_run(m8, 2, frozen, FAMILY, n, seed=99,
                                theta0=0.7, theta0_bar=0.7)
@@ -183,13 +182,13 @@ class TestCoupledMsaRun:
 
     def test_level_zero_rejected(self, default_model):
         with pytest.raises(ParameterError):
-            coupled_msa_run(default_model, 0, poly(10), FAMILY, 10, seed=0)
+            coupled_msa_run(default_model, 0, poly(), FAMILY, 10, seed=0)
 
     @pytest.mark.parametrize("state", [-1, 32])
     @pytest.mark.parametrize("name", ["x0", "x0_bar"])
     def test_initial_state_off_grid_rejected(self, default_model, name, state):
         with pytest.raises(ParameterError, match=f"{name} .*m=32"):
-            coupled_msa_run(default_model, 2, poly(10), FAMILY, 10, seed=0, **{name: state})
+            coupled_msa_run(default_model, 2, poly(), FAMILY, 10, seed=0, **{name: state})
 
     @pytest.mark.parametrize("coupling", ["crn", "independent"])
     @pytest.mark.parametrize("m, x0, x0_bar", [(32, 4, 11), (3, 0, 2)])
@@ -199,7 +198,7 @@ class TestCoupledMsaRun:
         # the joint containment rule; m = 3 keeps both chains at the walls
         model = build_model(m=m)
         l, n, seed = 2, 50, 62
-        sched = poly(n)
+        sched = poly()
         traj = coupled_msa_run(model, l, sched, TIGHT, n, seed=seed,
                                theta0=0.1, theta0_bar=-0.2, x0=x0, x0_bar=x0_bar,
                                coupling=coupling)
@@ -228,30 +227,43 @@ class TestCoupledMsaRun:
 class TestEmpiricalCltVariance:
     def test_replicates_equal_standalone_runs(self, default_model):
         n, R, seed0 = 4000, 100, 50
-        est = empirical_clt_variance(default_model, 2, poly(n), n, R, seed0)
+        est = empirical_clt_variance(default_model, 2, poly(), n, R, seed0)
         assert est.n_discarded == 0
         for i in (0, 37, 99):
-            traj = coupled_msa_run(default_model, 2, poly(n), FAMILY, n,
+            traj = coupled_msa_run(default_model, 2, poly(), FAMILY, n,
                                    seed=seed0 + i)
             assert est.increments[i] == pytest.approx(traj.increment_final,
                                                       abs=1e-12)
 
     def test_zero_steps_rejected(self, default_model):
         with pytest.raises(ParameterError, match="n_steps"):
-            empirical_clt_variance(default_model, 2, poly(100), 0, 100, 0)
+            empirical_clt_variance(default_model, 2, poly(), 0, 100, 0)
+
+    @pytest.mark.parametrize("name, value", [("theta0", 5.0), ("theta0_bar", -5.0)])
+    def test_start_parameters_outside_k0_rejected(self, default_model, name, value):
+        with pytest.raises(ParameterError,
+                           match=f"{name}={value} is outside the initial constraint set"):
+            empirical_clt_variance(default_model, 2, poly(), 100, 100, 0, **{name: value})
+
+    def test_scales_by_the_last_step_the_engine_took(self):
+        # at n = 14, gamma0 * 14**-rho evaluated as a scalar differs in the
+        # last ulp from the step vector's entry
+        sched = poly()
+        est = empirical_clt_variance(build_model(m=8), 2, sched, 14, 100, 0)
+        assert est.gamma_n == sched.step_sizes(14)[-1]
 
     def test_degenerate_levels_give_zero_estimate(self, bias_off_model):
-        est = empirical_clt_variance(bias_off_model, 2, poly(2000), 2000, 100, 7)
+        est = empirical_clt_variance(bias_off_model, 2, poly(), 2000, 100, 7)
         assert est.estimate == 0.0
 
     def test_matches_exact_variance(self, default_model):
         rep = asymptotic_variance(default_model, 3)
-        est = empirical_clt_variance(default_model, 3, poly(30000), 30000, 200,
+        est = empirical_clt_variance(default_model, 3, poly(), 30000, 200,
                                      seed0=4000)
         assert abs(est.estimate - rep.sigma) <= 3 * est.stderr
 
     def test_seed_block_invariance(self, default_model):
-        blocks = [empirical_clt_variance(default_model, 2, poly(20000), 20000,
+        blocks = [empirical_clt_variance(default_model, 2, poly(), 20000,
                                          150, seed0=s) for s in (100, 4100, 9100)]
         for i in range(3):
             for j in range(i + 1, 3):
@@ -264,31 +276,31 @@ class TestEmpiricalCltVariance:
         # the gamma_n**-1 scaling removes the schedule: any admissible
         # exponent must estimate the same asymptotic variance
         exact = asymptotic_variance(default_model, 2).sigma
-        sched = make_step_schedule("polynomial", 1.0, rho, 40000)
+        sched = make_step_schedule("polynomial", 1.0, rho)
         est = empirical_clt_variance(default_model, 2, sched, 40000, 250,
                                      seed0=7000)
         assert abs(est.estimate - exact) <= 3 * est.stderr
 
     def test_independent_coupling_inflates_variance(self, default_model):
-        crn = empirical_clt_variance(default_model, 2, poly(5000), 5000, 100,
+        crn = empirical_clt_variance(default_model, 2, poly(), 5000, 100,
                                      seed0=31, coupling="crn")
-        ind = empirical_clt_variance(default_model, 2, poly(5000), 5000, 100,
+        ind = empirical_clt_variance(default_model, 2, poly(), 5000, 100,
                                      seed0=31, coupling="independent")
         assert ind.estimate > crn.estimate
 
     def test_requires_polynomial_schedule(self, default_model):
-        const = make_step_schedule("constant", 0.01, n_total=100)
+        const = make_step_schedule("constant", 0.01)
         with pytest.raises(ParameterError):
             empirical_clt_variance(default_model, 2, const, 100, 100, 0)
 
     def test_requires_enough_replicates(self, default_model):
         with pytest.raises(ParameterError):
-            empirical_clt_variance(default_model, 2, poly(100), 100, 50, 0)
+            empirical_clt_variance(default_model, 2, poly(), 100, 50, 0)
 
     def test_warns_when_family_too_tight(self, default_model):
         tight = ReprojectionFamily(0.5, 0.01)
         with pytest.warns(UserWarning, match="too tight"):
-            est = empirical_clt_variance(default_model, 1, poly(400), 400, 100, 3,
+            est = empirical_clt_variance(default_model, 1, poly(), 400, 100, 3,
                                          reproj=tight)
         assert est.n_discarded > 20
 
@@ -305,22 +317,38 @@ class TestRunEnsemble:
         # seed seed0 + i, also after the uniforms are drawn for a second chunk
         l, n, R, seed0 = 2, _CHUNK + 37, 4, 80
         rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
-        st, _ = _run_ensemble(default_model, l, poly(n), family, n, rngs, 0.0, None,
+        st, _ = _run_ensemble(default_model, l, poly(), family, n, rngs, 0.0, None,
                               0.0, None, coupled=coupled, coupling=coupling)
         for i in (0, 1, R - 1):
             if coupled:
-                traj = coupled_msa_run(default_model, l, poly(n), family, n, seed0 + i,
+                traj = coupled_msa_run(default_model, l, poly(), family, n, seed0 + i,
                                        coupling=coupling)
                 assert st.theta[0, i] == traj.fine_theta_path[-1]
                 assert st.theta[1, i] == traj.coarse_theta_path[-1]
                 assert st.x[0, i] == traj.fine_x_path[-1]
                 assert st.x[1, i] == traj.coarse_x_path[-1]
             else:
-                traj = msa_run(default_model, l, poly(n), family, n, 0.0, None, seed0 + i)
+                traj = msa_run(default_model, l, poly(), family, n, 0.0, None, seed0 + i)
                 assert st.theta[0, i] == traj.theta_path[-1]
                 assert st.x[0, i] == traj.x_path[-1]
             assert st.psi[i] == traj.psi_path[-1]
             assert (st.psi[i] > 0) == (family is not FAMILY)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+    def test_blow_up_resets_and_counts_as_a_reprojection(self, default_model, coupled):
+        class NanEverySeventhStep:
+            def step_sizes(self, n_steps):
+                g = poly().step_sizes(n_steps)
+                g[::7] = np.nan
+                return g
+
+        n, R = 300, 2
+        rngs = [np.random.default_rng(i) for i in range(R)]
+        st, paths = _run_ensemble(default_model, 2, NanEverySeventhStep(), FAMILY, n, rngs,
+                                  0.0, None, coupled=coupled, record=True)
+        assert np.all(np.isfinite(st.theta))
+        assert np.all(st.psi == len(range(0, n, 7)))
+        assert all(events == list(range(1, n + 1, 7)) for events in paths["events"])
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(3, 12), l=st.integers(1, 6), R=st.integers(1, 4),
@@ -332,16 +360,16 @@ class TestRunEnsemble:
         coupled, coupling = run
         model = build_model(m=m)
         rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
-        ens, _ = _run_ensemble(model, l, poly(n), family, n, rngs, 0.0, None,
+        ens, _ = _run_ensemble(model, l, poly(), family, n, rngs, 0.0, None,
                                0.0, None, coupled=coupled, coupling=coupling)
         for i in range(R):
             if coupled:
-                traj = coupled_msa_run(model, l, poly(n), family, n, seed0 + i,
+                traj = coupled_msa_run(model, l, poly(), family, n, seed0 + i,
                                        coupling=coupling)
                 theta = (traj.fine_theta_path[-1], traj.coarse_theta_path[-1])
                 x = (traj.fine_x_path[-1], traj.coarse_x_path[-1])
             else:
-                traj = msa_run(model, l, poly(n), family, n, 0.0, None, seed0 + i)
+                traj = msa_run(model, l, poly(), family, n, 0.0, None, seed0 + i)
                 theta, x = (traj.theta_path[-1],), (traj.x_path[-1],)
             assert tuple(ens.theta[:, i]) == theta
             assert tuple(ens.x[:, i]) == x

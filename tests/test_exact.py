@@ -301,7 +301,7 @@ class TestAsymptoticVariance:
         sol = poisson_solve(K, pi, H)
         exact_av = pi @ (sol.g_hat ** 2) - pi @ (sol.Kg_hat ** 2)
         # frozen-theta run: the chain path is a plain Metropolis trajectory
-        frozen = make_step_schedule("constant", 0.0, n_total=1)
+        frozen = make_step_schedule("constant", 0.0)
         traj = msa_run(default_model, l, frozen, ReprojectionFamily(5.0, 1.0),
                        400000, theta0=rep.theta_star_l, x0=None, seed=314)
         vals = H[traj.x_path[1:]]
@@ -316,7 +316,7 @@ class TestAsymptoticVariance:
         # two update statistics along the frozen coupled chain, which a
         # batch-means covariance estimates without any Poisson solve
         rep = asymptotic_variance(default_model, 2)
-        frozen = make_step_schedule("constant", 0.0, n_total=1)
+        frozen = make_step_schedule("constant", 0.0)
         n, b = 400000, 2000
         traj = coupled_msa_run(default_model, 2, frozen, ReprojectionFamily(5.0, 1.0),
                                n, seed=2718, theta0=rep.theta_star_l,

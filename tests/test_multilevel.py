@@ -115,7 +115,7 @@ class TestMlEstimate:
         for l in reversed(range(plan.L + 1)):
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(plan.L + 1)[l])
             n = plan.n_l[l]
-            sched = make_step_schedule("constant", plan.gamma_l[l], n_total=n)
+            sched = make_step_schedule("constant", plan.gamma_l[l])
             st, _ = _run_ensemble(default_model, l, sched, fam, n, [rng],
                                   0.0, None, 0.0, None, coupled=l > 0)
             # rows: the fine chain, then (l >= 1) the coarse chain
