@@ -1,12 +1,23 @@
 """Deterministic command-line front end.
 
 One config file (JSON, strict schema: unknown keys are rejected) plus flat
-``--key.path=value`` overrides drive every subcommand.  Each run writes a
-``manifest.json`` echoing the fully resolved configuration, tool version,
-and seed (no timestamps), plus subcommand-specific CSV/JSON results.  All
-floats are printed with 17 significant digits and JSON keys are emitted in
-sorted order, so identical config+seed reruns produce byte-identical
-files.
+``--key.path=value`` overrides drive every subcommand.  A subcommand
+accepts, checks and echoes only the settings blocks it reads, plus
+``experiment`` (its own), ``seed`` and ``output``; any other block is an
+``unknown config key '<block>'``, so delete such blocks from a manifest
+written while every subcommand echoed all four before re-feeding it:
+
+    variance-exact, rate-check, certify       model
+    lemma-check                               model, rates
+    variance-empirical, run-msa, run-coupled  model, schedule, reprojection
+    schedule                                  rates
+    ml-run, mse-cost                          model, reprojection, rates
+
+Each run writes a ``manifest.json`` echoing the fully resolved
+configuration, tool version, and seed (no timestamps), plus
+subcommand-specific CSV/JSON results.  All floats are printed with 17
+significant digits and JSON keys are emitted in sorted order, so identical
+config+seed reruns produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
 failure.
@@ -42,37 +53,40 @@ from .exact import (
 from .model import build_model
 from .multilevel import ml_estimate, mse_cost_experiment, schedule_levels
 
-SUBCOMMANDS = ("variance-exact", "variance-empirical", "rate-check", "lemma-check",
-               "certify", "run-msa", "run-coupled", "schedule", "ml-run", "mse-cost")
-
 OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
 
-_BASE_DEFAULTS = {
-    "model": {"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
-              "bias_choice": "cosine", "coupling": "crn"},
-    "schedule": {"kind": "polynomial", "gamma0": 1.0, "rho": 0.75},
-    "reprojection": {"r0": 2.0, "growth": 1.0},
-    "rates": {"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5},
-    "experiment": {},
-    "seed": 1234,
-    "output": None,
+# block -> (defaults, builder of the object the commands read from it);
+# model.coupling is read by the commands, not by build_model
+_BLOCKS = {
+    "model": ({"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
+               "bias_choice": "cosine", "coupling": "crn"},
+              lambda coupling, **kw: build_model(**kw)),
+    "schedule": ({"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}, make_step_schedule),
+    "reprojection": ({"r0": 2.0, "growth": 1.0}, ReprojectionFamily),
+    "rates": ({"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5}, RateParameters),
 }
 
-_EXPERIMENT_DEFAULTS = {
-    "variance-exact": {"levels": list(range(1, 9))},
-    "variance-empirical": {"level": 3, "n_steps": 100000, "replicates": 400},
-    "rate-check": {"levels": list(range(2, 9)), "theta": 0.7, "r": 1.0},
-    "lemma-check": {"levels": list(range(2, 9)), "theta": 0.7, "theta_prime": 0.9,
-                    "r": 1.0},
-    "certify": {"levels": list(range(0, 7)), "theta_min": -2.0, "theta_max": 2.0,
-                "n_theta": 9},
-    "run-msa": {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None, "trace": False},
-    "run-coupled": {"level": 4, "n_steps": 10000, "theta0": 0.0, "theta0_bar": 0.0,
-                    "x0": None, "x0_bar": None, "trace": False},
-    "schedule": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100},
-    "ml-run": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100, "theta0": 0.0},
-    "mse-cost": {"epsilons": [0.2, 0.1, 0.05], "replicates": 50, "c_n": 1.0,
-                 "n_min": 100, "theta0": 0.0},
+# subcommand -> (the blocks it reads, its experiment defaults)
+SUBCOMMANDS = {
+    "variance-exact": (("model",), {"levels": list(range(1, 9))}),
+    "variance-empirical": (("model", "schedule", "reprojection"),
+                           {"level": 3, "n_steps": 100000, "replicates": 400}),
+    "rate-check": (("model",), {"levels": list(range(2, 9)), "theta": 0.7, "r": 1.0}),
+    "lemma-check": (("model", "rates"), {"levels": list(range(2, 9)), "theta": 0.7,
+                                         "theta_prime": 0.9, "r": 1.0}),
+    "certify": (("model",), {"levels": list(range(0, 7)), "theta_min": -2.0,
+                             "theta_max": 2.0, "n_theta": 9}),
+    "run-msa": (("model", "schedule", "reprojection"),
+                {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None, "trace": False}),
+    "run-coupled": (("model", "schedule", "reprojection"),
+                    {"level": 4, "n_steps": 10000, "theta0": 0.0, "theta0_bar": 0.0,
+                     "x0": None, "x0_bar": None, "trace": False}),
+    "schedule": (("rates",), {"epsilon": 0.1, "c_n": 1.0, "n_min": 100}),
+    "ml-run": (("model", "reprojection", "rates"),
+               {"epsilon": 0.1, "c_n": 1.0, "n_min": 100, "theta0": 0.0}),
+    "mse-cost": (("model", "reprojection", "rates"),
+                 {"epsilons": [0.2, 0.1, 0.05], "replicates": 50, "c_n": 1.0,
+                  "n_min": 100, "theta0": 0.0}),
 }
 
 
@@ -152,7 +166,7 @@ def _parse_override(text: str):
     key = key.lstrip("-")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer beyond the parser's digit limit
         value = raw  # bare string value
     return key, value
 
@@ -175,23 +189,25 @@ def _apply_override(config: dict, dotted: str, value) -> None:
 def resolve_config(subcommand: str, config_path: str | None, overrides=()) -> dict:
     """Defaults <- config file <- command-line overrides, strictly validated."""
     if subcommand not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
-    defaults = copy.deepcopy(_BASE_DEFAULTS)
-    defaults["experiment"] = copy.deepcopy(_EXPERIMENT_DEFAULTS[subcommand])
+        raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {tuple(SUBCOMMANDS)}")
+    blocks, experiment = SUBCOMMANDS[subcommand]
+    defaults = {name: _BLOCKS[name][0] for name in blocks} | {
+        "experiment": experiment, "seed": 1234, "output": None}
     file_cfg = {}
     if config_path is not None:
         try:
             file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {config_path}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and integers beyond the digit limit
             raise ConfigError(f"config file does not parse as JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         if {"subcommand", "tool_version", "config"} <= set(file_cfg):
             # a manifest re-fed as config: use the resolved config it echoes
-            file_cfg = dict(file_cfg["config"])
-            file_cfg["seed"] = file_cfg.get("seed", defaults["seed"])
+            file_cfg = file_cfg["config"]
+            if not isinstance(file_cfg, dict):
+                raise ConfigError("manifest 'config' must hold a JSON object")
     config = _merge_strict(defaults, file_cfg)
     for dotted, value in overrides:
         _apply_override(config, dotted, value)
@@ -232,15 +248,14 @@ def _check_types(value, default, key: str = "", what: str = "") -> None:
 
 def _validate_types(cfg: dict, defaults: dict) -> None:
     _check_types(cfg, defaults)
-    _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
-             "must be 'crn' or 'independent'")
-    _require(cfg["schedule"]["kind"] in ("polynomial", "constant"), "schedule.kind",
-             "must be 'polynomial' or 'constant'")
+    if "model" in cfg:
+        _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
+                 "must be 'crn' or 'independent'")
     _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
     _require(isinstance(cfg["output"], str), "output", "must be a directory path")
 
 
-def _block(cfg: dict, name: str, builder):
+def _block(name: str, builder):
     """Build a module object from a config block, naming the block on error."""
     try:
         return builder()
@@ -248,27 +263,22 @@ def _block(cfg: dict, name: str, builder):
         raise ConfigError(f"config block {name!r}: {exc}") from exc
 
 
-def _build_parts(cfg: dict):
-    model = _block(cfg, "model", lambda: build_model(
-        m=cfg["model"]["m"], beta0=cfg["model"]["beta0"],
-        lyap_exponent=cfg["model"]["lyap_exponent"],
-        phi_choice=cfg["model"]["phi_choice"], bias_choice=cfg["model"]["bias_choice"]))
-    sch = cfg["schedule"]
-    schedule = _block(cfg, "schedule", lambda: make_step_schedule(
-        sch["kind"], sch["gamma0"], sch["rho"]))
-    reproj = _block(cfg, "reprojection", lambda: ReprojectionFamily(
-        cfg["reprojection"]["r0"], cfg["reprojection"]["growth"]))
-    rates = _block(cfg, "rates", lambda: RateParameters(
-        cfg["rates"]["alpha"], cfg["rates"]["beta"], cfg["rates"]["zeta"],
-        cfg["rates"]["kappa"]))
-    return model, schedule, reproj, rates
+def _build_parts(cfg: dict) -> dict:
+    """The module object of each settings block in cfg, keyed by block name."""
+    return {name: _block(name, lambda: build(**cfg[name]))
+            for name, (_, build) in _BLOCKS.items() if name in cfg}
+
+
+def _plan(cfg, parts):
+    exp = cfg["experiment"]
+    return _block("experiment", lambda: schedule_levels(
+        exp["epsilon"], parts["rates"], n_min=exp["n_min"], c_n=exp["c_n"]))
 
 
 def _cmd_variance_exact(cfg, parts, outdir):
-    model = parts[0]
     rows, records = [], []
     for l in cfg["experiment"]["levels"]:
-        rep = asymptotic_variance(model, l, coupling=cfg["model"]["coupling"])
+        rep = asymptotic_variance(parts["model"], l, coupling=cfg["model"]["coupling"])
         rows.append((rep.level, 2.0 ** (-rep.level), rep.sigma, rep.t1, rep.t2,
                      rep.theta_star_l, rep.dh_l))
         record = asdict(rep)
@@ -281,10 +291,10 @@ def _cmd_variance_exact(cfg, parts, outdir):
 
 
 def _cmd_variance_empirical(cfg, parts, outdir):
-    model, schedule, reproj, _ = parts
+    model = parts["model"]
     exp = cfg["experiment"]
-    est = empirical_clt_variance(model, exp["level"], schedule, exp["n_steps"],
-                                 exp["replicates"], cfg["seed"], reproj=reproj,
+    est = empirical_clt_variance(model, exp["level"], parts["schedule"], exp["n_steps"],
+                                 exp["replicates"], cfg["seed"], reproj=parts["reprojection"],
                                  coupling=cfg["model"]["coupling"])
     exact = asymptotic_variance(model, exp["level"], coupling=cfg["model"]["coupling"])
     _write_csv(outdir / "variance_empirical.csv",
@@ -307,7 +317,7 @@ def _slope_verdicts(slopes: dict, target: float, tol: float) -> dict:
 
 
 def _cmd_rate_check(cfg, parts, outdir):
-    model = parts[0]
+    model = parts["model"]
     exp = cfg["experiment"]
     diag = rate_diagnostics(model, exp["levels"], exp["theta"], r=exp["r"])
     rows = [(name, l, val) for name, vals in sorted(diag.quantities.items())
@@ -319,10 +329,10 @@ def _cmd_rate_check(cfg, parts, outdir):
 
 
 def _cmd_lemma_check(cfg, parts, outdir):
-    model, rates = parts[0], parts[3]
+    model = parts["model"]
     exp = cfg["experiment"]
     diag = lemma_diagnostics(model, exp["levels"], exp["theta"],
-                             exp["theta_prime"], zeta=rates.zeta, r=exp["r"],
+                             exp["theta_prime"], zeta=parts["rates"].zeta, r=exp["r"],
                              coupling=cfg["model"]["coupling"])
     rows = [(name, l, val) for name, vals in sorted(diag.quantities.items())
             for l, val in zip(diag.levels, vals)]
@@ -338,20 +348,18 @@ def _cmd_lemma_check(cfg, parts, outdir):
 
 
 def _cmd_certify(cfg, parts, outdir):
-    model = parts[0]
     exp = cfg["experiment"]
     _require(exp["n_theta"] >= 1, "experiment.n_theta", "must be a positive integer")
     grid = np.linspace(exp["theta_min"], exp["theta_max"], exp["n_theta"])
-    cert = certify_drift_minorization(model, exp["levels"], grid)
+    cert = certify_drift_minorization(parts["model"], exp["levels"], grid)
     _write_json(outdir / "certificate.json", asdict(cert))
     return {"lambda_drift": cert.lambda_drift}
 
 
 def _cmd_run_msa(cfg, parts, outdir):
-    model, schedule, reproj, _ = parts
     exp = cfg["experiment"]
-    traj = msa_run(model, exp["level"], schedule, reproj, exp["n_steps"],
-                   exp["theta0"], exp["x0"], cfg["seed"])
+    traj = msa_run(parts["model"], exp["level"], parts["schedule"], parts["reprojection"],
+                   exp["n_steps"], exp["theta0"], exp["x0"], cfg["seed"])
     _write_csv(outdir / "run_msa.csv",
                ("level", "n_steps", "seed", "theta_final", "psi_final", "n_reprojections",
                 "theta0", "x0"),
@@ -366,12 +374,11 @@ def _cmd_run_msa(cfg, parts, outdir):
 
 
 def _cmd_run_coupled(cfg, parts, outdir):
-    model, schedule, reproj, _ = parts
     exp = cfg["experiment"]
-    traj = coupled_msa_run(model, exp["level"], schedule, reproj, exp["n_steps"],
-                           cfg["seed"], theta0=exp["theta0"],
-                           theta0_bar=exp["theta0_bar"], x0=exp["x0"],
-                           x0_bar=exp["x0_bar"], coupling=cfg["model"]["coupling"])
+    traj = coupled_msa_run(parts["model"], exp["level"], parts["schedule"],
+                           parts["reprojection"], exp["n_steps"], cfg["seed"],
+                           theta0=exp["theta0"], theta0_bar=exp["theta0_bar"],
+                           x0=exp["x0"], x0_bar=exp["x0_bar"], coupling=cfg["model"]["coupling"])
     _write_csv(outdir / "run_coupled.csv",
                ("level", "n_steps", "seed", "coupling", "increment_final",
                 "fine_theta_final", "coarse_theta_final", "psi_final",
@@ -391,21 +398,15 @@ def _cmd_run_coupled(cfg, parts, outdir):
 
 
 def _cmd_schedule(cfg, parts, outdir):
-    rates = parts[3]
-    exp = cfg["experiment"]
-    plan = _block(cfg, "experiment", lambda: schedule_levels(
-        exp["epsilon"], rates, n_min=exp["n_min"], c_n=exp["c_n"]))
+    plan = _plan(cfg, parts)
     _write_json(outdir / "level_plan.json", asdict(plan))
     return {"L": plan.L, "predicted_cost": plan.predicted_cost}
 
 
 def _cmd_ml_run(cfg, parts, outdir):
-    model, _, reproj, rates = parts
-    exp = cfg["experiment"]
-    plan = _block(cfg, "experiment", lambda: schedule_levels(
-        exp["epsilon"], rates, n_min=exp["n_min"], c_n=exp["c_n"]))
-    est = ml_estimate(model, plan, cfg["seed"], reproj=reproj, theta0=exp["theta0"],
-                      coupling=cfg["model"]["coupling"])
+    plan = _plan(cfg, parts)
+    est = ml_estimate(parts["model"], plan, cfg["seed"], reproj=parts["reprojection"],
+                      theta0=cfg["experiment"]["theta0"], coupling=cfg["model"]["coupling"])
     _write_json(outdir / "ml_estimate.json", {
         "theta_hat": est.theta_hat,
         "level_estimates": list(est.level_estimates),
@@ -417,12 +418,11 @@ def _cmd_ml_run(cfg, parts, outdir):
 
 
 def _cmd_mse_cost(cfg, parts, outdir):
-    model, _, reproj, rates = parts
     exp = cfg["experiment"]
-    res = mse_cost_experiment(model, exp["epsilons"], exp["replicates"], cfg["seed"],
-                              rates=rates, n_min=exp["n_min"], c_n=exp["c_n"],
-                              reproj=reproj, theta0=exp["theta0"],
-                              coupling=cfg["model"]["coupling"])
+    res = mse_cost_experiment(parts["model"], exp["epsilons"], exp["replicates"],
+                              cfg["seed"], rates=parts["rates"], n_min=exp["n_min"],
+                              c_n=exp["c_n"], reproj=parts["reprojection"],
+                              theta0=exp["theta0"], coupling=cfg["model"]["coupling"])
     _write_csv(outdir / "mse_cost.csv", ("epsilon", "mse", "mean_cost", "stderr_mse"),
                [(r.epsilon, r.mse, r.mean_cost, r.stderr_mse) for r in res.rows])
     return {"cost_slope": res.cost_slope, "mse_ratio_drift": res.mse_ratio_drift(),

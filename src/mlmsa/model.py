@@ -58,6 +58,7 @@ _PHI_CHOICES = ("sine", "zero")
 # and cos(2*pi*u) under which several signed level-perturbation integrals
 # cancel identically; use it when a diagnostic needs the generic decay rate.
 _BIAS_CHOICES = ("cosine", "shifted-cosine", "zero")
+_MAX_STATES = 2 ** 20  # keeps each O(m) array of the model and its move tables <= 16 MiB
 # Largest dense m**2 x m**2 coupled kernel built (m = 76 fits); the exact
 # solves on it need a few more arrays of the same size.
 _COUPLED_KERNEL_BUDGET = 256 * 2 ** 20  # bytes
@@ -84,12 +85,12 @@ def build_model(m: int = 32, beta0: float = 1.0, lyap_exponent: float = 0.5,
                 phi_choice: str = "sine", bias_choice: str = "cosine") -> FiniteLevelModel:
     """Construct a validated model.
 
-    m >= 3 keeps the nearest-neighbour proposal meaningful; beta0 > 0 is
-    the synthetic bias rate; lyap_exponent in (0, 1) shapes the Lyapunov
-    function pi**-lyap_exponent.
+    m >= 3 keeps the nearest-neighbour proposal meaningful and m <= 2**20
+    bounds the grid's arrays; beta0 > 0 is the synthetic bias rate;
+    lyap_exponent in (0, 1) shapes the Lyapunov function pi**-lyap_exponent.
     """
-    if not isinstance(m, int) or m < 3:
-        raise ParameterError(f"m must be an integer >= 3, got {m!r}")
+    if not isinstance(m, int) or not 3 <= m <= _MAX_STATES:
+        raise ParameterError(f"m must be an integer in [3, {_MAX_STATES}], got {m!r}")
     if beta0 <= 0:
         raise ParameterError(f"beta0 must be positive, got {beta0}")
     if not (0.0 < lyap_exponent < 1.0):

@@ -97,15 +97,21 @@ def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
             f"min(alpha*zeta, beta) = {v} < kappa = {kappa}: outside the analyzed cost "
             "regime (per-level budgets would not sum to O(eps**-2))")
     boundary = abs(v - kappa) <= 1e-12
-    L = max(1, _ceil_stable(math.log2(1.0 / epsilon) / rates.alpha))
     expo = 0.5 * (v + kappa)
     n_l, gamma_l, cost = [], [], 0.0
-    for l in range(L + 1):
-        delta = 2.0 ** (-l)
-        n = max(n_min, _ceil_stable(c_n * epsilon ** -2 * delta ** expo))
-        n_l.append(n)
-        gamma_l.append(1.0 / n)
-        cost += n * delta ** -kappa
+    try:
+        L = max(1, _ceil_stable(math.log2(1.0 / epsilon) / rates.alpha))
+        for l in range(L + 1):
+            delta = 2.0 ** (-l)
+            n = max(n_min, _ceil_stable(c_n * epsilon ** -2 * delta ** expo))
+            n_l.append(n)
+            gamma_l.append(1.0 / n)
+            cost += n * delta ** -kappa
+    except (OverflowError, ZeroDivisionError) as exc:
+        # float ** raises instead of returning inf; 2.0**-l is 0.0 past l = 1074
+        raise ParameterError(
+            f"epsilon={epsilon} and c_n={c_n} give a level budget or cost that is not "
+            f"a finite float under {rates}") from exc
     note = "cost O(eps^-2 log(eps)^2)" if boundary else "cost O(eps^-2)"
     return LevelPlan(epsilon=float(epsilon), L=L, n_l=tuple(n_l), gamma_l=tuple(gamma_l),
                      predicted_cost=float(cost), rates=rates, c_n=float(c_n),

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlmsa import cli
-from mlmsa.core import NumericalError
+from mlmsa.core import NumericalError, ParameterError
 
 
 def run_cli(*argv):
@@ -47,6 +49,22 @@ EXPECTED_FILES = {
 }
 
 
+# the settings blocks each subcommand reads; the manifest echoes these plus
+# experiment, seed and output
+BLOCKS = {
+    "variance-exact": {"model"},
+    "variance-empirical": {"model", "schedule", "reprojection"},
+    "rate-check": {"model"},
+    "lemma-check": {"model", "rates"},
+    "certify": {"model"},
+    "run-msa": {"model", "schedule", "reprojection"},
+    "run-coupled": {"model", "schedule", "reprojection"},
+    "schedule": {"rates"},
+    "ml-run": {"model", "reprojection", "rates"},
+    "mse-cost": {"model", "reprojection", "rates"},
+}
+
+
 @pytest.mark.parametrize("subcommand", sorted(FAST_ARGS))
 def test_subcommand_writes_manifest_and_results(tmp_path, subcommand):
     out = tmp_path / "run"
@@ -59,7 +77,9 @@ def test_subcommand_writes_manifest_and_results(tmp_path, subcommand):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == subcommand
     assert manifest["seed"] == 1234
-    assert manifest["config"]["model"]["m"] == 32
+    assert set(manifest["config"]) == BLOCKS[subcommand] | {"experiment", "seed", "output"}
+    if "model" in BLOCKS[subcommand]:
+        assert manifest["config"]["model"]["m"] == 32
 
 
 def test_csv_format_contract(tmp_path):
@@ -74,14 +94,14 @@ def test_csv_format_contract(tmp_path):
 
 def test_config_file_and_override_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": {"m": 16}, "seed": 9,
+    cfg.write_text(json.dumps({"rates": {"kappa": 0.25}, "seed": 9,
                                "experiment": {"epsilon": 0.5}}))
     out = tmp_path / "out"
     rc = run_cli("schedule", str(cfg), "--output", str(out),
                  "--experiment.epsilon=0.25")
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["model"]["m"] == 16        # from file
+    assert manifest["config"]["rates"]["kappa"] == 0.25  # from file
     assert manifest["config"]["experiment"]["epsilon"] == 0.25  # override wins
     assert manifest["seed"] == 9
 
@@ -143,20 +163,88 @@ def test_manifest_roundtrip_reproduces_outputs(tmp_path):
         (out2 / "level_plan.json").read_bytes()
 
 
-@pytest.mark.parametrize("block, key, value", [("schedule", "n_total", 100000),
-                                               ("experiment", "zeta", 1.0)])
-def test_manifest_echoing_a_removed_key_is_rejected(tmp_path, capsys, block, key, value):
-    # manifests written while the run length and lemma-check's zeta were
-    # also config keys echo them; re-fed as a config they are unknown keys
-    config = cli.resolve_config("lemma-check", None, [("output", str(tmp_path / "never"))])
-    config[block][key] = value
+@pytest.mark.parametrize("subcommand, path, value", [
+    ("run-msa", "schedule.n_total", 100000),
+    ("lemma-check", "experiment.zeta", 1.0),
+    ("ml-run", "schedule", {"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}),
+], ids=["schedule-n_total-100000", "experiment-zeta-1.0", "ml-run-schedule-block"])
+def test_manifest_echoing_a_removed_key_is_rejected(tmp_path, capsys, subcommand, path, value):
+    # manifests written while the run length, lemma-check's zeta and the
+    # blocks a subcommand does not read were also config keys echo them;
+    # re-fed as a config they are unknown keys
+    config = cli.resolve_config(subcommand, None, [("output", str(tmp_path / "never"))])
+    block, _, key = path.partition(".")
+    if key:
+        config[block][key] = value
+    else:
+        config[block] = value
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"subcommand": "lemma-check", "tool_version": "0",
+    manifest.write_text(json.dumps({"subcommand": subcommand, "tool_version": "0",
                                     "seed": config["seed"], "config": config,
                                     "results": {}}))
-    assert run_cli("lemma-check", str(manifest)) == 1
-    assert f"unknown config key '{block}.{key}'" in capsys.readouterr().err
+    assert run_cli(subcommand, str(manifest)) == 1
+    assert f"unknown config key '{path}'" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("config", [5, [1]], ids=["number", "list"])
+def test_manifest_config_that_is_not_an_object_is_a_configuration_error(tmp_path, capsys,
+                                                                         config):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"subcommand": "schedule", "tool_version": "0",
+                                    "config": config}))
+    out = tmp_path / "never"
+    assert run_cli("schedule", str(manifest), "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and "'config'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 1' + b"1" * 5000 + b"}", b'{"seed": 1\xff}'],
+                         ids=["integer-beyond-the-digit-limit", "bad-utf-8"])
+def test_config_file_that_does_not_parse_is_a_configuration_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "never"
+    assert run_cli("schedule", str(cfg), "--output", str(out)) == 1
+    assert "does not parse as JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("ml-run", "--schedule.rho=1.0"),
+    ("ml-run", "--schedule.kind=constant", "--schedule.gamma0=5"),
+    ("variance-exact", "--reprojection.r0=-1"),
+], ids=["ml-run-rho", "ml-run-constant-step", "variance-exact-r0"])
+def test_block_the_subcommand_does_not_read_is_an_unknown_key(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--experiment.epsilon=1e-200"),
+    ("schedule", "--experiment.c_n=1e308"),
+    ("ml-run", "--experiment.epsilon=1e-200"),
+    ("ml-run", "--experiment.c_n=1e308"),
+])
+def test_level_budget_beyond_the_float_range_is_a_configuration_error(tmp_path, capsys,
+                                                                     argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and "'experiment'" in err
+    assert "epsilon" in err and "c_n" in err
+    assert not out.exists()
+
+
+def test_mse_cost_rejects_a_level_budget_beyond_the_float_range(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("mse-cost", "--experiment.epsilons=[1e-200,1e-201,1e-202]",
+                   "--output", str(out)) == 1
+    assert "epsilon=1e-200" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lemma_check_reads_zeta_from_the_rates_block(tmp_path, capsys):
@@ -228,6 +316,7 @@ def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, argv, na
     (("mse-cost", '--experiment.epsilons=["x",0.1,0.05]'), "experiment.epsilons"),
     (("lemma-check", "--experiment.levels=[2.5,3,4,5]"), "experiment.levels"),
     (("variance-exact", "--experiment.levels=[true]"), "experiment.levels"),
+    (("schedule", "--experiment.n_min=" + "1" * 5000), "experiment.n_min"),  # beyond json's limit
 ])
 def test_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, key):
     out = tmp_path / "never"
@@ -282,9 +371,9 @@ def test_oversized_exact_model_is_a_validation_error(tmp_path, capsys):
 
 def test_block_replaced_by_a_value_is_a_configuration_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": 5}))
+    cfg.write_text(json.dumps({"rates": 5}))
     assert run_cli("schedule", str(cfg), "--output", str(tmp_path / "never")) == 1
-    assert "'model': must be a block" in capsys.readouterr().err
+    assert "'rates': must be a block" in capsys.readouterr().err
 
 
 def test_output_env_var_supplies_default(tmp_path, monkeypatch):
@@ -319,3 +408,47 @@ def test_floats_printed_with_17_significant_digits(tmp_path):
 
 def test_unknown_subcommand_rejected():
     assert run_cli("not-a-command") == 1
+
+
+# extreme floats (subnormal up to 1e308), their negatives, zero and ints
+_EXTREME = (st.floats(min_value=5e-324, max_value=1e308)
+            | st.floats(min_value=-1e308, max_value=-5e-324) | st.just(0.0) | st.integers())
+_PLAN_KEYS = ("experiment.epsilon", "experiment.c_n", "experiment.n_min",
+              "rates.alpha", "rates.beta", "rates.zeta", "rates.kappa")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_PLAN_KEYS), _EXTREME, min_size=1))
+def test_schedule_ends_in_exit_code_0_or_1(overrides):
+    with tempfile.TemporaryDirectory() as out:
+        argv = [f"--{key}={value!r}" for key, value in overrides.items()]
+        assert run_cli("schedule", "--output", out, *argv) in (0, 1)
+
+
+def _leaf_keys(cfg: dict, prefix: str = ""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+_SCHEMA_KEYS = [(sub, key) for sub in sorted(FAST_ARGS)
+                for key in _leaf_keys(cli.resolve_config(sub, None))]
+# model.m sizes the grid's arrays, so drawn ints stay small enough to build
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-2 ** 16, 2 ** 16) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SCHEMA_KEYS), _JSON)
+def test_any_value_of_a_schema_key_builds_or_is_rejected_by_name(case, value):
+    subcommand, key = case
+    try:
+        config = cli.resolve_config(subcommand, None, [(key, value)])
+        parts = cli._build_parts(config)
+    except ParameterError:  # ConfigError is one
+        return
+    assert set(parts) == BLOCKS[subcommand]

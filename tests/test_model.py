@@ -35,6 +35,12 @@ class TestBuildModel:
         with pytest.raises(ParameterError):
             build_model(m=2)
 
+    def test_grid_size_is_bounded(self):
+        assert build_model(m=2 ** 20).m == 2 ** 20
+        for m in (2 ** 20 + 1, 2 ** 70):  # 2**70 overflows numpy's index type
+            with pytest.raises(ParameterError, match=r"m must be an integer in \[3, 1048576\]"):
+                build_model(m=m)
+
     @pytest.mark.parametrize("kwargs", [
         dict(beta0=0.0), dict(lyap_exponent=0.0), dict(lyap_exponent=1.0),
         dict(phi_choice="triangle"), dict(bias_choice="sawtooth"),
