@@ -1,20 +1,25 @@
 """Deterministic command-line front end.
 
-One config file (JSON, strict schema: unknown keys are rejected) plus flat
-``--key.path=value`` overrides drive every subcommand.  A subcommand
-accepts, checks and echoes only the settings blocks it reads, plus
-``experiment`` (its own), ``seed`` and ``output``; any other block is an
-``unknown config key '<block>'``, so delete such blocks from a manifest
-written while every subcommand echoed all four before re-feeding it:
+One config file (JSON, strict schema) plus flat ``--key.path=value``
+overrides, each overlaid like a config file, drive every subcommand.  A
+subcommand accepts, checks and echoes exactly the settings its run reads:
+its own ``experiment`` table, ``output``, and the keys below, where
+``model.lyap_exponent`` is read by rate-check, lemma-check and certify only:
 
-    variance-exact, rate-check, certify       model
-    lemma-check                               model, rates
-    variance-empirical, run-msa, run-coupled  model, schedule, reprojection
-    schedule                                  rates
-    ml-run, mse-cost                          model, reprojection, rates
+    variance-exact          model
+    variance-empirical      model, schedule but kind, reprojection, seed
+    rate-check, certify     model but coupling
+    lemma-check             model, rates.zeta
+    run-msa                 model but coupling, schedule, reprojection, seed
+    run-coupled             model, schedule, reprojection, seed
+    schedule                rates
+    ml-run, mse-cost        model, reprojection, rates, seed
+
+Any other key is rejected as unknown.  An old manifest may echo keys that
+are now unknown, so delete them before re-feeding it.
 
 Each run writes a ``manifest.json`` echoing the fully resolved
-configuration, tool version, and seed (no timestamps), plus
+configuration, tool version, and seed if read (no timestamps), plus
 subcommand-specific CSV/JSON results.  All floats are printed with 17
 significant digits and JSON keys are emitted in sorted order, so identical
 config+seed reruns produce byte-identical files.
@@ -41,6 +46,7 @@ from .core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    _check_bytes,
     make_step_schedule,
 )
 from .engine import coupled_msa_run, empirical_clt_variance, msa_run
@@ -55,8 +61,9 @@ from .multilevel import ml_estimate, mse_cost_experiment, schedule_levels
 
 OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
 
-# block -> (defaults, builder of the object the commands read from it);
-# model.coupling is read by the commands, not by build_model
+# every key of a settings block at its default, and the block's one builder; a key
+# a subcommand does not read reaches the builder at its default here
+# (model.coupling is read by the commands, not by build_model)
 _BLOCKS = {
     "model": ({"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
                "bias_choice": "cosine", "coupling": "crn"},
@@ -66,27 +73,43 @@ _BLOCKS = {
     "rates": ({"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5}, RateParameters),
 }
 
-# subcommand -> (the blocks it reads, its experiment defaults)
+
+def _read(block: str, *unread: str) -> dict:
+    """The keys of a settings block that a subcommand reads: all but unread."""
+    return {k: v for k, v in _BLOCKS[block][0].items() if k not in unread}
+
+
+_MODEL = _read("model", "lyap_exponent")  # a Lyapunov vector is drawn by three checks only
+_RUN = {"schedule": _read("schedule"), "reprojection": _read("reprojection"), "seed": 1234}
+_ML = {"model": _MODEL, "reprojection": _read("reprojection"), "rates": _read("rates"),
+       "seed": 1234}
+
+# subcommand -> its settings at their defaults, exactly the keys its run reads
+# (output, which every run reads, is added by resolve_config)
 SUBCOMMANDS = {
-    "variance-exact": (("model",), {"levels": list(range(1, 9))}),
-    "variance-empirical": (("model", "schedule", "reprojection"),
-                           {"level": 3, "n_steps": 100000, "replicates": 400}),
-    "rate-check": (("model",), {"levels": list(range(2, 9)), "theta": 0.7, "r": 1.0}),
-    "lemma-check": (("model", "rates"), {"levels": list(range(2, 9)), "theta": 0.7,
-                                         "theta_prime": 0.9, "r": 1.0}),
-    "certify": (("model",), {"levels": list(range(0, 7)), "theta_min": -2.0,
-                             "theta_max": 2.0, "n_theta": 9}),
-    "run-msa": (("model", "schedule", "reprojection"),
-                {"level": 4, "n_steps": 10000, "theta0": 0.0, "x0": None, "trace": False}),
-    "run-coupled": (("model", "schedule", "reprojection"),
-                    {"level": 4, "n_steps": 10000, "theta0": 0.0, "theta0_bar": 0.0,
-                     "x0": None, "x0_bar": None, "trace": False}),
-    "schedule": (("rates",), {"epsilon": 0.1, "c_n": 1.0, "n_min": 100}),
-    "ml-run": (("model", "reprojection", "rates"),
-               {"epsilon": 0.1, "c_n": 1.0, "n_min": 100, "theta0": 0.0}),
-    "mse-cost": (("model", "reprojection", "rates"),
-                 {"epsilons": [0.2, 0.1, 0.05], "replicates": 50, "c_n": 1.0,
-                  "n_min": 100, "theta0": 0.0}),
+    "variance-exact": {"model": _MODEL, "experiment": {"levels": list(range(1, 9))}},
+    "variance-empirical": _RUN | {"model": _MODEL, "schedule": _read("schedule", "kind"),
+                                  "experiment": {"level": 3, "n_steps": 100000,
+                                                 "replicates": 400}},
+    "rate-check": {"model": _read("model", "coupling"),
+                   "experiment": {"levels": list(range(2, 9)), "theta": 0.7, "r": 1.0}},
+    "lemma-check": {"model": _read("model"), "rates": _read("rates", "alpha", "beta", "kappa"),
+                    "experiment": {"levels": list(range(2, 9)), "theta": 0.7,
+                                   "theta_prime": 0.9, "r": 1.0}},
+    "certify": {"model": _read("model", "coupling"),
+                "experiment": {"levels": list(range(0, 7)), "theta_min": -2.0,
+                               "theta_max": 2.0, "n_theta": 9}},
+    "run-msa": _RUN | {"model": _read("model", "lyap_exponent", "coupling"),
+                       "experiment": {"level": 4, "n_steps": 10000, "theta0": 0.0,
+                                      "x0": None, "trace": False}},
+    "run-coupled": _RUN | {"model": _MODEL, "experiment": {
+        "level": 4, "n_steps": 10000, "theta0": 0.0, "theta0_bar": 0.0, "x0": None,
+        "x0_bar": None, "trace": False}},
+    "schedule": {"rates": _read("rates"),
+                 "experiment": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100}},
+    "ml-run": _ML | {"experiment": {"epsilon": 0.1, "c_n": 1.0, "n_min": 100, "theta0": 0.0}},
+    "mse-cost": _ML | {"experiment": {"epsilons": [0.2, 0.1, 0.05], "replicates": 50,
+                                      "c_n": 1.0, "n_min": 100, "theta0": 0.0}},
 }
 
 
@@ -160,39 +183,20 @@ def _merge_strict(defaults: dict, given: dict, prefix: str = "") -> dict:
 
 
 def _parse_override(text: str):
-    if "=" not in text:
-        raise ConfigError(f"override {text!r} is not of the form key.path=value")
-    key, raw = text.split("=", 1)
-    key = key.lstrip("-")
+    key, eq, raw = text.partition("=")
+    if not (key.startswith("--") and eq):
+        raise ConfigError(f"argument {text!r} is not an override --key.path=value")
     try:
-        value = json.loads(raw)
+        return key[2:], json.loads(raw)
     except ValueError:  # not JSON, or an integer beyond the parser's digit limit
-        value = raw  # bare string value
-    return key, value
-
-
-def _apply_override(config: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = config
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key {dotted!r} is a block, not a value")
-    node[leaf] = value
+        return key[2:], raw  # bare string value
 
 
 def resolve_config(subcommand: str, config_path: str | None, overrides=()) -> dict:
     """Defaults <- config file <- command-line overrides, strictly validated."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {tuple(SUBCOMMANDS)}")
-    blocks, experiment = SUBCOMMANDS[subcommand]
-    defaults = {name: _BLOCKS[name][0] for name in blocks} | {
-        "experiment": experiment, "seed": 1234, "output": None}
+    defaults = SUBCOMMANDS[subcommand] | {"output": None}
     file_cfg = {}
     if config_path is not None:
         try:
@@ -209,8 +213,10 @@ def resolve_config(subcommand: str, config_path: str | None, overrides=()) -> di
             if not isinstance(file_cfg, dict):
                 raise ConfigError("manifest 'config' must hold a JSON object")
     config = _merge_strict(defaults, file_cfg)
-    for dotted, value in overrides:
-        _apply_override(config, dotted, value)
+    for dotted, value in overrides:  # --a.b=v overlays the config as {"a": {"b": v}}
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        config = _merge_strict(config, value)
     if config["output"] is None:
         config["output"] = os.environ.get(OUTPUT_ENV, "mlmsa-out")
     _validate_types(config, defaults)
@@ -229,7 +235,9 @@ def _check_types(value, default, key: str = "", what: str = "") -> None:
     int or float.  Other defaults set no type."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, dict):
-        _require(isinstance(value, dict), key, "must be a block of settings")
+        # a block a config file replaced by a value cannot be patched key by key
+        _require(isinstance(value, dict) and value.keys() == default.keys(), key,
+                 "must be a block of settings")
         for k in default:
             _check_types(value[k], default[k], f"{key}.{k}" if key else k)
     elif isinstance(default, list):
@@ -248,10 +256,11 @@ def _check_types(value, default, key: str = "", what: str = "") -> None:
 
 def _validate_types(cfg: dict, defaults: dict) -> None:
     _check_types(cfg, defaults)
-    if "model" in cfg:
+    if "coupling" in cfg.get("model", ()):
         _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
                  "must be 'crn' or 'independent'")
-    _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
+    if "seed" in cfg:
+        _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
     _require(isinstance(cfg["output"], str), "output", "must be a directory path")
 
 
@@ -264,9 +273,10 @@ def _block(name: str, builder):
 
 
 def _build_parts(cfg: dict) -> dict:
-    """The module object of each settings block in cfg, keyed by block name."""
-    return {name: _block(name, lambda: build(**cfg[name]))
-            for name, (_, build) in _BLOCKS.items() if name in cfg}
+    """The module object of each settings block in cfg, keyed by block name;
+    the keys cfg does not hold reach the builder at their defaults."""
+    return {name: _block(name, lambda: build(**(defaults | cfg[name])))
+            for name, (defaults, build) in _BLOCKS.items() if name in cfg}
 
 
 def _plan(cfg, parts):
@@ -350,6 +360,9 @@ def _cmd_lemma_check(cfg, parts, outdir):
 def _cmd_certify(cfg, parts, outdir):
     exp = cfg["experiment"]
     _require(exp["n_theta"] >= 1, "experiment.n_theta", "must be a positive integer")
+    m, n_levels = parts["model"].m, len(exp["levels"])
+    _check_bytes(f"a theta grid of n_theta={exp['n_theta']} over {n_levels} levels at m={m}",
+                 8 * exp["n_theta"] * (1 + n_levels * m * m))  # grid and kernel stack
     grid = np.linspace(exp["theta_min"], exp["theta_max"], exp["n_theta"])
     cert = certify_drift_minorization(parts["model"], exp["levels"], grid)
     _write_json(outdir / "certificate.json", asdict(cert))
@@ -429,18 +442,8 @@ def _cmd_mse_cost(cfg, parts, outdir):
             "theta_reference": res.theta_reference}
 
 
-_DISPATCH = {
-    "variance-exact": _cmd_variance_exact,
-    "variance-empirical": _cmd_variance_empirical,
-    "rate-check": _cmd_rate_check,
-    "lemma-check": _cmd_lemma_check,
-    "certify": _cmd_certify,
-    "run-msa": _cmd_run_msa,
-    "run-coupled": _cmd_run_coupled,
-    "schedule": _cmd_schedule,
-    "ml-run": _cmd_ml_run,
-    "mse-cost": _cmd_mse_cost,
-}
+# subcommand -> the _cmd_ function of that name
+_DISPATCH = {name: globals()["_cmd_" + name.replace("-", "_")] for name in SUBCOMMANDS}
 
 
 def run(subcommand: str, config_path: str | None, overrides=()) -> int:
@@ -448,13 +451,13 @@ def run(subcommand: str, config_path: str | None, overrides=()) -> int:
     config = resolve_config(subcommand, config_path, overrides)
     outdir = Path(config["output"])
     extras = _DISPATCH[subcommand](config, _build_parts(config), outdir)
+    seed = {"seed": config["seed"]} if "seed" in config else {}
     _write_json(outdir / "manifest.json", {
         "subcommand": subcommand,
         "tool_version": __version__,
-        "seed": config["seed"],
         "config": config,
         "results": extras,
-    })
+    } | seed)
     return 0
 
 
@@ -475,11 +478,7 @@ def main(argv=None) -> int:
                         help="same as --experiment.trace=true (run-msa / run-coupled)")
     try:
         args, unknown = parser.parse_known_args(argv)
-        overrides = []
-        for item in unknown:
-            if not item.startswith("--"):
-                raise ConfigError(f"unrecognized argument {item!r}")
-            overrides.append(_parse_override(item))
+        overrides = [_parse_override(item) for item in unknown]
         if args.seed is not None:
             overrides.append(("seed", args.seed))
         if args.output is not None:

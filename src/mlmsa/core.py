@@ -35,6 +35,21 @@ class NumericalError(RuntimeError):
     """A numerical computation failed a correctness check."""
 
 
+# The most bytes one allocation sized by a user input may take: a dense exact
+# kernel (m = 76 is the largest coupled one that fits; the solves on it need a
+# few more arrays of its size), a certificate grid's kernel stack, or a run's
+# step vector, chunk of uniforms and recorded paths.
+_BYTE_BUDGET = 256 * 2 ** 20
+
+
+def _check_bytes(what: str, need: int) -> None:
+    """Refuse, before allocating, an allocation of need bytes over the budget."""
+    if need > _BYTE_BUDGET:
+        size = f"{need:,}" if need < 2 ** 80 else "more than 2**80"
+        raise ParameterError(f"{what} needs {size} bytes, over the "
+                             f"{_BYTE_BUDGET:,}-byte budget")
+
+
 def level_delta(l) -> float:
     """Mesh proxy 2**-l; accepts math.inf for the limit model (delta 0)."""
     return 2.0 ** (-l) if l != math.inf else 0.0

@@ -36,8 +36,9 @@ blow-up resets and counts as a reprojection like any exit from the set.
 
 The run inputs are checked once, in the ensemble driver every procedure
 goes through: n_steps >= 1, the coupling, a finite level l >= 1 for a
-coupled run, each start parameter in K_0 and each configured start state
-on the grid.
+coupled run, the bytes of the arrays n_steps and R size, each start
+parameter in K_0 and each configured start state on the grid.  A
+replicated estimator checks those bytes before it builds its generators.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, ParameterError, ReprojectionFamily, StepSchedule
+from .core import NumericalError, ParameterError, ReprojectionFamily, StepSchedule, _check_bytes
 from .model import FiniteLevelModel, _step_diffs, level_statistic
 
 __all__ = [
@@ -172,6 +173,18 @@ def _move(x2, up, u_acc, theta, table):
     return np.where(u_acc < acc, dest2[i], x2)
 
 
+def _check_run_bytes(n_steps: int, R: int, coupled: bool, coupling: str,
+                     record: bool) -> None:
+    """Refuse, before any of them exists, the arrays a run sizes from its
+    inputs: the step vector, one chunk of uniforms (two columns per step,
+    four under the independent coupling) and, when recorded, the paths."""
+    columns = 4 if coupled and coupling == "independent" else 2
+    need = 8 * (n_steps + min(_CHUNK, n_steps) * columns * R)
+    if record:
+        need += 8 * (n_steps + 1) * R * (5 if coupled else 3)  # theta, x per chain; psi
+    _check_bytes(f"a run of n_steps={n_steps} over R={R} replicates", need)
+
+
 def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
                   family: ReprojectionFamily, n_steps: int, rngs,
                   theta0: float, x0, theta0_bar: float = 0.0, x0_bar=None,
@@ -188,6 +201,7 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     if coupled and (l == math.inf or l < 1):
         raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
     R, m = len(rngs), model.m
+    _check_run_bytes(n_steps, R, coupled, coupling, record)
     levels = (l, l - 1) if coupled else (l,)
     C = len(levels)
     st = _Ensemble(rngs, m, family, (theta0, theta0_bar)[:C], (x0, x0_bar)[:C])
@@ -331,6 +345,7 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
         raise ParameterError("CLT variance estimation needs a polynomial schedule")
     if reproj is None:
         reproj = ReprojectionFamily(2.0, 1.0)
+    _check_run_bytes(n_steps, R, True, coupling, False)
     rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
     st, _ = _run_ensemble(model, l, schedule, reproj, n_steps, rngs,
                           theta0, None, theta0_bar, None,

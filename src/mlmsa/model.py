@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ParameterError, level_delta
+from .core import ParameterError, _check_bytes, level_delta
 
 __all__ = [
     "FiniteLevelModel",
@@ -59,9 +59,6 @@ _PHI_CHOICES = ("sine", "zero")
 # cancel identically; use it when a diagnostic needs the generic decay rate.
 _BIAS_CHOICES = ("cosine", "shifted-cosine", "zero")
 _MAX_STATES = 2 ** 20  # keeps each O(m) array of the model and its move tables <= 16 MiB
-# Largest dense m**2 x m**2 coupled kernel built (m = 76 fits); the exact
-# solves on it need a few more arrays of the same size.
-_COUPLED_KERNEL_BUDGET = 256 * 2 ** 20  # bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +180,7 @@ def kernel_matrix(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
     reversible with respect to target_density(model, l, theta).
     """
     m = model.m
+    _check_bytes(f"kernel for m={m}", 8 * m ** 2)
     acc, dest = _move_probabilities(model, l, theta)
     K = np.zeros((m, m))
     idx = np.arange(m)
@@ -205,11 +203,7 @@ def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: f
     """
     _check_level(l, minimum=1)
     m = model.m
-    need = 8 * m ** 4
-    if need > _COUPLED_KERNEL_BUDGET:
-        raise ParameterError(
-            f"coupled kernel for m={m} needs {need:,} bytes ({need / 2 ** 30:.1f} GiB), "
-            f"over the {_COUPLED_KERNEL_BUDGET:,}-byte budget for dense exact work")
+    _check_bytes(f"coupled kernel for m={m}", 8 * m ** 4)
     if coupling == "independent":
         return np.kron(kernel_matrix(model, l, theta),
                        kernel_matrix(model, l - 1, theta_bar))
@@ -241,6 +235,7 @@ def lyapunov_vector(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
 
 def metric_matrix(model: FiniteLevelModel) -> np.ndarray:
     """State-pair metric D(x, y) = |u_x - u_y|."""
+    _check_bytes(f"metric for m={model.m}", 8 * model.m ** 2)
     u = model.positions
     return np.abs(u[:, None] - u[None, :])
 

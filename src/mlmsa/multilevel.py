@@ -29,7 +29,7 @@ from .core import (
     ReprojectionFamily,
     make_step_schedule,
 )
-from .engine import _run_ensemble
+from .engine import _check_run_bytes, _run_ensemble
 from .exact import level_root
 from .model import FiniteLevelModel
 
@@ -225,15 +225,18 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
         rates = RateParameters(alpha=model.beta0, beta=model.beta0, zeta=1.0, kappa=0.5)
     if reproj is None:
         reproj = ReprojectionFamily(2.0, 1.0)
+    plans = [schedule_levels(eps, rates, n_min=n_min, c_n=c_n) for eps in epsilons]
+    for plan in plans:  # every level's run, before any generator exists
+        for l, n in enumerate(plan.n_l):
+            _check_run_bytes(n, R, l > 0, coupling, False)
     truth = level_root(model, math.inf)
     root_seeds = [seed0 + r for r in range(R)]
     rows = []
-    for eps in epsilons:
-        plan = schedule_levels(eps, rates, n_min=n_min, c_n=c_n)
+    for plan in plans:
         _, theta_hats, cost = _run_plan_ensemble(model, plan, root_seeds, reproj,
                                                  theta0, coupling)
         sq = (theta_hats - truth) ** 2
-        rows.append(MseCostRow(epsilon=eps, mse=float(sq.mean()), mean_cost=float(cost),
+        rows.append(MseCostRow(epsilon=plan.epsilon, mse=float(sq.mean()), mean_cost=float(cost),
                                stderr_mse=float(sq.std(ddof=1) / math.sqrt(R))))
     slope = float(np.polyfit(np.log([r.epsilon for r in rows]),
                              np.log([r.mean_cost for r in rows]), 1)[0])

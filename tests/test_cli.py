@@ -1,8 +1,10 @@
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,20 +51,47 @@ EXPECTED_FILES = {
 }
 
 
-# the settings blocks each subcommand reads; the manifest echoes these plus
-# experiment, seed and output
-BLOCKS = {
-    "variance-exact": {"model"},
-    "variance-empirical": {"model", "schedule", "reprojection"},
-    "rate-check": {"model"},
-    "lemma-check": {"model", "rates"},
-    "certify": {"model"},
-    "run-msa": {"model", "schedule", "reprojection"},
-    "run-coupled": {"model", "schedule", "reprojection"},
-    "schedule": {"rates"},
-    "ml-run": {"model", "reprojection", "rates"},
-    "mse-cost": {"model", "reprojection", "rates"},
+def _exp(*names):
+    return {f"experiment.{name}" for name in names}
+
+
+_MODEL = {"model.m", "model.beta0", "model.phi_choice", "model.bias_choice"}
+_COUPLING, _LYAP = {"model.coupling"}, {"model.lyap_exponent"}
+_SCHEDULE = {"schedule.kind", "schedule.gamma0", "schedule.rho"}
+_REPROJECTION = {"reprojection.r0", "reprojection.growth"}
+_RATES = {"rates.alpha", "rates.beta", "rates.zeta", "rates.kappa"}
+
+# the settings each subcommand's run reads; the manifest echoes these and
+# output, and a top-level seed where seed is one of them
+KEYS = {
+    "variance-exact": _MODEL | _COUPLING | _exp("levels"),
+    "variance-empirical": _MODEL | _COUPLING | (_SCHEDULE - {"schedule.kind"}) | _REPROJECTION
+    | {"seed"} | _exp("level", "n_steps", "replicates"),
+    "rate-check": _MODEL | _LYAP | _exp("levels", "theta", "r"),
+    "lemma-check": _MODEL | _LYAP | _COUPLING | {"rates.zeta"}
+    | _exp("levels", "theta", "theta_prime", "r"),
+    "certify": _MODEL | _LYAP | _exp("levels", "theta_min", "theta_max", "n_theta"),
+    "run-msa": _MODEL | _SCHEDULE | _REPROJECTION | {"seed"}
+    | _exp("level", "n_steps", "theta0", "x0", "trace"),
+    "run-coupled": _MODEL | _COUPLING | _SCHEDULE | _REPROJECTION | {"seed"}
+    | _exp("level", "n_steps", "theta0", "theta0_bar", "x0", "x0_bar", "trace"),
+    "schedule": _RATES | _exp("epsilon", "c_n", "n_min"),
+    "ml-run": _MODEL | _COUPLING | _REPROJECTION | _RATES | {"seed"}
+    | _exp("epsilon", "c_n", "n_min", "theta0"),
+    "mse-cost": _MODEL | _COUPLING | _REPROJECTION | _RATES | {"seed"}
+    | _exp("epsilons", "replicates", "c_n", "n_min", "theta0"),
 }
+# the settings blocks each subcommand builds
+BLOCKS = {sub: {key.split(".")[0] for key in keys} - {"experiment", "seed"}
+          for sub, keys in KEYS.items()}
+
+
+def _leaf_keys(cfg: dict, prefix: str = ""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
 
 
 @pytest.mark.parametrize("subcommand", sorted(FAST_ARGS))
@@ -76,8 +105,8 @@ def test_subcommand_writes_manifest_and_results(tmp_path, subcommand):
         assert expected in names
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == subcommand
-    assert manifest["seed"] == 1234
-    assert set(manifest["config"]) == BLOCKS[subcommand] | {"experiment", "seed", "output"}
+    assert set(_leaf_keys(manifest["config"])) == KEYS[subcommand] | {"output"}
+    assert manifest.get("seed") == (1234 if "seed" in KEYS[subcommand] else None)
     if "model" in BLOCKS[subcommand]:
         assert manifest["config"]["model"]["m"] == 32
 
@@ -95,9 +124,9 @@ def test_csv_format_contract(tmp_path):
 def test_config_file_and_override_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rates": {"kappa": 0.25}, "seed": 9,
-                               "experiment": {"epsilon": 0.5}}))
+                               "experiment": {"epsilon": 0.5, "n_min": 20}}))
     out = tmp_path / "out"
-    rc = run_cli("schedule", str(cfg), "--output", str(out),
+    rc = run_cli("ml-run", str(cfg), "--output", str(out),
                  "--experiment.epsilon=0.25")
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -180,8 +209,7 @@ def test_manifest_echoing_a_removed_key_is_rejected(tmp_path, capsys, subcommand
         config[block] = value
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"subcommand": subcommand, "tool_version": "0",
-                                    "seed": config["seed"], "config": config,
-                                    "results": {}}))
+                                    "config": config, "results": {}}))
     assert run_cli(subcommand, str(manifest)) == 1
     assert f"unknown config key '{path}'" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
@@ -211,16 +239,140 @@ def test_config_file_that_does_not_parse_is_a_configuration_error(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("ml-run", "--schedule.rho=1.0"),
-    ("ml-run", "--schedule.kind=constant", "--schedule.gamma0=5"),
-    ("variance-exact", "--reprojection.r0=-1"),
-], ids=["ml-run-rho", "ml-run-constant-step", "variance-exact-r0"])
-def test_block_the_subcommand_does_not_read_is_an_unknown_key(tmp_path, capsys, argv):
+_UNREAD = [
+    (("ml-run", "--schedule.rho=1.0"), "schedule"),
+    (("ml-run", "--schedule.kind=constant", "--schedule.gamma0=5"), "schedule"),
+    (("variance-exact", "--reprojection.r0=-1"), "reprojection"),
+    (("variance-exact", "--seed=99"), "seed"),
+    (("variance-exact", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("variance-empirical", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("variance-empirical", "--schedule.kind=polynomial"), "schedule.kind"),
+    (("rate-check", "--seed=99"), "seed"),
+    (("rate-check", "--model.coupling=independent"), "model.coupling"),
+    (("certify", "--seed=99"), "seed"),
+    (("certify", "--model.coupling=independent"), "model.coupling"),
+    (("lemma-check", "--seed=99"), "seed"),
+    (("lemma-check", "--rates.alpha=-1"), "rates.alpha"),
+    (("lemma-check", "--rates.beta=0.5"), "rates.beta"),
+    (("lemma-check", "--rates.kappa=0.25"), "rates.kappa"),
+    (("run-msa", "--model.coupling=independent"), "model.coupling"),
+    (("run-msa", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("run-coupled", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("ml-run", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("mse-cost", "--model.lyap_exponent=0.25"), "model.lyap_exponent"),
+    (("schedule", "--seed=99"), "seed"),
+]
+
+
+@pytest.mark.parametrize("argv, key", _UNREAD, ids=[
+    "ml-run-rho", "ml-run-constant-step", "variance-exact-r0"] + [
+    f"{argv[0]}-{key}" for argv, key in _UNREAD[3:]])
+def test_block_the_subcommand_does_not_read_is_an_unknown_key(tmp_path, capsys, argv, key):
+    # a block, or a single key, that the subcommand's run never reads
     out = tmp_path / "never"
     assert run_cli(*argv, "--output", str(out)) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a second valid value of every settable key, keyed by dotted path
+_ALTERNATIVE = {
+    "seed": 99, "model.m": 10, "model.beta0": 0.5, "model.lyap_exponent": 0.25,
+    "model.phi_choice": "zero", "model.bias_choice": "shifted-cosine",
+    "model.coupling": "independent",
+    "schedule.kind": "constant", "schedule.gamma0": 0.5, "schedule.rho": 0.6,
+    "reprojection.r0": 0.2, "reprojection.growth": 0.2,
+    "rates.alpha": 0.5, "rates.beta": 0.75, "rates.zeta": 0.75, "rates.kappa": 0.25,
+    "experiment.levels": [1, 2, 3, 4], "experiment.level": 3, "experiment.n_steps": 250,
+    "experiment.replicates": 120, "experiment.theta": 0.5, "experiment.theta_prime": 0.8,
+    "experiment.r": 0.5, "experiment.theta_min": -1.0, "experiment.theta_max": 1.0,
+    "experiment.n_theta": 4, "experiment.theta0": 0.005, "experiment.theta0_bar": 0.005,
+    "experiment.x0": 3, "experiment.x0_bar": 3, "experiment.trace": True,
+    "experiment.epsilon": 0.2, "experiment.epsilons": [0.45, 0.35, 0.25],
+    "experiment.c_n": 2.0, "experiment.n_min": 12,
+}
+# small runs in which every key matters: tight constraint sets reproject
+# often, so reprojection.growth shows, and level budgets lie above n_min
+_TIGHT = ("--reprojection.r0=0.01", "--reprojection.growth=0.01")
+_PROBE_ARGS = {
+    "variance-exact": ("--model.m=8", "--experiment.levels=[1,2]"),
+    "variance-empirical": ("--model.m=8", "--experiment.n_steps=300",
+                           "--experiment.replicates=100", "--experiment.level=2",
+                           "--reprojection.r0=0.1", "--reprojection.growth=0.1"),
+    "rate-check": ("--model.m=8", "--experiment.levels=[2,3,4,5]"),
+    "lemma-check": ("--model.m=8", "--experiment.levels=[2,3,4,5]"),
+    "certify": ("--model.m=8", "--experiment.levels=[0,1,2]", "--experiment.n_theta=3"),
+    "run-msa": ("--model.m=8", "--experiment.n_steps=200") + _TIGHT,
+    "run-coupled": ("--model.m=8", "--experiment.n_steps=200") + _TIGHT,
+    "schedule": ("--experiment.epsilon=0.25", "--experiment.n_min=8"),
+    "ml-run": ("--model.m=8", "--experiment.epsilon=0.25", "--experiment.n_min=8") + _TIGHT,
+    "mse-cost": ("--model.m=8", "--experiment.epsilons=[0.5,0.4,0.3]", "--experiment.n_min=8",
+                 "--experiment.c_n=4") + _TIGHT,
+}
+
+
+def _results(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def test_every_setting_a_subcommand_accepts_changes_its_results(tmp_path):
+    # the keys come from the schema itself, so a key added without effect fails
+    idle = []
+    for sub, args in _PROBE_ARGS.items():
+        assert run_cli(sub, *args, "--output", str(tmp_path / sub)) == 0
+        base = _results(tmp_path / sub)
+        for key in _leaf_keys(cli.resolve_config(sub, None)):
+            if key == "output":
+                continue
+            out = tmp_path / f"{sub}-{key}"
+            value = json.dumps(_ALTERNATIVE[key])
+            with warnings.catch_warnings():  # tight sets discard replicates
+                warnings.simplefilter("ignore")
+                rc = run_cli(sub, *args, f"--{key}={value}", "--output", str(out))
+            if rc != 0 or _results(out) == base:
+                idle.append((sub, key))
+    assert idle == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-msa", "--experiment.n_steps=1000000000000000"),
+    # the byte count has more digits than Python prints for an int
+    pytest.param(("run-msa", "--experiment.n_steps=" + "9" * 4299), id="run-msa-4299-digits"),
+    ("run-coupled", "--experiment.n_steps=100000000"),
+    ("ml-run", "--experiment.c_n=1e12"),
+    ("mse-cost", "--experiment.c_n=1e12"),
+    ("certify", "--experiment.n_theta=1000000000000"),
+    ("certify", "--model.m=1000000"),
+    ("rate-check", "--model.m=1000000"),
+    ("lemma-check", "--model.m=1000000"),
+    ("variance-exact", "--model.m=1000000"),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_input_that_sizes_arrays_beyond_the_byte_budget_is_a_validation_error(
+        tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "-byte budget" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, replicates", [
+    ("variance-empirical", 10 ** 11), ("mse-cost", 10 ** 6)])
+def test_replicate_count_beyond_the_byte_budget_is_refused_before_any_generator(
+        tmp_path, capsys, monkeypatch, subcommand, replicates):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built before the size check")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "SeedSequence", no_generator)
+    out = tmp_path / "never"
+    assert run_cli(subcommand, f"--experiment.replicates={replicates}", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and f"R={replicates} " in err
+    assert not out.exists()
+
+
+def test_schedule_allocates_nothing_its_budgets_size(tmp_path):
+    assert run_cli("schedule", "--experiment.c_n=1e12", "--output", str(tmp_path / "p")) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,7 +463,7 @@ def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, argv, na
     (("schedule", "--rates.kappa=nan"), "rates.kappa"),
     (("schedule", "--rates.kappa=NaN"), "rates.kappa"),
     (("schedule", "--rates.kappa=" + "9" * 400), "rates.kappa"),  # beyond the float range
-    (("schedule", "--seed=-1"), "seed"),
+    (("ml-run", "--seed=-1"), "seed"),
     (("rate-check", "--experiment.levels=abc"), "experiment.levels"),
     (("mse-cost", '--experiment.epsilons=["x",0.1,0.05]'), "experiment.epsilons"),
     (("lemma-check", "--experiment.levels=[2.5,3,4,5]"), "experiment.levels"),
@@ -386,10 +538,14 @@ def test_output_env_var_supplies_default(tmp_path, monkeypatch):
 
 def test_seed_and_workers_flags(tmp_path, capsys):
     out = tmp_path / "s"
-    rc = run_cli("schedule", "--output", str(out), "--seed", "77")
+    rc = run_cli("ml-run", "--output", str(out), "--seed", "77", "--experiment.n_min=20")
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 77
+    # a subcommand that draws no random numbers has no seed
+    assert run_cli("schedule", "--output", str(tmp_path / "never"), "--seed", "77") == 1
+    assert "unknown config key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
     # the worker-count knob is gone: both spellings are unknown options
     for flag in (("--workers", "4"), ("--workers=4",)):
         capsys.readouterr()
@@ -423,14 +579,6 @@ def test_schedule_ends_in_exit_code_0_or_1(overrides):
     with tempfile.TemporaryDirectory() as out:
         argv = [f"--{key}={value!r}" for key, value in overrides.items()]
         assert run_cli("schedule", "--output", out, *argv) in (0, 1)
-
-
-def _leaf_keys(cfg: dict, prefix: str = ""):
-    for key, value in cfg.items():
-        if isinstance(value, dict):
-            yield from _leaf_keys(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key
 
 
 _SCHEMA_KEYS = [(sub, key) for sub in sorted(FAST_ARGS)

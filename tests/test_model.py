@@ -164,10 +164,15 @@ class TestCoupledKernel:
         K = coupled_kernel_matrix(build_model(m=m), 2, 0.4, -0.3, "independent")
         assert K.shape == (m * m, m * m)
 
-    @pytest.mark.parametrize("coupling", ["crn", "independent"])
-    def test_oversized_kernel_rejected_before_allocation(self, coupling):
-        with pytest.raises(ParameterError, match=r"m=200 needs 12,800,000,000 bytes"):
-            coupled_kernel_matrix(build_model(m=200), 1, 0.0, 0.0, coupling)
+    @pytest.mark.parametrize("m, kernel, need", [
+        (200, lambda model: coupled_kernel_matrix(model, 1, 0.0, 0.0, "crn"), "12,800,000,000"),
+        (200, lambda model: coupled_kernel_matrix(model, 1, 0.0, 0.0, "independent"),
+         "12,800,000,000"),
+        (6000, lambda model: kernel_matrix(model, 1, 0.0), "288,000,000"),
+    ], ids=["crn", "independent", "single"])
+    def test_oversized_kernel_rejected_before_allocation(self, m, kernel, need):
+        with pytest.raises(ParameterError, match=rf"m={m} needs {need} bytes"):
+            kernel(build_model(m=m))
 
     def test_rows_sum_to_one(self, default_model):
         Kc = coupled_kernel_matrix(default_model, 2, 0.4, -0.3)
