@@ -219,8 +219,7 @@ def resolve_config(subcommand: str, config_path: str | None, overrides=()) -> di
         config = _merge_strict(config, value)
     if config["output"] is None:
         config["output"] = os.environ.get(OUTPUT_ENV, "mlmsa-out")
-    _validate_types(config, defaults)
-    return config
+    return _validate_types(config, defaults)
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -228,23 +227,21 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
-def _check_types(value, default, key: str = "", what: str = "") -> None:
-    """A value takes the type of its default: a block wants a block, a list
-    a list whose elements each take the type of the default's first
-    element, a bool a bool, an int an int (not a bool), a float a finite
-    int or float.  Other defaults set no type."""
+def _typed(value, default, key: str = "", what: str = ""):
+    """value in the type of its default: a block wants a block, a list a
+    list whose elements each take the type of the default's first element,
+    a bool a bool, an int an int (not a bool), a float a finite int or
+    float, which is returned as a float.  Other defaults set no type."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, dict):
         # a block a config file replaced by a value cannot be patched key by key
         _require(isinstance(value, dict) and value.keys() == default.keys(), key,
                  "must be a block of settings")
-        for k in default:
-            _check_types(value[k], default[k], f"{key}.{k}" if key else k)
-    elif isinstance(default, list):
+        return {k: _typed(value[k], default[k], f"{key}.{k}" if key else k) for k in default}
+    if isinstance(default, list):
         _require(isinstance(value, list), key, "must be a list")
-        for item in value:
-            _check_types(item, default[0], key, f"element {item!r} ")
-    elif isinstance(default, bool):
+        return [_typed(item, default[0], key, f"element {item!r} ") for item in value]
+    if isinstance(default, bool):
         _require(isinstance(value, bool), key, f"{what}must be true or false")
     elif isinstance(default, int):
         _require(number and isinstance(value, int), key, f"{what}must be an integer")
@@ -252,16 +249,19 @@ def _check_types(value, default, key: str = "", what: str = "") -> None:
         # also false for nan, and for ints beyond the float range
         _require(number and abs(value) <= sys.float_info.max, key,
                  f"{what}must be a finite number")
+        return float(value)  # numpy refuses an int beyond int64 where it wants a float
+    return value
 
 
-def _validate_types(cfg: dict, defaults: dict) -> None:
-    _check_types(cfg, defaults)
+def _validate_types(cfg: dict, defaults: dict) -> dict:
+    cfg = _typed(cfg, defaults)
     if "coupling" in cfg.get("model", ()):
         _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
                  "must be 'crn' or 'independent'")
     if "seed" in cfg:
         _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
     _require(isinstance(cfg["output"], str), "output", "must be a directory path")
+    return cfg
 
 
 def _block(name: str, builder):
@@ -291,9 +291,7 @@ def _cmd_variance_exact(cfg, parts, outdir):
         rep = asymptotic_variance(parts["model"], l, coupling=cfg["model"]["coupling"])
         rows.append((rep.level, 2.0 ** (-rep.level), rep.sigma, rep.t1, rep.t2,
                      rep.theta_star_l, rep.dh_l))
-        record = asdict(rep)
-        del record["coupled_stationary"]
-        records.append(record | {"delta": 2.0 ** (-rep.level)})
+        records.append(asdict(rep) | {"delta": 2.0 ** (-rep.level)})
     _write_csv(outdir / "variance_exact.csv",
                ("l", "delta", "sigma", "t1", "t2", "theta_star_l", "dh_l"), rows)
     _write_json(outdir / "variance_exact.json", records)

@@ -115,15 +115,6 @@ def make_step_schedule(kind: str, gamma0: float, rho: float | None = None) -> St
     return StepSchedule("polynomial", float(gamma0), float(rho))
 
 
-def ratio_diagnostic(schedule: StepSchedule, n_steps: int) -> np.ndarray:
-    """|log(gamma_n/gamma_{n-1})| / gamma_n for n = 2..n_steps; must decay
-    to 0 for an admissible polynomial schedule."""
-    g = schedule.step_sizes(n_steps)
-    if len(g) < 2:
-        return np.empty(0)
-    return np.abs(np.log(g[1:] / g[:-1])) / g[1:]
-
-
 @dataclass(frozen=True)
 class ReprojectionFamily:
     """Nested symmetric intervals K_k = [-(r0 + growth*k), r0 + growth*k].
@@ -154,13 +145,6 @@ class ReprojectionFamily:
     def contains(self, theta: float, k: int) -> bool:
         r = self.radius(k)
         return -r <= theta <= r
-
-    def index_covering(self, theta: float) -> int:
-        """Smallest k whose set contains theta (exists for any finite theta)."""
-        if not math.isfinite(theta):
-            raise ParameterError(f"theta must be finite, got {theta}")
-        excess = abs(theta) - self.r0
-        return 0 if excess <= 0 else math.ceil(excess / self.growth)
 
 
 @dataclass(frozen=True)

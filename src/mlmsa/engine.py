@@ -38,7 +38,8 @@ The run inputs are checked once, in the ensemble driver every procedure
 goes through: n_steps >= 1, the coupling, a finite level l >= 1 for a
 coupled run, the bytes of the arrays n_steps and R size, each start
 parameter in K_0 and each configured start state on the grid.  A
-replicated estimator checks those bytes before it builds its generators.
+replicated estimator checks n_steps and those bytes before it builds its
+generators.
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ __all__ = [
 _CHUNK = 1024
 
 
-def _validate_containment(family: ReprojectionFamily, theta_paths, psi_path,
-                          events) -> None:
-    """Check theta_n in K_{psi_n} for every path and n, that psi increments
-    exactly at the recorded reprojection events, and that psi never
-    decreases."""
-    bounds = family.r0 + family.growth * psi_path
-    if any(np.any(np.abs(path) > bounds) for path in theta_paths):
-        raise NumericalError("containment violated: a parameter left its constraint set")
-    jumps = np.flatnonzero(np.diff(psi_path) != 0) + 1
-    if not np.array_equal(jumps, np.asarray(events, dtype=jumps.dtype)):
-        raise NumericalError("psi jumps do not match recorded reprojection events")
-    if np.any(np.diff(psi_path) < 0):
-        raise NumericalError("psi must be nondecreasing")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Single-level run record; paths have length n_steps + 1 (entry 0 is
@@ -96,10 +82,6 @@ class Trajectory:
     @property
     def theta_final(self) -> float:
         return float(self.theta_path[-1])
-
-    def validate_containment(self, family: ReprojectionFamily) -> None:
-        _validate_containment(family, (self.theta_path,), self.psi_path,
-                              self.reprojection_events)
 
 
 @dataclass(frozen=True)
@@ -121,22 +103,15 @@ class CoupledTrajectory:
     x0_bar: int
 
     @property
-    def increments(self) -> np.ndarray:
-        return self.fine_theta_path - self.coarse_theta_path
-
-    @property
     def increment_final(self) -> float:
         return float(self.fine_theta_path[-1] - self.coarse_theta_path[-1])
-
-    def validate_containment(self, family: ReprojectionFamily) -> None:
-        _validate_containment(family, (self.fine_theta_path, self.coarse_theta_path),
-                              self.psi_path, self.reprojection_events)
 
 
 class _Ensemble:
     """Vectorized replicate state for the stepping loop (internal): theta,
-    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate.
-    theta0s and x0s hold one start per chain, the fine chain's first."""
+    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate,
+    and the run's last step size gamma_n once the run has ended.  theta0s
+    and x0s hold one start per chain, the fine chain's first."""
 
     def __init__(self, rngs, m, family, theta0s, x0s):
         for name, theta in zip(("theta0", "theta0_bar"), theta0s):
@@ -177,7 +152,10 @@ def _check_run_bytes(n_steps: int, R: int, coupled: bool, coupling: str,
                      record: bool) -> None:
     """Refuse, before any of them exists, the arrays a run sizes from its
     inputs: the step vector, one chunk of uniforms (two columns per step,
-    four under the independent coupling) and, when recorded, the paths."""
+    four under the independent coupling) and, when recorded, the paths.
+    n_steps >= 1 is checked first: a negative count makes the bytes negative."""
+    if n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     columns = 4 if coupled and coupling == "independent" else 2
     need = 8 * (n_steps + min(_CHUNK, n_steps) * columns * R)
     if record:
@@ -194,8 +172,6 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     chains and replicates, and uniforms are pre-drawn per chunk from each
     replicate's own generator (batching does not change a generator's
     stream)."""
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     if coupling not in ("crn", "independent"):
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     if coupled and (l == math.inf or l < 1):
@@ -252,6 +228,7 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
                 paths["theta"][step], paths["x"][step], paths["psi"][step] = st.theta, st.x, st.psi
     st.x = st.x // 2 - offsets
     st.x0 = st.x0 // 2 - offsets
+    st.gamma_n = gammas[-1]
     if record:
         paths["x"] //= 2
         paths["x"] -= offsets
@@ -359,14 +336,13 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     n = inc.size
     if n < 3:
         raise NumericalError(f"only {n} replicates survived the settling rule")
-    gamma_n = schedule.step_sizes(n_steps)[-1]  # the engine's last step
-    est = float(np.var(inc, ddof=1) / gamma_n)
+    est = float(np.var(inc, ddof=1) / st.gamma_n)
     # leave-one-out variances in closed form for the jackknife
     s1, s2 = inc.sum(), np.dot(inc, inc)
     loo_mean = (s1 - inc) / (n - 1)
     loo_var = (s2 - inc ** 2 - (n - 1) * loo_mean ** 2) / (n - 2)
-    jack = loo_var / gamma_n
+    jack = loo_var / st.gamma_n
     stderr = float(np.sqrt((n - 1) / n * np.sum((jack - jack.mean()) ** 2)))
-    return CLTVarianceEstimate(estimate=est, stderr=stderr, gamma_n=float(gamma_n),
+    return CLTVarianceEstimate(estimate=est, stderr=stderr, gamma_n=float(st.gamma_n),
                                n_steps=n_steps, n_kept=n, n_discarded=n_disc,
                                increments=inc)

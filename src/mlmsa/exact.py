@@ -19,7 +19,7 @@ kernels, |||K1 - K2|||_V = max_x ||K1(x,.) - K2(x,.)||_V / V(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "stationary_distribution",
     "PoissonSolution",
     "poisson_solve",
-    "poisson_series",
     "mean_field",
     "mean_field_derivative",
     "level_root",
@@ -229,23 +228,6 @@ def poisson_solve(K: np.ndarray, pi: np.ndarray, f: np.ndarray) -> PoissonSoluti
     return PoissonSolution(g, Kg, centered)
 
 
-def poisson_series(K: np.ndarray, pi: np.ndarray, f: np.ndarray,
-                   n_terms: int = 200) -> np.ndarray:
-    """Truncated-series reference sum_{n=0..N} (K^n - pi)(f).
-
-    Deliberately independent of poisson_solve: straight power iteration,
-    no fundamental matrix, no recentring.  Converges geometrically for an
-    aperiodic chain with a unique stationary law.
-    """
-    mean = pi @ f
-    acc = f - mean
-    curr = f.copy()
-    for _ in range(n_terms):
-        curr = K @ curr
-        acc = acc + (curr - mean)
-    return acc
-
-
 def mean_field(model: FiniteLevelModel, l, theta: float) -> float:
     """h_l(theta) = pi_{theta,l}(phi_l) - theta."""
     pi = target_density(model, l, theta)
@@ -311,7 +293,6 @@ class VarianceReport:
     dh_lm1: float
     theta_star_l: float
     theta_star_lm1: float
-    coupled_stationary: np.ndarray = field(repr=False)
     cross_term: float
 
 
@@ -334,7 +315,7 @@ def asymptotic_variance(model: FiniteLevelModel, l, coupling: str = "crn") -> Va
     """
     if l == math.inf or l < 1:
         raise ParameterError(f"variance needs a finite level l >= 1, got {l!r}")
-    th_f, th_c, P, (f2, Kf2, c2, Kc2, cross, Kcross) = _level_pair(model, l, coupling)
+    th_f, th_c, _, (f2, Kf2, c2, Kc2, cross, Kcross) = _level_pair(model, l, coupling)
     dh_f = mean_field_derivative(model, l, th_f)
     dh_c = mean_field_derivative(model, l - 1, th_c)
     if dh_f >= 0.0 or dh_c >= 0.0:
@@ -354,7 +335,7 @@ def asymptotic_variance(model: FiniteLevelModel, l, coupling: str = "crn") -> Va
             "(formula implementation bug)")
     return VarianceReport(level=int(l), coupling=coupling, sigma=sigma, t1=t1, t2=t2,
                           dh_l=dh_f, dh_lm1=dh_c, theta_star_l=th_f, theta_star_lm1=th_c,
-                          coupled_stationary=P.ravel(), cross_term=cross_raw)
+                          cross_term=cross_raw)
 
 
 def _level_pair(model: FiniteLevelModel, l, coupling: str):
@@ -376,32 +357,25 @@ def _level_pair(model: FiniteLevelModel, l, coupling: str):
 
 @dataclass(frozen=True)
 class GeometricRate:
-    """Fitted geometric convergence rate with its spectral reference."""
+    """Fitted geometric convergence rate and the powers the fit read."""
 
     rho_hat: float
-    slem: float  # second-largest eigenvalue modulus
     n_powers: int
 
 
 def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
-                            V: np.ndarray) -> GeometricRate | tuple[GeometricRate, ...]:
-    """Fit rho in |(K^n - pi)(f)|_V <= C rho^n over a probe set |f| <= V.
+                            V: np.ndarray) -> tuple[GeometricRate, ...]:
+    """Fit rho in |(K^n - pi)(f)|_V <= C rho^n over a probe set |f| <= V,
+    for each kernel of a (B, n, n) stack K with pi and V of shape (B, n);
+    returns the rates in stack order.
 
     Probes are sign patterns times V (constant, alternating, and seeded
     random signs).  The decay of the probe maximum is fitted log-linearly
-    past a short transient; the second-largest eigenvalue modulus is
-    reported alongside as the spectral reference.
-
-    K may be one (n, n) kernel, with pi and V of shape (n,), or a (B, n, n)
-    stack with pi and V of shape (B, n); a stack returns a tuple of rates in
-    stack order.  One power loop serves the whole stack: each kernel stops
-    at its own first power n with sup_n < 1e-13 max(sup_1, 1), the loop
-    ends once every kernel has stopped or after _RATE_MAX_POWERS powers,
-    and each fit reads its kernel's sequence up to its own stop.
+    past a short transient.  One power loop serves the whole stack: each
+    kernel stops at its own first power n with sup_n < 1e-13 max(sup_1, 1),
+    the loop ends once every kernel has stopped or after _RATE_MAX_POWERS
+    powers, and each fit reads its kernel's sequence up to its own stop.
     """
-    single = np.ndim(K) == 2
-    if single:
-        K, pi, V = K[None], pi[None], V[None]
     _check_stochastic(K, stack=True)
     n = K.shape[-1]
     rng = np.random.default_rng(_RATE_SEED)
@@ -418,10 +392,8 @@ def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
         if stop.all():
             break
     stop[stop == 0] = _RATE_MAX_POWERS
-    ev = np.abs(np.linalg.eigvals(K))
-    slems = np.sort(ev, axis=-1)[:, -2] if n > 1 else np.zeros(len(K))
     rates = []
-    for row, n_powers, slem in zip(np.array(sup).T, stop.tolist(), slems.tolist()):
+    for row, n_powers in zip(np.array(sup).T, stop.tolist()):
         row = row[:n_powers]
         start = min(5, max(n_powers - 3, 0))
         usable = row[start:] > 1e-300
@@ -429,8 +401,8 @@ def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
         if np.sum(usable) >= 3:
             ns = np.arange(start + 1, n_powers + 1)[usable]
             rho = float(np.exp(np.polyfit(ns, np.log(row[start:][usable]), 1)[0]))
-        rates.append(GeometricRate(rho_hat=rho, slem=slem, n_powers=n_powers))
-    return rates[0] if single else tuple(rates)
+        rates.append(GeometricRate(rho_hat=rho, n_powers=n_powers))
+    return tuple(rates)
 
 
 @dataclass(frozen=True)
@@ -568,6 +540,8 @@ def fitted_log2_slope(levels, values) -> float | str:
     Returns the string "exact" when the quantity is numerically zero at
     every level (no level dependence at all)."""
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("cannot fit a decay slope through nan or infinite values")
     if np.max(np.abs(values)) < 1e-14:
         return "exact"
     if np.min(values) <= 0.0:

@@ -14,12 +14,11 @@ levels inherits the rate beta0 by construction.
 The Markov kernel per (theta, l) is a random-walk Metropolis chain with
 nearest-neighbour proposals, off-grid proposals rejected in place; the
 move table of _step_diffs states this rule once for the dense kernels and
-the engine, and the scalar samplers restate it as a reference.  The
-coupled kernel advances a fine chain at (theta, l) and a coarse chain at
-(theta_bar, l-1) with shared proposal direction and shared acceptance
-uniform (common random numbers); an independent product coupling is
-available as a baseline.  Both couplings reproduce the single-level
-kernels exactly as their coordinate marginals.
+the engine.  The coupled kernel advances a fine chain at (theta, l) and a
+coarse chain at (theta_bar, l-1) with shared proposal direction and shared
+acceptance uniform (common random numbers); an independent product
+coupling is available as a baseline.  Both couplings reproduce the
+single-level kernels exactly as their coordinate marginals.
 
 The update statistic is H_l(theta, x) = phi_l(u_x) - theta, so the mean
 field h_l(theta) = pi_{theta,l}(phi_l) - theta has derivative
@@ -30,6 +29,7 @@ strictly negative: each level has a unique root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,14 +41,11 @@ __all__ = [
     "FiniteLevelModel",
     "build_model",
     "level_statistic",
-    "drift_term",
     "target_density",
     "kernel_matrix",
     "coupled_kernel_matrix",
     "lyapunov_vector",
     "metric_matrix",
-    "sample_step",
-    "coupled_sample_step",
 ]
 
 INF = math.inf
@@ -113,10 +110,14 @@ def build_model(m: int = 32, beta0: float = 1.0, lyap_exponent: float = 0.5,
 
 
 def _check_level(l, minimum: int = 0) -> None:
+    """l is math.inf or an integer >= minimum that converts to a float, as
+    level_delta needs."""
     if l == INF:
         return
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < minimum:
-        raise ParameterError(f"level must be an integer >= {minimum} or math.inf, got {l!r}")
+    if (not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < minimum
+            or l > sys.float_info.max):
+        raise ParameterError(f"level must be an integer in [{minimum}, "
+                             f"{sys.float_info.max:.17g}] or math.inf, got {l!r}")
 
 
 @lru_cache(maxsize=512)
@@ -155,12 +156,6 @@ def _move_probabilities(model: FiniteLevelModel, l, theta: float) -> tuple[np.nd
     diff, dest = _step_diffs(model, l)
     moves = dest != np.repeat(np.arange(model.m), 2)
     return np.where(moves, np.exp(np.minimum(theta * diff, 0.0)), 0.0), dest
-
-
-def drift_term(model: FiniteLevelModel, l, theta: float, x: int) -> float:
-    """Update statistic H_l(theta, x) = phi_l(u_x) - theta."""
-    s = level_statistic(model, l)
-    return float(s[x] - theta)
 
 
 def target_density(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
@@ -238,44 +233,3 @@ def metric_matrix(model: FiniteLevelModel) -> np.ndarray:
     _check_bytes(f"metric for m={model.m}", 8 * model.m ** 2)
     u = model.positions
     return np.abs(u[:, None] - u[None, :])
-
-
-def _reference_move(model: FiniteLevelModel, l, theta: float, x: int,
-                    u_dir: float, u_acc: float) -> int:
-    """One Metropolis move from x without the move table: propose x+1 if
-    u_dir < 1/2, else x-1, and reject an off-grid proposal in place.  np.exp
-    on numpy scalars rounds like the engine's vectorized exp; math.exp does not."""
-    s = level_statistic(model, l)
-    y = x + 1 if u_dir < 0.5 else x - 1
-    if not 0 <= y < model.m:
-        return int(x)
-    return int(y) if u_acc < np.exp(np.minimum(theta * (s[y] - s[x]), 0.0)) else int(x)
-
-
-def sample_step(model: FiniteLevelModel, l, theta: float, x: int,
-                rng: np.random.Generator) -> int:
-    """One Metropolis transition from x; consumes exactly two uniforms
-    (direction, acceptance) so the stream layout is state-independent."""
-    u = rng.random(2)
-    return _reference_move(model, l, theta, x, u[0], u[1])
-
-
-def coupled_sample_step(model: FiniteLevelModel, l, theta: float, theta_bar: float,
-                        x: int, x_bar: int, rng: np.random.Generator,
-                        coupling: str = "crn") -> tuple[int, int]:
-    """One coupled transition of the (fine, coarse) pair.
-
-    CRN consumes one direction uniform and one acceptance uniform shared
-    by both chains; the independent coupling consumes two of each, fine
-    first.
-    """
-    _check_level(l, minimum=1)
-    if coupling == "crn":
-        u = rng.random(2)
-        return (_reference_move(model, l, theta, x, u[0], u[1]),
-                _reference_move(model, l - 1, theta_bar, x_bar, u[0], u[1]))
-    if coupling != "independent":
-        raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
-    u = rng.random(4)
-    return (_reference_move(model, l, theta, x, u[0], u[1]),
-            _reference_move(model, l - 1, theta_bar, x_bar, u[2], u[3]))

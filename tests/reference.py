@@ -1,0 +1,85 @@
+"""Independent references the tests compare the package against.
+
+Each is written without the package's move table, fundamental matrix or
+stepping loop: the scalar Metropolis samplers restate the move rule one
+state at a time, the Poisson series sums powers of the kernel, and the
+containment check reads only a run's recorded paths.
+"""
+
+import numpy as np
+
+from mlmsa.core import NumericalError, ParameterError
+from mlmsa.model import level_statistic
+
+
+def reference_move(model, l, theta, x, u_dir, u_acc):
+    """One Metropolis move from x without the move table: propose x+1 if
+    u_dir < 1/2, else x-1, and reject an off-grid proposal in place.  np.exp
+    on numpy scalars rounds like the engine's vectorized exp; math.exp does not."""
+    s = level_statistic(model, l)
+    y = x + 1 if u_dir < 0.5 else x - 1
+    if not 0 <= y < model.m:
+        return int(x)
+    return int(y) if u_acc < np.exp(np.minimum(theta * (s[y] - s[x]), 0.0)) else int(x)
+
+
+def sample_step(model, l, theta, x, rng):
+    """One Metropolis transition from x; consumes exactly two uniforms
+    (direction, acceptance) so the stream layout is state-independent."""
+    u = rng.random(2)
+    return reference_move(model, l, theta, x, u[0], u[1])
+
+
+def coupled_sample_step(model, l, theta, theta_bar, x, x_bar, rng, coupling="crn"):
+    """One coupled transition of the (fine, coarse) pair.
+
+    CRN consumes one direction uniform and one acceptance uniform shared
+    by both chains; the independent coupling consumes two of each, fine
+    first.
+    """
+    if coupling == "crn":
+        u = rng.random(2)
+        return (reference_move(model, l, theta, x, u[0], u[1]),
+                reference_move(model, l - 1, theta_bar, x_bar, u[0], u[1]))
+    if coupling != "independent":
+        raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
+    u = rng.random(4)
+    return (reference_move(model, l, theta, x, u[0], u[1]),
+            reference_move(model, l - 1, theta_bar, x_bar, u[2], u[3]))
+
+
+def drift_term(model, l, theta, x):
+    """Update statistic H_l(theta, x) = phi_l(u_x) - theta."""
+    s = level_statistic(model, l)
+    return float(s[x] - theta)
+
+
+def poisson_series(K, pi, f, n_terms=200):
+    """Truncated-series reference sum_{n=0..N} (K^n - pi)(f): straight power
+    iteration, no fundamental matrix, no recentring.  Converges
+    geometrically for an aperiodic chain with a unique stationary law."""
+    mean = pi @ f
+    acc = f - mean
+    curr = f.copy()
+    for _ in range(n_terms):
+        curr = K @ curr
+        acc = acc + (curr - mean)
+    return acc
+
+
+def validate_containment(traj, family):
+    """Check, on a single or coupled run record, theta_n in K_{psi_n} for
+    every path and n, that psi increments exactly at the recorded
+    reprojection events, and that psi never decreases."""
+    if hasattr(traj, "theta_path"):
+        paths = (traj.theta_path,)
+    else:
+        paths = (traj.fine_theta_path, traj.coarse_theta_path)
+    bounds = family.r0 + family.growth * traj.psi_path
+    if any(np.any(np.abs(path) > bounds) for path in paths):
+        raise NumericalError("containment violated: a parameter left its constraint set")
+    jumps = np.flatnonzero(np.diff(traj.psi_path) != 0) + 1
+    if not np.array_equal(jumps, np.asarray(traj.reprojection_events, dtype=jumps.dtype)):
+        raise NumericalError("psi jumps do not match recorded reprojection events")
+    if np.any(np.diff(traj.psi_path) < 0):
+        raise NumericalError("psi must be nondecreasing")

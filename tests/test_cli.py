@@ -489,6 +489,18 @@ def test_nonpositive_step_count_is_a_validation_error(tmp_path, capsys, n_steps)
     assert not out.exists()
 
 
+def test_negative_step_count_is_refused_before_any_generator(tmp_path, capsys, monkeypatch):
+    # a negative run length once made the byte count negative, and 1e9 generators were built
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built before the step count check")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    out = tmp_path / "never"
+    assert run_cli("variance-empirical", "--experiment.n_steps=-1",
+                   "--experiment.replicates=1000000000", "--output", str(out)) == 1
+    assert "n_steps must be >= 1, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (("variance-empirical", "--experiment.level=0"), "level l >= 1, got 0"),
     (("rate-check", "--experiment.levels=[0,1,2,3]"), "levels must be >= 1"),
@@ -499,6 +511,42 @@ def test_coupled_level_zero_is_a_validation_error(tmp_path, capsys, argv, fragme
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: validation error") and fragment in err
+    assert not out.exists()
+
+
+_HUGE = 10 ** 400  # beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-msa", f"--experiment.level={_HUGE}"),
+    ("run-coupled", f"--experiment.level={_HUGE}"),
+    ("variance-empirical", f"--experiment.level={_HUGE}", "--experiment.replicates=100"),
+    ("variance-exact", f"--experiment.levels=[{_HUGE}]"),
+    ("certify", f"--experiment.levels=[{_HUGE}]"),
+    ("rate-check", f"--experiment.levels=[2,3,4,{_HUGE}]"),
+    ("lemma-check", f"--experiment.levels=[2,3,4,{_HUGE}]"),
+], ids=lambda argv: argv[0])
+def test_level_beyond_the_float_range_is_a_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "level must be an integer" in err
+    assert not out.exists()
+
+
+def test_level_within_the_float_range_runs(tmp_path):
+    assert run_cli("run-msa", f"--experiment.level={10 ** 33}", "--experiment.n_steps=100",
+                   "--output", str(tmp_path / "r")) == 0
+
+
+def test_rate_check_that_fits_through_nan_is_a_numerical_failure(tmp_path, capsys):
+    # at theta = 1000 the Lyapunov weights overflow and the perturbation norms are nan
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("rate-check", "--experiment.theta=1000", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure") and "nan or infinite" in err
     assert not out.exists()
 
 
@@ -600,3 +648,40 @@ def test_any_value_of_a_schema_key_builds_or_is_rejected_by_name(case, value):
     except ParameterError:  # ConfigError is one
         return
     assert set(parts) == BLOCKS[subcommand]
+
+
+# small runs of every subcommand that computes; the fuzzed keys override them
+_FUZZ_ARGS = {
+    "variance-exact": ("--model.m=6", "--experiment.levels=[1,2]"),
+    "variance-empirical": ("--model.m=6", "--experiment.n_steps=200",
+                           "--experiment.replicates=100", "--experiment.level=2"),
+    "rate-check": ("--model.m=6", "--experiment.levels=[2,3,4,5]"),
+    "lemma-check": ("--model.m=6", "--experiment.levels=[2,3,4,5]"),
+    "certify": ("--model.m=6", "--experiment.levels=[0,1]", "--experiment.n_theta=2"),
+    "run-msa": ("--model.m=8", "--experiment.n_steps=300"),
+    "run-coupled": ("--model.m=8", "--experiment.n_steps=300"),
+    "ml-run": ("--model.m=8", "--experiment.epsilon=0.5", "--experiment.n_min=10"),
+    "mse-cost": ("--model.m=8", "--experiment.epsilons=[0.5,0.45,0.4]",
+                 "--experiment.replicates=2", "--experiment.n_min=10"),
+}
+# huge and negative ints, the float range's ends and zero
+_WIDE = (st.integers(min_value=10 ** 9) | st.integers(max_value=-1)
+         | st.sampled_from([0, 0.0, 1e308, -1e308, _HUGE, -_HUGE]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_extreme_setting_ends_in_exit_code_0_1_or_2(data):
+    subcommand = data.draw(st.sampled_from(sorted(_FUZZ_ARGS)))
+    config = cli.resolve_config(subcommand, None)
+    keys = sorted(set(_leaf_keys(config)) - {"output"})
+    argv = []
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        block, _, name = key.rpartition(".")
+        default = config[block][name] if block else config[name]
+        value = data.draw(st.lists(_WIDE, min_size=1, max_size=4)
+                          if isinstance(default, list) else _WIDE)
+        argv.append(f"--{key}={json.dumps(value)}")
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([subcommand, *_FUZZ_ARGS[subcommand], *argv, "--output", out]) in (0, 1, 2)

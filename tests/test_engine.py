@@ -9,6 +9,7 @@ from mlmsa.core import (
     NumericalError,
     ParameterError,
     ReprojectionFamily,
+    StepSchedule,
     make_step_schedule,
 )
 from mlmsa.engine import (
@@ -20,13 +21,9 @@ from mlmsa.engine import (
     msa_run,
 )
 from mlmsa.exact import asymptotic_variance, level_root
-from mlmsa.model import (
-    build_model,
-    coupled_sample_step,
-    drift_term,
-    sample_step,
-    target_density,
-)
+from mlmsa.model import build_model, target_density
+
+from reference import coupled_sample_step, drift_term, sample_step, validate_containment
 
 FAMILY = ReprojectionFamily(2.0, 1.0)
 # resets a few times in 50 steps at m = 32; at m = 3 every |statistic| is
@@ -68,7 +65,7 @@ class TestMsaRun:
         tight = ReprojectionFamily(0.001, 0.001)
         traj = msa_run(default_model, 1, poly(), tight, 3000, 0.0, None, seed=2)
         assert len(traj.reprojection_events) > 0
-        traj.validate_containment(tight)
+        validate_containment(traj, tight)
         k = traj.reprojection_events[0]
         assert traj.theta_path[k] == traj.theta0
         assert traj.x_path[k] == traj.x0  # state resets too, by design
@@ -76,7 +73,7 @@ class TestMsaRun:
 
     def test_containment_invariant_on_generic_run(self, default_model):
         traj = msa_run(default_model, 2, poly(), FAMILY, 5000, 0.0, None, seed=3)
-        traj.validate_containment(FAMILY)
+        validate_containment(traj, FAMILY)
 
     def test_theta0_must_start_inside(self, default_model):
         with pytest.raises(ParameterError):
@@ -126,7 +123,8 @@ class TestCoupledMsaRun:
     def test_identical_levels_give_zero_increment(self, bias_off_model):
         traj = coupled_msa_run(bias_off_model, 3, poly(), FAMILY, 5000,
                                seed=11, theta0=0.2, theta0_bar=0.2)
-        assert np.all(traj.increments == 0.0)  # exact: both chains identical
+        # exact: both chains identical
+        np.testing.assert_array_equal(traj.fine_theta_path, traj.coarse_theta_path)
 
     def test_increment_near_root_gap(self, default_model):
         rep = asymptotic_variance(default_model, 4)
@@ -150,7 +148,7 @@ class TestCoupledMsaRun:
         tight = ReprojectionFamily(0.001, 0.001)
         traj = coupled_msa_run(default_model, 1, poly(), tight, 2000, seed=6)
         assert len(traj.reprojection_events) > 0
-        traj.validate_containment(tight)
+        validate_containment(traj, tight)
         k = traj.reprojection_events[0]
         assert traj.fine_theta_path[k] == traj.theta0
         assert traj.coarse_theta_path[k] == traj.theta0_bar
@@ -166,7 +164,7 @@ class TestCoupledMsaRun:
                                  psi_path=np.array([0, 1, 0]), reprojection_events=(1, 2),
                                  theta0=0.0, theta0_bar=0.0, x0=0, x0_bar=0)
         with pytest.raises(NumericalError):
-            traj.validate_containment(FAMILY)
+            validate_containment(traj, FAMILY)
 
     def test_frozen_occupation_matches_target(self):
         # the coupling's marginal property in action: the fine chain of a
@@ -251,6 +249,17 @@ class TestEmpiricalCltVariance:
         sched = poly()
         est = empirical_clt_variance(build_model(m=8), 2, sched, 14, 100, 0)
         assert est.gamma_n == sched.step_sizes(14)[-1]
+
+    def test_builds_the_step_vector_once(self, monkeypatch):
+        calls = []
+        step_sizes = StepSchedule.step_sizes
+
+        def counted(self, n_steps):
+            calls.append(n_steps)
+            return step_sizes(self, n_steps)
+        monkeypatch.setattr(StepSchedule, "step_sizes", counted)
+        empirical_clt_variance(build_model(m=8), 2, poly(), 500, 100, 0)
+        assert calls == [500]
 
     def test_degenerate_levels_give_zero_estimate(self, bias_off_model):
         est = empirical_clt_variance(bias_off_model, 2, poly(), 2000, 100, 7)
