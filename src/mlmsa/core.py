@@ -36,9 +36,9 @@ class NumericalError(RuntimeError):
 
 
 # The most bytes one allocation sized by a user input may take: a dense exact
-# kernel (m = 76 is the largest coupled one that fits; the solves on it need a
-# few more arrays of its size), a certificate grid's kernel stack, or a run's
-# step vector, chunk of uniforms and recorded paths.
+# kernel, the coupled stationary solve's four m**3 stacks (m = 203 is the
+# largest that fits), a certificate grid's kernel stack, or a run's step
+# vector, chunk of uniforms and recorded paths.
 _BYTE_BUDGET = 256 * 2 ** 20
 
 

@@ -18,7 +18,11 @@ the engine.  The coupled kernel advances a fine chain at (theta, l) and a
 coarse chain at (theta_bar, l-1) with shared proposal direction and shared
 acceptance uniform (common random numbers); an independent product
 coupling is available as a baseline.  Both couplings reproduce the
-single-level kernels exactly as their coordinate marginals.
+single-level kernels exactly as their coordinate marginals.  The fine chain
+moves at most one state per step, so coupled_kernel_blocks states the
+coupled kernel as the (lower, diagonal, upper) blocks of its tridiagonal
+form in the fine state; coupled_kernel_matrix scatters them into the dense
+m**2 x m**2 matrix, which only tests use.
 
 The update statistic is H_l(theta, x) = phi_l(u_x) - theta, so the mean
 field h_l(theta) = pi_{theta,l}(phi_l) - theta has derivative
@@ -43,7 +47,7 @@ __all__ = [
     "level_statistic",
     "target_density",
     "kernel_matrix",
-    "coupled_kernel_matrix",
+    "coupled_kernel_blocks",
     "lyapunov_vector",
     "metric_matrix",
 ]
@@ -184,40 +188,63 @@ def kernel_matrix(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
     return K
 
 
-def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: float,
-                          coupling: str = "crn") -> np.ndarray:
-    """Row-stochastic m**2 x m**2 kernel on pairs (fine at (theta, l),
-    coarse at (theta_bar, l-1)); pair (x, xbar) has flat index x*m + xbar.
+def coupled_kernel_blocks(model: FiniteLevelModel, l, theta: float, theta_bar: float,
+                          coupling: str = "crn") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel on pairs (fine at (theta, l), coarse at (theta_bar, l-1)) as
+    the (lower, diagonal, upper) blocks of its fine-state tridiagonal form.
 
-    "crn" shares one proposal direction and one acceptance uniform between
-    the chains: per direction the joint move splits into at most four
-    outcomes (both accept, fine only, coarse only, neither) with
+    Each block is an (m, m, m) array: block[x][xbar, xbar'] is the
+    probability of moving from the pair (x, xbar) to (x - 1, xbar'),
+    (x, xbar') or (x + 1, xbar') respectively, so lower[0] and upper[m-1]
+    are zero.  "crn" shares one proposal direction and one acceptance
+    uniform between the chains: per direction the joint move splits into at
+    most four outcomes (both accept, fine only, coarse only, neither) with
     probabilities min(af, ac), af - min, ac - min, 1 - max.  "independent"
     is the product of the single-level kernels.  Both reproduce the
     single-level kernels exactly as coordinate marginals.
     """
     _check_level(l, minimum=1)
     m = model.m
-    _check_bytes(f"coupled kernel for m={m}", 8 * m ** 4)
+    _check_bytes(f"coupled kernel blocks for m={m}", 3 * 8 * m ** 3)
     if coupling == "independent":
-        return np.kron(kernel_matrix(model, l, theta),
-                       kernel_matrix(model, l - 1, theta_bar))
+        Kf = kernel_matrix(model, l, theta)
+        bands = np.zeros((3, m))  # Kf[x, x - 1], Kf[x, x], Kf[x, x + 1]
+        bands[0, 1:] = np.diagonal(Kf, -1)
+        bands[1] = np.diagonal(Kf)
+        bands[2, :-1] = np.diagonal(Kf, 1)
+        return tuple(bands[:, :, None, None] * kernel_matrix(model, l - 1, theta_bar))
     if coupling != "crn":
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     acc_f, dest_f = _move_probabilities(model, l, theta)
     acc_c, dest_c = _move_probabilities(model, l - 1, theta_bar)
     x = np.repeat(np.arange(m), m)
     y = np.tile(np.arange(m), m)
-    pair = np.arange(m * m)
-    K = np.zeros((m * m, m * m))
+    B = np.zeros((3, m, m, m))  # (fine move + 1, x, xbar, xbar')
     for up in (1, 0):  # +1 proposals (entries 2*x + 1) first: add.at order sets rounding
         i, j = 2 * x + up, 2 * y + up
         af, ac, xn, yn = acc_f[i], acc_c[j], dest_f[i], dest_c[j]
+        k = xn - x + 1
         mn = np.minimum(af, ac)
-        np.add.at(K, (pair, xn * m + yn), 0.5 * mn)
-        np.add.at(K, (pair, xn * m + y), 0.5 * (af - mn))
-        np.add.at(K, (pair, x * m + yn), 0.5 * (ac - mn))
-        np.add.at(K, (pair, x * m + y), 0.5 * (1.0 - np.maximum(af, ac)))
+        np.add.at(B, (k, x, y, yn), 0.5 * mn)
+        np.add.at(B, (k, x, y, y), 0.5 * (af - mn))
+        np.add.at(B, (1, x, y, yn), 0.5 * (ac - mn))
+        np.add.at(B, (1, x, y, y), 0.5 * (1.0 - np.maximum(af, ac)))
+    return tuple(B)
+
+
+def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: float,
+                          coupling: str = "crn") -> np.ndarray:
+    """Row-stochastic m**2 x m**2 kernel on pairs, pair (x, xbar) at flat
+    index x*m + xbar: the blocks of coupled_kernel_blocks scattered into
+    one dense matrix, entry for entry."""
+    m = model.m
+    _check_bytes(f"coupled kernel for m={m}", 8 * m ** 4)
+    blocks = coupled_kernel_blocks(model, l, theta, theta_bar, coupling)
+    K = np.zeros((m * m, m * m))
+    K4 = K.reshape(m, m, m, m)  # (x, xbar, x', xbar')
+    for shift, block in zip((-1, 0, 1), blocks):
+        x = np.arange(max(0, -shift), min(m, m - shift))
+        K4[x, :, x + shift, :] = block[x]
     return K
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -561,12 +564,48 @@ def test_empty_theta_grid_is_a_configuration_error(tmp_path, capsys, n_theta):
 
 
 def test_oversized_exact_model_is_a_validation_error(tmp_path, capsys):
+    # m = 204 is the smallest grid whose coupled solve (four m**3 arrays) is over budget
     out = tmp_path / "never"
-    rc = run_cli("variance-exact", "--model.m=200", "--output", str(out))
+    rc = run_cli("variance-exact", "--model.m=204", "--experiment.levels=[1]",
+                 "--output", str(out))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("mlmsa: validation error") and "m=200" in err and "bytes" in err
+    assert err.startswith("mlmsa: validation error") and "m=204" in err and "bytes" in err
     assert not out.exists()
+
+
+def test_exact_model_beyond_the_dense_coupled_limit_runs(tmp_path):
+    # a dense m**2 x m**2 coupled kernel is over budget from m = 77 on
+    out = tmp_path / "big"
+    assert run_cli("variance-exact", "--model.m=96", "--experiment.levels=[1]",
+                   "--output", str(out)) == 0
+    assert json.loads((out / "variance_exact.json").read_text())[0]["sigma"] > 0.0
+
+
+def test_exact_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "mlmsa.cli", "variance-exact", "--output", str(out)],
+                       env=env, check=True, timeout=120)
+        texts.append((out / "variance_exact.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_no_cli_path_builds_the_dense_coupled_kernel(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense coupled kernel built")
+
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("mlmsa")]:
+        if hasattr(module, "coupled_kernel_matrix"):
+            monkeypatch.setattr(module, "coupled_kernel_matrix", forbidden)
+    for argv in (("variance-exact", "--model.m=8"),
+                 ("lemma-check", "--model.m=8"),
+                 ("variance-empirical", "--model.m=8", "--experiment.n_steps=200",
+                  "--experiment.replicates=100")):
+        assert run_cli(*argv, "--output", str(tmp_path / argv[0])) == 0
 
 
 def test_block_replaced_by_a_value_is_a_configuration_error(tmp_path, capsys):

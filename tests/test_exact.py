@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlmsa.core import NumericalError, ParameterError, make_step_schedule, ReprojectionFamily
 from mlmsa.engine import coupled_msa_run, msa_run
 from mlmsa.exact import (
+    _coupled_stationary,
     asymptotic_variance,
     certify_drift_minorization,
     estimate_geometric_rate,
@@ -22,6 +23,7 @@ from mlmsa.exact import (
 )
 from mlmsa.model import (
     build_model,
+    coupled_kernel_blocks,
     coupled_kernel_matrix,
     kernel_matrix,
     level_statistic,
@@ -195,7 +197,45 @@ class TestStationary:
         assert rep.sigma > 0.0
 
 
+_COUPLED_MODELS = {m: build_model(m=m) for m in range(3, 25)}
+
+
+class TestCoupledStationary:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 24), l=st.integers(1, 6), theta=st.floats(-2.0, 2.0),
+           theta_bar=st.floats(-2.0, 2.0), coupling=st.sampled_from(["crn", "independent"]))
+    @example(m=12, l=2, theta=0.0, theta_bar=0.0, coupling="crn")  # transient pairs
+    def test_level_reduction_matches_dense_law(self, m, l, theta, theta_bar, coupling):
+        model = _COUPLED_MODELS[m]
+        K = coupled_kernel_matrix(model, l, theta, theta_bar, coupling)
+        scattered = np.zeros_like(K)
+        for shift, block in zip((-1, 0, 1), coupled_kernel_blocks(model, l, theta, theta_bar,
+                                                                  coupling)):
+            for x in range(m):
+                if 0 <= x + shift < m:
+                    scattered[x * m:(x + 1) * m, (x + shift) * m:(x + shift + 1) * m] = block[x]
+                else:
+                    assert not block[x].any()
+        np.testing.assert_array_equal(scattered, K)
+        law = _coupled_stationary(model, l, theta, theta_bar, coupling)
+        assert np.max(np.abs(law - stationary_distribution(K))) <= 1e-12
+        P = law.reshape(m, m)
+        assert np.max(np.abs(P.sum(axis=1) - target_density(model, l, theta))) <= 1e-10
+        assert np.max(np.abs(P.sum(axis=0) - target_density(model, l - 1, theta_bar))) <= 1e-10
+
+
 class TestPoisson:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(3, 64), l=st.integers(0, 8), theta=st.floats(-2.0, 2.0))
+    def test_identity_holds_for_the_update_statistic(self, m, l, theta):
+        model = build_model(m=m)
+        K = kernel_matrix(model, l, theta)
+        pi = target_density(model, l, theta)
+        f = level_statistic(model, l) - theta
+        sol = poisson_solve(K, pi, f)
+        assert np.max(np.abs(sol.g_hat - K @ sol.g_hat - (f - pi @ f))) <= 1e-10
+        assert abs(pi @ sol.g_hat) <= 1e-12
+
     def test_identity_residual_on_random_chains(self):
         for seed in range(5):
             K, _ = random_reversible_chain(6, seed)

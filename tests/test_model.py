@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mlmsa.core import ParameterError
 from mlmsa.model import (
     build_model,
+    coupled_kernel_blocks,
     coupled_kernel_matrix,
     kernel_matrix,
     level_statistic,
@@ -168,7 +169,8 @@ class TestCoupledKernel:
         (200, lambda model: coupled_kernel_matrix(model, 1, 0.0, 0.0, "independent"),
          "12,800,000,000"),
         (6000, lambda model: kernel_matrix(model, 1, 0.0), "288,000,000"),
-    ], ids=["crn", "independent", "single"])
+        (300, lambda model: coupled_kernel_blocks(model, 1, 0.0, 0.0), "648,000,000"),
+    ], ids=["crn", "independent", "single", "blocks"])
     def test_oversized_kernel_rejected_before_allocation(self, m, kernel, need):
         with pytest.raises(ParameterError, match=rf"m={m} needs {need} bytes"):
             kernel(build_model(m=m))
