@@ -5,14 +5,14 @@ laws, Poisson-equation solutions, mean fields and their roots, the
 asymptotic variance of the coupled level-increment estimator with its full
 term breakdown, geometric-ergodicity rates, drift/minorization
 certificates, and the decay-rate diagnostics that check the model's level
-hierarchy behaves as advertised.  Single-level chains (m states) are solved
-densely.  The coupled chain on m**2 pairs never is: its kernel is
-block-tridiagonal in the fine state, and its stationary law comes from a
-linear level reduction over m x m blocks in O(m**4) time and O(m**3)
-memory, which reaches m of about 200 within the byte budget.  The check
-that a stationary law is unique and the chain aperiodic walks the support
-graph of the kernel (one closed communicating class, of period 1) instead
-of computing its spectrum.
+hierarchy behaves as advertised.  One solver gives every stationary law
+and makes each of its checks once.  The coupled chain on m**2 pairs is
+block-tridiagonal in its fine state and is solved by linear level
+reduction over m x m blocks (O(m**4) time, O(m**3) memory, m up to about
+200); a single-level chain is the one-level case.  Uniqueness and
+aperiodicity are checked by breadth-first reachability on the kernel's
+support graph (one closed communicating class, of period 1), not by its
+spectrum.
 
 Conventions.  For a weight vector V >= 1, |f|_V = max_x |f(x)|/V(x); for
 signed measures, ||mu - xi||_V = sum_y V(y)|mu(y) - xi(y)| (the V-weighted
@@ -40,7 +40,6 @@ from .model import (
 )
 
 __all__ = [
-    "stationary_distribution",
     "PoissonSolution",
     "poisson_solve",
     "mean_field",
@@ -69,127 +68,125 @@ _MINOR_TARGET = 0.05  # minorization mass the doubling search for n0 aims at
 _MINOR_N0_CAP = 1 << 15
 
 
-def _check_stochastic(K: np.ndarray, stack: bool = False) -> None:
-    """K, or with stack set every kernel of a (B, n, n) stack, is row-stochastic."""
-    if K.ndim != 2 + stack or K.shape[-1] != K.shape[-2]:
-        raise ParameterError(f"kernel must be square, got shape {K.shape}")
-    if not np.all(K >= -1e-12):
+def _check_stochastic(*blocks: np.ndarray) -> None:
+    """The blocks, (B, n, n) stacks side by side, form row-stochastic
+    kernels: entries are nonnegative and each row sums to 1 over all blocks."""
+    if blocks[0].ndim != 3 or blocks[0].shape[1] != blocks[0].shape[2]:
+        raise ParameterError(f"kernel must be square, got shape {blocks[0].shape[1:]}")
+    if not all(np.all(B >= -1e-12) for B in blocks):
         raise ParameterError("kernel has negative or NaN entries")
-    if np.max(np.abs(K.sum(axis=-1) - 1.0)) > 1e-9:
+    if np.max(np.abs(sum(B.sum(axis=-1) for B in blocks) - 1.0)) > 1e-9:
         raise ParameterError("kernel rows do not sum to 1")
 
 
-def _communicating_classes(indptr: list, indices: list) -> tuple[np.ndarray, np.ndarray]:
-    """Communicating-class label and depth-first-tree depth of every state
-    of a support graph in CSR form (iterative Tarjan).  The tree reaches
-    each class's states through that class only, so depth differences
-    within a class are path lengths from its first-visited state."""
-    n = len(indptr) - 1
-    order = [-1] * n  # discovery index
-    low = [0] * n
-    depth = [0] * n
-    label = [-1] * n
-    on_stack = [False] * n
-    stack, n_classes, count = [], 0, 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [[root, indptr[root]]]
-        while work:
-            frame = work[-1]
-            v, i = frame
-            if i < indptr[v + 1]:
-                frame[1] = i + 1
-                w = indices[i]
-                if order[w] < 0:
-                    order[w] = low[w] = count
-                    count += 1
-                    depth[w] = depth[v] + 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append([w, indptr[w]])
-                elif on_stack[w]:
-                    low[v] = min(low[v], order[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    label[w] = n_classes
-                    if w == v:
-                        break
-                n_classes += 1
-    return np.array(label), np.array(depth)
+def _distances(n: int, src: np.ndarray, dst: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first path length from start to every state along the edges
+    src -> dst; -1 where unreachable.  Each distance is one array pass over
+    the edges that leave the states at the distance before."""
+    order = np.argsort(src)
+    src, dst = src[order], dst[order]
+    first = np.searchsorted(src, np.arange(n + 1))  # state v's edges: first[v] to first[v+1]
+    dist = np.full(n, -1)
+    dist[start] = 0
+    frontier, d = np.array([start]), 0
+    while frontier.size:
+        d += 1
+        lo, count = first[frontier], first[frontier + 1] - first[frontier]
+        # the ranges lo[i] + k, k < count[i], of every frontier state i, end to end
+        reached = dst[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+        dist[reached[dist[reached] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
+    return dist
 
 
 def _check_support(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     """Structural check on the support graph of an n-state chain, given as
-    its edges src -> dst with src ascending.
+    its edges src -> dst.
 
-    The multiplicity of eigenvalue 1 equals the number of closed
-    communicating classes (classes no edge leaves), so exactly one is
-    required.  The period of that class is the gcd over its edges u -> v
-    of level(u) + 1 - level(v), for levels that are path lengths from any
-    one of its states; period 1 is required.
+    The multiplicity of eigenvalue 1 is the number of closed communicating
+    classes (classes no edge leaves), so exactly one is required.  State r
+    is in a closed class when every state r reaches reaches r back; until
+    then r moves to the farthest state that does not, a class further down.
+    The closed class is then unique when every state reaches r.  Its period,
+    the gcd over its edges u -> v of dist(u) + 1 - dist(v) for dist the path
+    length from r, must be 1.
     """
-    indptr = np.searchsorted(src, np.arange(n + 1)).tolist()
-    label, level = _communicating_classes(indptr, dst.tolist())
-    left = np.zeros(label.max() + 1, dtype=bool)  # classes some edge leaves
-    left[label[src[label[src] != label[dst]]]] = True
-    closed = np.flatnonzero(~left)
-    if closed.size != 1:
+    r = 0
+    while True:
+        dist = _distances(n, src, dst, r)
+        back = _distances(n, dst, src, r) >= 0
+        escaped = np.where(back, -1, dist)
+        if escaped.max() < 0:
+            break
+        r = int(np.argmax(escaped))
+    if not back.all():
         raise NumericalError(
-            f"support check failed: eigenvalue 1 has multiplicity {closed.size} "
-            "(chain has several closed classes; stationary law is not unique)")
-    members = label == closed[0]
-    inside = members[src]
-    period = math.gcd(*(level[src[inside]] + 1 - level[dst[inside]]).tolist())
+            f"support check failed: eigenvalue 1 has multiplicity above 1 ({n - back.sum()} "
+            f"states cannot reach the closed class of state {r}; stationary law is not unique)")
+    inside = dist[src] >= 0
+    period = int(np.gcd.reduce(np.abs(dist[src[inside]] + 1 - dist[dst[inside]])))
     if period != 1:
         raise NumericalError(
-            f"support check failed: the closed class of {int(members.sum())} states has "
+            f"support check failed: the closed class of {int((dist >= 0).sum())} states has "
             f"period {period} (periodic chain)")
 
 
-def stationary_distribution(K: np.ndarray) -> np.ndarray:
-    """Unique stationary law of a row-stochastic matrix.
+def _block_stationary(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Unique stationary law P, of shape (L, n), of a block-tridiagonal chain.
 
-    Solved as a linear system: the balance equations (K - I)^T pi = 0 with
-    one equation replaced by normalization.  Requires a unique stationary
-    law and aperiodicity, checked on the support graph of K (the entries
-    K > 0) rather than on its spectrum: a chain with several closed
-    communicating classes is rejected for the multiplicity of eigenvalue
-    1, and one whose closed class has period d > 1 as periodic.  Transient
-    states, periodic or not, are allowed.  The check costs one pass over
-    K plus a walk over its nonzeros.
+    The chain has L levels of n states; lower[x], diag[x] and upper[x] are
+    the (n, n) blocks from level x to levels x - 1, x and x + 1, so lower[0]
+    and upper[L-1] are zero.  Linear level reduction (Gaver, Jacobs and
+    Latouche 1984) censors the chain from the top level down: the chain
+    watched on levels <= x has level-x block
+
+        U_{L-1} = D_{L-1},   U_x = D_x + Up_x (I - U_{x+1})^-1 Lo_{x+1}.
+
+    The balance equations of U_0, one replaced by sum(p) = 1, give P[0] up
+    to scale, and P[x] = P[x-1] Up_{x-1} (I - U_x)^-1; O(L n**3) time.
+
+    Every check of a stationary law is here, once: nonnegative entries and
+    unit row sums; one closed communicating class of period 1 on the
+    support graph (transient states, periodic or not, are allowed);
+    nonsingular solves; no negative mass beyond 1e-10; and the balance
+    residual |P K - P| at most 1e-9, block by block.
     """
-    _check_stochastic(K)
-    _check_support(K.shape[0], *np.nonzero(K > 0.0))
-    n = K.shape[0]
-    A = K.T.copy()
-    A[np.diag_indices(n)] -= 1.0
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    _check_stochastic(diag, lower, upper)
+    L, n = diag.shape[:2]
+    xs, ys, shift, yn = np.nonzero(np.stack([lower > 0.0, diag > 0.0, upper > 0.0], axis=2))
+    _check_support(L * n, xs * n + ys, (xs + shift - 1) * n + yn)
+    eye = np.eye(n)
+    U = np.empty_like(diag)
+    U[-1] = diag[-1]
+    P = np.empty((L, n))
     try:
-        pi = np.linalg.solve(A, b)
+        for x in range(L - 2, -1, -1):
+            U[x] = diag[x] + upper[x] @ np.linalg.solve(eye - U[x + 1], lower[x + 1])
+        A = U[0].T - eye
+        A[-1, :] = 1.0
+        P[0] = np.linalg.solve(A, eye[-1])
+        for x in range(1, L):
+            P[x] = np.linalg.solve((eye - U[x]).T, P[x - 1] @ upper[x - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"stationary solve is singular: {exc}") from exc
-    if np.min(pi) < -1e-10:
-        raise NumericalError(f"stationary solve produced negative mass {np.min(pi):.3e}")
-    pi = np.maximum(pi, 0.0)
-    pi /= pi.sum()
-    resid = np.max(np.abs(pi @ K - pi))
-    if resid > 1e-9:
-        raise NumericalError(f"stationary residual {resid:.3e} exceeds tolerance")
-    return pi
+    if np.min(P) < -1e-10 * P.sum():
+        raise NumericalError(
+            f"stationary solve produced negative mass {np.min(P) / P.sum():.3e}")
+    P = np.maximum(P, 0.0)
+    P /= P.sum()
+    resid = (P[:, None, :] @ diag)[:, 0, :] - P
+    resid[:-1] += (P[1:, None, :] @ lower[1:])[:, 0, :]
+    resid[1:] += (P[:-1, None, :] @ upper[:-1])[:, 0, :]
+    if np.max(np.abs(resid)) > 1e-9:
+        raise NumericalError(f"stationary residual {np.max(np.abs(resid)):.3e} exceeds tolerance")
+    return P
+
+
+def stationary_distribution(K: np.ndarray) -> np.ndarray:
+    """Unique stationary law of a row-stochastic matrix: the one-level case
+    of _block_stationary, with all of its checks."""
+    K = np.asarray(K, dtype=float)[None]
+    return _block_stationary(np.zeros_like(K), K, np.zeros_like(K))[0]
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def poisson_solve(K: np.ndarray, pi: np.ndarray, f: np.ndarray) -> PoissonSoluti
     ill-conditioned fundamental matrix is reported with its condition
     estimate.
     """
-    _check_stochastic(K)
+    _check_stochastic(K[None])
     if np.max(np.abs(pi @ K - pi)) > 1e-8:
         raise ParameterError("pi is not stationary for K")
     n = K.shape[0]
@@ -276,57 +273,15 @@ def _coupled_stationary(model: FiniteLevelModel, l, theta: float, theta_bar: flo
     """Stationary law of the coupled kernel, flat over pairs x*m + xbar.
 
     The kernel is block-tridiagonal in the fine state x (a finite
-    level-dependent quasi-birth-death chain), so the law is found by
-    linear level reduction (Gaver, Jacobs and Latouche 1984) instead of a
-    dense m**2 x m**2 solve.  Censoring the chain from the top level down
-    gives the level-x block of the chain watched only on levels <= x,
-
-        U_{m-1} = D_{m-1},   U_x = D_x + Up_x (I - U_{x+1})^-1 Lo_{x+1},
-
-    where Lo, D, Up are the blocks of coupled_kernel_blocks.  U_0 is the
-    chain watched on level 0 alone; its stationary law is pi_0 up to scale,
-    and the upper levels follow as pi_x = pi_{x-1} Up_{x-1} (I - U_x)^-1.
-    That is O(m**4) time in m x m solves and O(m**3) memory: the three
-    block stacks and U, 32 m**3 bytes, which the byte budget allows up to
-    m = 203.  At the defaults the result's bytes do not change with the
-    BLAS thread count.
-
-    The checks of stationary_distribution hold for the full chain: one
-    closed communicating class of period 1 on the blocks' support graph,
-    no negative mass beyond 1e-10, and the balance residual |pi K - pi| at
-    most 1e-9, evaluated block by block.  stationary_distribution checks
-    U_0 for row sums and signs, which a faulty block carries down to it.
+    level-dependent quasi-birth-death chain), so _block_stationary solves
+    it from coupled_kernel_blocks, never as a dense m**2 x m**2 matrix:
+    O(m**4) time, and 32 m**3 bytes for the blocks and U, which the byte
+    budget allows up to m = 203.  At the defaults the result's bytes do
+    not change with the BLAS thread count.
     """
     m = model.m
     _check_bytes(f"coupled stationary law for m={m}", 4 * 8 * m ** 3)  # blocks and U
-    lower, diag, upper = coupled_kernel_blocks(model, l, theta, theta_bar, coupling)
-    xs, ys, shift, yn = np.nonzero(np.stack([lower > 0.0, diag > 0.0, upper > 0.0], axis=2))
-    _check_support(m * m, xs * m + ys, (xs + shift - 1) * m + yn)
-    eye = np.eye(m)
-    U = np.empty_like(diag)
-    U[-1] = diag[-1]
-    P = np.empty((m, m))
-    try:
-        for x in range(m - 2, -1, -1):
-            U[x] = diag[x] + upper[x] @ np.linalg.solve(eye - U[x + 1], lower[x + 1])
-        P[0] = stationary_distribution(U[0])
-        for x in range(1, m):
-            P[x] = np.linalg.solve((eye - U[x]).T, P[x - 1] @ upper[x - 1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"coupled level reduction is singular: {exc}") from exc
-    P /= P.sum()
-    if np.min(P) < -1e-10:
-        raise NumericalError(f"coupled stationary law has negative mass {np.min(P):.3e}")
-    P = np.maximum(P, 0.0)
-    P /= P.sum()
-    flow = [(P[:, None, :] @ block)[:, 0, :] for block in (lower, diag, upper)]
-    resid = flow[1] - P
-    resid[:-1] += flow[0][1:]
-    resid[1:] += flow[2][:-1]
-    if np.max(np.abs(resid)) > 1e-9:
-        raise NumericalError(
-            f"coupled stationary residual {np.max(np.abs(resid)):.3e} exceeds tolerance")
-    pi = P.ravel()
+    pi = _block_stationary(*coupled_kernel_blocks(model, l, theta, theta_bar, coupling)).ravel()
     pi.setflags(write=False)
     return pi
 
@@ -340,10 +295,11 @@ class VarianceReport:
     evenly between them.  cross_term is the raw coupled expectation
     pi_check(g_f (x) g_c - K g_f (x) K g_c) without its prefactor, with
     pi_check the coupled stationary law of _coupled_stationary.  That law
-    comes from the level reduction; at the default model, levels 1 to 8,
-    the fields agree with a dense solve of the m**2 x m**2 kernel to within
-    1e-11, and a cross term that is zero in exact arithmetic (independent
-    coupling) reads as rounding of order 1e-12.
+    comes from the level reduction over m levels of m pairs; at the default
+    model, levels 1 to 8, the fields agree to within 1e-11 with the law of
+    the m**2 x m**2 kernel solved as one level, and a cross term that is
+    zero in exact arithmetic (independent coupling) reads as rounding of
+    order 1e-13.
     """
 
     level: int
@@ -438,7 +394,7 @@ def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
     the loop ends once every kernel has stopped or after _RATE_MAX_POWERS
     powers, and each fit reads its kernel's sequence up to its own stop.
     """
-    _check_stochastic(K, stack=True)
+    _check_stochastic(K)
     n = K.shape[-1]
     rng = np.random.default_rng(_RATE_SEED)
     signs = [np.ones(n), (-1.0) ** np.arange(n)]
@@ -723,6 +679,8 @@ def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime
         raise ParameterError(f"need at least 4 levels for a slope fit, got {len(levels)}")
     if min(levels) < 1:
         raise ParameterError("levels must be >= 1 (gaps pair l with l-1)")
+    if not (0.0 < r <= 1.0):
+        raise ParameterError(f"r must lie in (0, 1], got {r}")
     D = metric_matrix(model)
     off = ~np.eye(model.m, dtype=bool)
     q = {k: [] for k in ("solution_gap", "smoothed_gap", "theta_gap", "holder_ratio",

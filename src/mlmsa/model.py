@@ -220,15 +220,17 @@ def coupled_kernel_blocks(model: FiniteLevelModel, l, theta: float, theta_bar: f
     x = np.repeat(np.arange(m), m)
     y = np.tile(np.arange(m), m)
     B = np.zeros((3, m, m, m))  # (fine move + 1, x, xbar, xbar')
-    for up in (1, 0):  # +1 proposals (entries 2*x + 1) first: add.at order sets rounding
+    # +1 proposals (entries 2*x + 1) first: the order of the sums below sets
+    # the rounding.  No sum repeats an index, so each is one fancy-index add.
+    for up in (1, 0):
         i, j = 2 * x + up, 2 * y + up
         af, ac, xn, yn = acc_f[i], acc_c[j], dest_f[i], dest_c[j]
         k = xn - x + 1
         mn = np.minimum(af, ac)
-        np.add.at(B, (k, x, y, yn), 0.5 * mn)
-        np.add.at(B, (k, x, y, y), 0.5 * (af - mn))
-        np.add.at(B, (1, x, y, yn), 0.5 * (ac - mn))
-        np.add.at(B, (1, x, y, y), 0.5 * (1.0 - np.maximum(af, ac)))
+        B[k, x, y, yn] += 0.5 * mn
+        B[k, x, y, y] += 0.5 * (af - mn)
+        B[1, x, y, yn] += 0.5 * (ac - mn)
+        B[1, x, y, y] += 0.5 * (1.0 - np.maximum(af, ac))
     return tuple(B)
 
 

@@ -417,6 +417,18 @@ def test_lemma_check_reads_zeta_from_the_rates_block(tmp_path, capsys):
     assert q["holder_ratio"] == [gap / abs(0.7 - 0.9) ** 0.75 for gap in q["theta_gap"]]
 
 
+@pytest.mark.parametrize("subcommand", ["rate-check", "lemma-check"])
+@pytest.mark.parametrize("r", ["0", "2"])
+def test_lyapunov_power_outside_the_unit_interval_is_a_validation_error(tmp_path, capsys,
+                                                                       subcommand, r):
+    out = tmp_path / "never"
+    assert run_cli(subcommand, f"--experiment.r={r}", "--experiment.levels=[2,3,4,5]",
+                   "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "r must lie in (0, 1]" in err
+    assert not out.exists()
+
+
 def test_trace_flag_writes_trajectory(tmp_path):
     out = tmp_path / "t"
     run_cli("run-msa", "--output", str(out), "--experiment.n_steps=50", "--trace")

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlmsa.core import NumericalError, ParameterError, make_step_schedule, ReprojectionFamily
+from mlmsa import exact
 from mlmsa.engine import coupled_msa_run, msa_run
 from mlmsa.exact import (
     _coupled_stationary,
@@ -91,17 +92,31 @@ def structural_verdict(K):
 
 @st.composite
 def sparse_stochastic(draw):
-    """Row-stochastic n x n matrix, n in [1, 9], on a random support; every
-    positive entry is at least 1/20 of the largest weight in its row."""
-    n = draw(st.integers(1, 9))
-    support = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
-                       dtype=bool).reshape(n, n)
+    """Row-stochastic n x n matrix, n in [1, 30], on a random support; every
+    positive entry is at least 1/20 of the largest weight in its row.
+
+    With p > 0 the support is layered: each state draws a label mod p and
+    keeps only the edges from label k to label k + 1 (mod p), plus rare
+    shortcuts, so periodic classes and long transient paths are common."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    support = rng.random((n, n)) < draw(st.floats(0.05, 0.8))
+    if p:
+        label = rng.integers(0, p, size=n)
+        support &= label[None, :] == (label[:, None] + 1) % p
+        support |= rng.random((n, n)) < draw(st.sampled_from([0.0, 0.01]))
     empty = ~support.any(axis=1)
     support[empty, empty.nonzero()[0]] = True  # a row with no edge becomes absorbing
-    weights = np.array(draw(st.lists(st.floats(1.0, 20.0), min_size=n * n,
-                                     max_size=n * n))).reshape(n, n)
-    W = np.where(support, weights, 0.0)
+    W = np.where(support, rng.uniform(1.0, 20.0, size=(n, n)), 0.0)
     return W / W.sum(axis=1, keepdims=True)
+
+
+def forward_shortcut_path(n):
+    """Transient path 0 -> 1 -> ... -> n-1 into an absorbing state, with an
+    edge from every state to every later one: every state r can escape to
+    is one step away and the search takes the first, so r moves n - 1 times."""
+    return np.triu(np.ones((n, n))) / np.arange(n, 0, -1)[:, None]
 
 
 class TestStationary:
@@ -177,6 +192,8 @@ class TestStationary:
 
     @settings(max_examples=300, deadline=None)
     @given(K=sparse_stochastic())
+    @example(K=forward_shortcut_path(30))
+    @example(K=np.eye(30, k=1) + np.eye(30) * np.r_[np.zeros(29), 1.0])  # plain path
     def test_support_check_agrees_with_spectrum(self, K):
         assert structural_verdict(K) == spectral_verdict(K)
 
@@ -222,6 +239,44 @@ class TestCoupledStationary:
         P = law.reshape(m, m)
         assert np.max(np.abs(P.sum(axis=1) - target_density(model, l, theta))) <= 1e-10
         assert np.max(np.abs(P.sum(axis=0) - target_density(model, l - 1, theta_bar))) <= 1e-10
+
+
+_LAZY = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])  # aperiodic
+_FLIP = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])  # period 2
+_MIX = np.full((3, 3), 1 / 3)
+_TWO_TRAPS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+
+
+def pair_blocks(fine, coarse, entry=None):
+    """(lower, diagonal, upper) blocks of the product chain kron(fine, coarse),
+    for a tridiagonal fine kernel; entry, if given, is added to diagonal[1][0, 0]."""
+    m = len(fine)
+    K4 = np.kron(fine, coarse).reshape(m, m, m, m)
+    x = np.arange(m)
+    lower, diag, upper = np.zeros((3, m, m, m))
+    lower[1:] = K4[x[1:], :, x[:-1], :]
+    diag[:] = K4[x, :, x, :]
+    upper[:-1] = K4[x[:-1], :, x[1:], :]
+    if entry is not None:
+        diag[1][0, 0] += entry
+    return lower, diag, upper
+
+
+class TestCoupledChecks:
+    """The coupled path checks the full chain: crafted blocks fed to
+    _coupled_stationary in place of the model's fail their named check."""
+
+    @pytest.mark.parametrize("blocks, error, match", [
+        # y = 0 and y = 1 are closed, each across all three levels
+        (pair_blocks(_LAZY, _TWO_TRAPS), NumericalError, "multiplicity"),
+        (pair_blocks(_FLIP, _MIX), NumericalError, "periodic"),
+        (pair_blocks(_LAZY, _MIX, 0.1), ParameterError, "do not sum to 1"),
+        (pair_blocks(_LAZY, _MIX, np.nan), ParameterError, "NaN"),
+    ], ids=["two-closed-classes", "periodic", "row-sum", "nan"])
+    def test_crafted_blocks_fail_their_check(self, monkeypatch, blocks, error, match):
+        monkeypatch.setattr(exact, "coupled_kernel_blocks", lambda *args: blocks)
+        with pytest.raises(error, match=match):
+            _coupled_stationary(build_model(m=3), 1, 0.0, 0.0, "crn")
 
 
 class TestPoisson:

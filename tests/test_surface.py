@@ -2,7 +2,8 @@
 
 A name in a module's ``__all__`` that no code in ``src/mlmsa/`` refers to,
 outside its own definition, serves tests only; such references belong in
-``tests/reference.py``.
+``tests/reference.py``.  A module-level private function or class that no
+package code refers to is dead.
 """
 
 import ast
@@ -42,4 +43,15 @@ def test_every_public_name_is_used_by_the_package():
               if not any(name in _loaded(stmt) for other, other_tree in TREES.items()
                          for stmt in other_tree.body
                          if not (other == module and _own_definition(stmt, name)))]
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_used_by_the_package():
+    # the _cmd_<subcommand> handlers are looked up by name in cli._DISPATCH
+    unused = [f"{module}.{stmt.name}" for module, tree in sorted(TREES.items())
+              for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and stmt.name.startswith("_") and not stmt.name.startswith(("__", "_cmd_"))
+              and not any(stmt.name in _loaded(other) for other_tree in TREES.values()
+                          for other in other_tree.body if other is not stmt)]
     assert unused == []
