@@ -25,28 +25,50 @@ state has layout (chains, replicates): row 0 is the fine chain at level
 l, row 1 (coupled runs only) the coarse chain at level l - 1.
 
 The stepping loop is one code path for every run, and its cost is numpy
-call overhead, so it keeps the calls per step few.  Inside the loop chain
-c's state x is held as its move-table index base 2*(x + c*m): a move's
-table entry is then one add, and landing states and the statistic are
-stored against that base.  Resets are rare, so each step asks once
-whether every tentative parameter lies in its set; only when one does
-not are the resets, the psi increments and the set bounds worked out.
-A nan or infinite tentative parameter fails |theta| <= bound, so a
-blow-up resets and counts as a reprojection like any exit from the set.
+call overhead, so it keeps the calls per step few.  It advances lanes: a
+lane is one run (a single chain, or a coupled pair) with its own level,
+step vector, run length, generators and starts, and every lane of a loop
+lives in one (chains, columns) state, R columns per lane, with one move
+table over every level the lanes use.  A multilevel estimate runs all of
+its levels as lanes of one loop, which takes max n_l steps where the
+levels one after another take sum n_l.  The lanes are placed longest
+first, and the loop runs in segments: each ends where the shortest
+running lane ends, whose state is read off before the arrays are cut to
+the lanes still running.  A single-chain lane in a loop with coupled
+lanes carries an identical copy of its chain as its second row (same
+level, start and uniforms), so the joint reset rule, one per column
+over both rows, resets it exactly when its own chain leaves the set.
+Each lane does the arithmetic of its standalone run on the same
+uniforms, so its result is bit-identical to that run.
 
-The run inputs are checked once, in the ensemble driver every procedure
-goes through: n_steps >= 1, the coupling, a finite level l >= 1 for a
-coupled run, the bytes of the arrays n_steps and R size, each start
-parameter in K_0 and each configured start state on the grid.  A
-replicated estimator checks n_steps and those bytes before it builds its
-generators.
+Inside the loop a chain's state x is held as its move-table index base
+2*(x + b*m), b being its level's block of the table: a move's table
+entry is then one add, and landing states and the statistic are stored
+against that base.  Resets are rare, so each step asks once whether
+every tentative parameter lies in its set; only when one does not are
+the resets, the psi increments and the set bounds worked out.  A nan or
+infinite tentative parameter fails |theta| <= bound, so a blow-up resets
+and counts as a reprojection like any exit from the set.
+
+The run inputs are checked once, in the lane loop every procedure goes
+through, for every lane before any step vector or generator of the loop
+exists: n_steps >= 1, the coupling, a finite level l >= 1 for a coupled
+run, the bytes of the arrays n_steps and R size, each start parameter in
+K_0 and each configured start state on the grid; then the step vectors
+of all lanes together.  empirical_clt_variance, which builds its
+generators itself, checks n_steps and those bytes first.  What one chunk
+holds over all running lanes (an acceptance uniform and a step size per
+chain and column per step) is capped at _CHUNK_VALUES, which also caps
+the uniforms it draws, so its memory does not grow with the lane count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +85,10 @@ __all__ = [
 ]
 
 _CHUNK = 1024
+# the most float64 values a chunk holds over all running lanes (per step, an
+# acceptance uniform and a step size for each chain and column): as many as
+# the uniforms of a one-lane chunk at R = 400 under the independent coupling
+_CHUNK_VALUES = _CHUNK * 4 * 400
 
 
 @dataclass(frozen=True)
@@ -107,34 +133,70 @@ class CoupledTrajectory:
         return float(self.fine_theta_path[-1] - self.coarse_theta_path[-1])
 
 
-class _Ensemble:
-    """Vectorized replicate state for the stepping loop (internal): theta,
-    theta0, x and x0 per (chain, replicate), psi and last_reproj per replicate,
-    and the run's last step size gamma_n once the run has ended.  theta0s
-    and x0s hold one start per chain, the fine chain's first."""
+class _Lane(NamedTuple):
+    """One run of the lane loop: a single chain at level l, or a coupled pair
+    at (l, l - 1), with its own step rule, run length, starts and one
+    generator per replicate.  rngs is iterated once, after every lane of the
+    loop is checked, so it may build its generators lazily."""
 
-    def __init__(self, rngs, m, family, theta0s, x0s):
-        for name, theta in zip(("theta0", "theta0_bar"), theta0s):
-            if not family.contains(theta, 0):
-                raise ParameterError(f"{name}={theta} is outside the initial constraint "
-                                     f"set {list(family.bounds(0))}")
-        for name, x in zip(("x0", "x0_bar"), x0s):  # None: drawn or shared
-            if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
-                                  or not 0 <= x < m):
-                raise ParameterError(f"{name} must be None or an integer in [0, m) with "
-                                     f"m={m}, got {x!r}")
-        R = len(rngs)
-        fine = np.array([rng.integers(m) if x0s[0] is None else x0s[0] for rng in rngs],
-                        np.int64)
-        # an unconfigured coarse chain starts at the fine chain's state:
-        # the pair begins coalesced, which is what the coupling is for
-        coarse = [fine if x is None else np.full(R, x, np.int64) for x in x0s[1:]]
-        self.theta0 = np.repeat(np.array(theta0s, float)[:, None], R, axis=1)
-        self.x0 = np.stack([fine] + coarse)
-        self.theta = self.theta0.copy()
-        self.x = self.x0.copy()
-        self.psi = np.zeros(R, dtype=np.int64)
-        self.last_reproj = np.zeros(R, dtype=np.int64)
+    level: int | float
+    schedule: StepSchedule
+    n_steps: int
+    rngs: Sequence
+    theta0: float
+    x0: int | None
+    theta0_bar: float = 0.0
+    x0_bar: int | None = None
+    coupled: bool = False
+    coupling: str = "crn"
+
+
+class _Placed(NamedTuple):
+    """A lane as the loop holds it: its place in the caller's list, its
+    generators and columns, the uniforms it draws per step, the column where
+    each chain's (direction, acceptance) pair starts, and its step vector."""
+
+    index: int
+    lane: _Lane
+    rngs: list
+    cols: slice
+    draws: int
+    pairs: tuple[int, ...]
+    gammas: np.ndarray
+
+
+@dataclass
+class _LaneState:
+    """Final state of one lane: theta, x and x0 per (chain, replicate), the
+    fine chain's row first; psi and last_reproj per replicate; gamma_n, the
+    lane's last step size."""
+
+    theta: np.ndarray
+    x: np.ndarray
+    x0: np.ndarray
+    psi: np.ndarray
+    last_reproj: np.ndarray
+    gamma_n: float
+
+
+def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -> None:
+    """Refuse a lane's invalid inputs before any array or generator of the
+    loop exists."""
+    if lane.coupling not in ("crn", "independent"):
+        raise ParameterError(f"coupling must be 'crn' or 'independent', got {lane.coupling!r}")
+    if lane.coupled and (lane.level == math.inf or lane.level < 1):
+        raise ParameterError(f"coupled run needs a finite level l >= 1, got {lane.level!r}")
+    _check_run_bytes(lane.n_steps, len(lane.rngs), lane.coupled, lane.coupling, record)
+    chains = 1 + lane.coupled
+    for name, theta in zip(("theta0", "theta0_bar"), (lane.theta0, lane.theta0_bar)[:chains]):
+        if not family.contains(theta, 0):
+            raise ParameterError(f"{name}={theta} is outside the initial constraint "
+                                 f"set {list(family.bounds(0))}")
+    for name, x in zip(("x0", "x0_bar"), (lane.x0, lane.x0_bar)[:chains]):
+        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                              or not 0 <= x < m):  # None: drawn or shared
+            raise ParameterError(f"{name} must be None or an integer in [0, m) with "
+                                 f"m={m}, got {x!r}")
 
 
 def _move(x2, up, u_acc, theta, table):
@@ -163,76 +225,147 @@ def _check_run_bytes(n_steps: int, R: int, coupled: bool, coupling: str,
     _check_bytes(f"a run of n_steps={n_steps} over R={R} replicates", need)
 
 
+def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
+               record: bool = False):
+    """Advance every lane its own n_steps in one loop; returns each lane's
+    _LaneState, in the order given, and the recorded paths of a one-lane run
+    (record=True needs exactly one lane).
+
+    The state is one (chains, columns) array: a lane owns R adjacent
+    columns, and the lanes are placed longest first, so the lanes still
+    running are a prefix of the columns.  The loop runs in segments, each
+    ending where the shortest running lane ends; that lane's state is then
+    read off and the arrays are cut to the running prefix.  Uniforms are
+    pre-drawn per chunk from each replicate's own generator (batching does
+    not change a generator's stream), and a chunk's values over every
+    running lane are capped at _CHUNK_VALUES."""
+    m = model.m
+    for lane in lanes:
+        _check_lane(lane, m, family, record)
+    _check_bytes(f"the step vectors of {len(lanes)} runs",
+                 8 * sum(lane.n_steps for lane in lanes))
+    C = 2 if any(lane.coupled for lane in lanes) else 1
+    levels = {}  # level -> its block of the one move table
+    runs, theta0, x0, offsets = [], [], [], []
+    for i in sorted(range(len(lanes)), key=lambda i: -lanes[i].n_steps):
+        lane = lanes[i]
+        rngs = list(lane.rngs)
+        R, indep = len(rngs), lane.coupled and lane.coupling == "independent"
+        # a single chain in a two-chain loop carries an identical copy of
+        # itself in row 1, so the joint reset rule leaves it alone
+        chains = (lane.level, lane.level - 1) if lane.coupled else (lane.level, lane.level)
+        theta0s = (lane.theta0, lane.theta0_bar if lane.coupled else lane.theta0)
+        x0s = (lane.x0, lane.x0_bar if lane.coupled else None)
+        fine = np.array([rng.integers(m) if x0s[0] is None else x0s[0] for rng in rngs],
+                        np.int64)
+        # an unconfigured coarse chain starts at the fine chain's state:
+        # the pair begins coalesced, which is what the coupling is for
+        x0.append(np.stack([fine] + [fine if x is None else np.full(R, x, np.int64)
+                                     for x in x0s[1:C]]))
+        theta0.append(np.repeat(np.array(theta0s[:C], float)[:, None], R, axis=1))
+        blocks = [levels.setdefault(k, len(levels)) for k in chains[:C]]
+        offsets.append(np.repeat(m * np.array(blocks)[:, None], R, axis=1))
+        # CRN reuses the fine chain's (direction, acceptance) pair for the
+        # coarse chain, the independent coupling draws two more
+        start = runs[-1].cols.stop if runs else 0
+        runs.append(_Placed(i, lane, rngs, slice(start, start + R), 4 if indep else 2,
+                            (0, 2 if indep else 0)[:C],
+                            lane.schedule.step_sizes(lane.n_steps)))
+    # one table for every level: level k's states, landing states included,
+    # are offset by its block times m, so one gather serves every chain;
+    # states are held doubled (the index base), and s2[2*x] is the statistic at x
+    diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
+    table = (np.concatenate(diffs),
+             2 * (np.stack(dests) + m * np.arange(len(levels))[:, None]).ravel())
+    s2 = np.repeat(np.concatenate([level_statistic(model, k) for k in levels]), 2)
+    offsets = np.concatenate(offsets, axis=1)
+    theta0 = np.concatenate(theta0, axis=1)
+    x0 = 2 * (np.concatenate(x0, axis=1) + offsets)
+    theta, x = theta0, x0
+    psi = np.zeros(theta.shape[1], dtype=np.int64)
+    last_reproj = np.zeros_like(psi)
+    bound = family.r0 + family.growth * psi
+    paths = None
+    if record:
+        n_steps, R = lanes[0].n_steps, theta.shape[1]
+        paths = {"theta": np.empty((n_steps + 1,) + theta.shape),
+                 "x": np.empty((n_steps + 1,) + x.shape, np.int64),
+                 "psi": np.empty((n_steps + 1, R), np.int64), "events": [[] for _ in range(R)]}
+        paths["theta"][0], paths["x"][0], paths["psi"][0] = theta, x, psi
+    states = [None] * len(lanes)
+    step = 0
+    while runs:
+        end = runs[-1].lane.n_steps  # the shortest running lane ends this segment
+        chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (2 * theta.size)))
+        # one set of chunk arrays per segment, refilled in place: allocated
+        # afresh per chunk, their pages were faulted in again every chunk,
+        # which cost about 18% of a run at R = 400 under the independent
+        # coupling.  ups, accs and gammas are (chunk, chains, columns); the
+        # uniforms are laid out chain by chain, so a chain's rows are filled
+        # from a lane's draws without a transpose, and a step row of the
+        # state's shape multiplies as fast as one scalar step, where a
+        # broadcast row is slower.  drawn holds one lane's draws at a time
+        ups = accs = gammas = drawn = None
+        ups = np.empty((C, chunk, theta.shape[1]), bool).transpose(1, 0, 2)
+        accs = np.empty((C, chunk, theta.shape[1])).transpose(1, 0, 2)
+        gammas = np.empty((chunk,) + theta.shape)
+        drawn = np.empty(chunk * max(run.draws * len(run.rngs) for run in runs))
+        while step < end:
+            span = min(end - step, chunk)
+            for run in runs:
+                size = span * run.draws * len(run.rngs)
+                U = np.stack([rng.random((span, run.draws)) for rng in run.rngs], axis=2,
+                             out=drawn[:size].reshape(span, run.draws, -1))
+                for c, col in enumerate(run.pairs):
+                    np.less(U[:, col], 0.5, out=ups[:span, c, run.cols])
+                    accs[:span, c, run.cols] = U[:, col + 1]
+                gammas[:span, :, run.cols] = run.gammas[step:step + span, None, None]
+            for t in range(span):
+                step += 1
+                xn = _move(x, ups[t], accs[t], theta, table)
+                theta_half = theta + gammas[t] * (s2[xn] - theta)
+                ok = np.abs(theta_half) <= bound
+                if ok.all():
+                    theta, x = theta_half, xn
+                else:
+                    # one chain outside the set, or nan, resets both chains
+                    reset = ~ok.all(axis=0)
+                    theta = np.where(reset, theta0, theta_half)
+                    x = np.where(reset, x0, xn)
+                    psi = psi + reset
+                    last_reproj = np.where(reset, step, last_reproj)
+                    bound = family.r0 + family.growth * psi
+                    if record:
+                        for r in np.flatnonzero(reset):
+                            paths["events"][r].append(step)
+                if record:
+                    paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
+        while runs and runs[-1].lane.n_steps == step:
+            run = runs.pop()
+            rows, sl = slice(0, 1 + run.lane.coupled), run.cols
+            states[run.index] = _LaneState(
+                theta=theta[rows, sl], x=x[rows, sl] // 2 - offsets[rows, sl],
+                x0=x0[rows, sl] // 2 - offsets[rows, sl],
+                psi=psi[sl], last_reproj=last_reproj[sl], gamma_n=run.gammas[-1])
+        width = runs[-1].cols.stop if runs else 0
+        theta, x, theta0, x0 = theta[:, :width], x[:, :width], theta0[:, :width], x0[:, :width]
+        psi, last_reproj, bound = psi[:width], last_reproj[:width], bound[:width]
+    if record:
+        paths["x"] //= 2
+        paths["x"] -= offsets
+    return states, paths
+
+
 def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
                   family: ReprojectionFamily, n_steps: int, rngs,
                   theta0: float, x0, theta0_bar: float = 0.0, x0_bar=None,
                   coupled: bool = False, coupling: str = "crn",
                   record: bool = False):
-    """Advance all replicates n_steps; the inner loop is vectorized across
-    chains and replicates, and uniforms are pre-drawn per chunk from each
-    replicate's own generator (batching does not change a generator's
-    stream)."""
-    if coupling not in ("crn", "independent"):
-        raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
-    if coupled and (l == math.inf or l < 1):
-        raise ParameterError(f"coupled run needs a finite level l >= 1, got {l!r}")
-    R, m = len(rngs), model.m
-    _check_run_bytes(n_steps, R, coupled, coupling, record)
-    levels = (l, l - 1) if coupled else (l,)
-    C = len(levels)
-    st = _Ensemble(rngs, m, family, (theta0, theta0_bar)[:C], (x0, x0_bar)[:C])
-    # one table for all chains: chain c's states, landing states included,
-    # are offset by c*m, so one gather serves every chain; states are held
-    # doubled (the index base), and s2[2*x] is the statistic at x
-    offsets = m * np.arange(C)[:, None]
-    diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
-    table = np.concatenate(diffs), 2 * (np.stack(dests) + offsets).ravel()
-    s2 = np.repeat(np.concatenate([level_statistic(model, k) for k in levels]), 2)
-    st.x = 2 * (st.x + offsets)
-    st.x0 = 2 * (st.x0 + offsets)
-    gammas = schedule.step_sizes(n_steps)
-    bound = family.r0 + family.growth * st.psi
-    # each chain's (direction, acceptance) columns start here: CRN reuses the
-    # fine chain's pair for the coarse chain, the independent coupling draws two more
-    cols = np.array([0, 2 if coupling == "independent" else 0][:C])
-    paths = None
-    if record:
-        paths = {"theta": np.empty((n_steps + 1,) + st.theta.shape),
-                 "x": np.empty((n_steps + 1,) + st.x.shape, np.int64),
-                 "psi": np.empty((n_steps + 1, R), np.int64), "events": [[] for _ in range(R)]}
-        paths["theta"][0], paths["x"][0], paths["psi"][0] = st.theta, st.x, st.psi
-    step = 0
-    while step < n_steps:
-        span = min(_CHUNK, n_steps - step)
-        U = np.stack([rng.random((span, cols[-1] + 2)) for rng in rngs], axis=2)
-        ups, accs = U[:, cols] < 0.5, U[:, cols + 1]  # (span, chains, replicates)
-        for t in range(span):
-            step += 1
-            xn = _move(st.x, ups[t], accs[t], st.theta, table)
-            theta_half = st.theta + gammas[step - 1] * (s2[xn] - st.theta)
-            ok = np.abs(theta_half) <= bound
-            if ok.all():
-                st.theta, st.x = theta_half, xn
-            else:
-                # one chain outside the set, or nan, resets both chains
-                reset = ~ok.all(axis=0)
-                st.theta = np.where(reset, st.theta0, theta_half)
-                st.x = np.where(reset, st.x0, xn)
-                st.psi = st.psi + reset
-                st.last_reproj = np.where(reset, step, st.last_reproj)
-                bound = family.r0 + family.growth * st.psi
-                if record:
-                    for r in np.flatnonzero(reset):
-                        paths["events"][r].append(step)
-            if record:
-                paths["theta"][step], paths["x"][step], paths["psi"][step] = st.theta, st.x, st.psi
-    st.x = st.x // 2 - offsets
-    st.x0 = st.x0 // 2 - offsets
-    st.gamma_n = gammas[-1]
-    if record:
-        paths["x"] //= 2
-        paths["x"] -= offsets
-    return st, paths
+    """Advance all replicates of one run n_steps: the one-lane case of
+    _run_lanes, returning (state, paths)."""
+    lane = _Lane(l, schedule, n_steps, rngs, theta0, x0, theta0_bar, x0_bar, coupled, coupling)
+    states, paths = _run_lanes(model, [lane], family, record)
+    return states[0], paths
 
 
 def msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,

@@ -6,9 +6,12 @@ budgets n_l ~ c_n eps**-2 delta_l**((min(alpha*zeta, beta) + kappa)/2),
 each level running with the constant step 1/n_l.  :func:`ml_estimate`
 then runs one single-level pass at level 0 and one coupled increment pass
 per level 1..L, all on disjoint seed streams, and assembles the telescoped
-estimate theta_hat = est_0 + sum_l increment_l.  The per-step cost of a
-level-l chain is delta_l**-kappa; a coupled run pays for both of its
-chains.
+estimate theta_hat = est_0 + sum_l increment_l.  The level passes are the
+lanes of one engine loop of max n_l steps (see :mod:`mlmsa.engine`); each
+gives the bits of its standalone run.  :func:`mse_cost_experiment` runs
+the levels of every precision's plan in that one loop too.  The per-step
+cost of a level-l chain is delta_l**-kappa; a coupled run pays for both of
+its chains.
 
 The analyzed regime needs min(alpha*zeta, beta) > kappa, in which case
 the mean square error is O(eps**2) at total cost O(eps**-2); equality
@@ -24,12 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    NumericalError,
     ParameterError,
     RateParameters,
     ReprojectionFamily,
     make_step_schedule,
 )
-from .engine import _check_run_bytes, _run_ensemble
+from .engine import _Lane, _run_lanes
 from .exact import level_root
 from .model import FiniteLevelModel
 
@@ -135,31 +139,53 @@ class MLEstimate:
     plan: LevelPlan = field(repr=False)
 
 
-def _run_plan_ensemble(model: FiniteLevelModel, plan: LevelPlan, root_seeds,
-                       reproj: ReprojectionFamily, theta0: float,
-                       coupling: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run every level of the plan for all replicates at once.
+class _LevelStreams:
+    """Level l's generators, one per root seed: child l of
+    SeedSequence(root), which SeedSequence(root, spawn_key=(l,)) is.  They
+    are built when the lane loop iterates them, after its size checks."""
 
-    Returns (per-level estimates of shape (L+1, R), assembled theta_hat of
+    def __init__(self, root_seeds, l: int):
+        self.root_seeds, self.l = root_seeds, l
+
+    def __len__(self) -> int:
+        return len(self.root_seeds)
+
+    def __iter__(self):
+        return (np.random.default_rng(np.random.SeedSequence(rs, spawn_key=(self.l,)))
+                for rs in self.root_seeds)
+
+
+def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
+                       reproj: ReprojectionFamily, theta0: float,
+                       coupling: str) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Run every level of every plan for all replicates in one lane loop of
+    max n_l steps.
+
+    Level l of every plan reads child l of each root seed; each lane builds
+    its own generators, so plans sharing root seeds stay apart.  Returns per
+    plan (per-level estimates of shape (L+1, R), assembled theta_hat of
     shape (R,), realized cost of a single replicate)."""
-    kappa = plan.rates.kappa
-    R = len(root_seeds)
-    estimates = np.empty((plan.L + 1, R))
-    children = [np.random.SeedSequence(rs).spawn(plan.L + 1) for rs in root_seeds]
-    cost = 0.0
-    for l in range(plan.L + 1):
-        n = plan.n_l[l]
-        sched = make_step_schedule("constant", plan.gamma_l[l])
-        rngs = [np.random.default_rng(seqs[l]) for seqs in children]
-        st, _ = _run_ensemble(model, l, sched, reproj, n, rngs, theta0, None,
-                              theta0, None, coupled=l > 0, coupling=coupling)
-        # level 0 is a single chain; level l >= 1 a fine-minus-coarse pair
-        estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
-        cost += n * (2.0 ** (l * kappa) + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))
-    theta_hat = estimates[0].copy()
-    for l in range(1, plan.L + 1):
-        theta_hat = theta_hat + estimates[l]
-    return estimates, theta_hat, cost
+    lanes = [_Lane(l, make_step_schedule("constant", plan.gamma_l[l]), plan.n_l[l],
+                   _LevelStreams(root_seeds, l), theta0, None, theta0, None,
+                   coupled=l > 0, coupling=coupling)
+             for plan in plans for l in range(plan.L + 1)]
+    states = iter(_run_lanes(model, lanes, reproj)[0])
+    out = []
+    for plan in plans:
+        kappa = plan.rates.kappa
+        estimates = np.empty((plan.L + 1, len(root_seeds)))
+        cost = 0.0
+        for l in range(plan.L + 1):
+            st = next(states)
+            # level 0 is a single chain; level l >= 1 a fine-minus-coarse pair
+            estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
+            cost += plan.n_l[l] * (2.0 ** (l * kappa)
+                                   + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))
+        theta_hat = estimates[0].copy()
+        for l in range(1, plan.L + 1):
+            theta_hat = theta_hat + estimates[l]
+        out.append((estimates, theta_hat, cost))
+    return out
 
 
 def ml_estimate(model: FiniteLevelModel, plan: LevelPlan, seed: int,
@@ -168,13 +194,14 @@ def ml_estimate(model: FiniteLevelModel, plan: LevelPlan, seed: int,
     """One multilevel estimate under the given plan.
 
     Level runs use disjoint child streams of SeedSequence(seed), so they
-    are exchangeable: executing levels in any order gives the same
-    per-level results.  The assembly sums level estimates in level order.
+    are exchangeable: executing levels in any order, or all at once as the
+    lanes of one loop, gives the same per-level results.  The assembly
+    sums level estimates in level order.
     """
     if reproj is None:
         reproj = ReprojectionFamily(2.0, 1.0)
-    estimates, theta_hat, cost = _run_plan_ensemble(model, plan, [seed], reproj,
-                                                    theta0, coupling)
+    [(estimates, theta_hat, cost)] = _run_plan_ensemble(model, [plan], [seed], reproj,
+                                                        theta0, coupling)
     return MLEstimate(theta_hat=float(theta_hat[0]),
                       level_estimates=tuple(float(v) for v in estimates[:, 0]),
                       realized_cost=float(cost),
@@ -214,7 +241,8 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
     For each eps: R independent estimates (replicate r rooted at
     seed0 + r), MSE against the exact limit root, replicate-mean realized
     cost.  The log-log slope of cost against eps should sit near -2 in the
-    analyzed regime.
+    analyzed regime.  Every plan runs in one lane loop; an MSE of exactly 0
+    leaves MSE/eps**2 without a drift and is a NumericalError.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 3 or any(b >= a for a, b in zip(epsilons, epsilons[1:])):
@@ -226,18 +254,16 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
     if reproj is None:
         reproj = ReprojectionFamily(2.0, 1.0)
     plans = [schedule_levels(eps, rates, n_min=n_min, c_n=c_n) for eps in epsilons]
-    for plan in plans:  # every level's run, before any generator exists
-        for l, n in enumerate(plan.n_l):
-            _check_run_bytes(n, R, l > 0, coupling, False)
+    runs = _run_plan_ensemble(model, plans, range(seed0, seed0 + R), reproj, theta0, coupling)
     truth = level_root(model, math.inf)
-    root_seeds = [seed0 + r for r in range(R)]
     rows = []
-    for plan in plans:
-        _, theta_hats, cost = _run_plan_ensemble(model, plan, root_seeds, reproj,
-                                                 theta0, coupling)
+    for plan, (_, theta_hats, cost) in zip(plans, runs):
         sq = (theta_hats - truth) ** 2
         rows.append(MseCostRow(epsilon=plan.epsilon, mse=float(sq.mean()), mean_cost=float(cost),
                                stderr_mse=float(sq.std(ddof=1) / math.sqrt(R))))
+        if rows[-1].mse == 0.0:  # MSE/eps**2 has no drift when one MSE is 0
+            raise NumericalError(f"the MSE at epsilon={plan.epsilon} is 0: every estimate "
+                                 f"equals the limit root {truth!r}")
     slope = float(np.polyfit(np.log([r.epsilon for r in rows]),
                              np.log([r.mean_cost for r in rows]), 1)[0])
     return MseCostResult(rows=tuple(rows), cost_slope=slope,

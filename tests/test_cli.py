@@ -175,6 +175,17 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_mse_cost_with_a_zero_mse_is_a_numerical_error(tmp_path, capsys):
+    # a set of radius 1e-300 resets every replicate to theta0 = 0 on every
+    # step, and 0 is the default model's limit root: every MSE is 0
+    out = tmp_path / "zero"
+    assert run_cli("mse-cost", "--model.m=8", "--reprojection.r0=1e-300",
+                   "--reprojection.growth=1e-300", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure") and "MSE at epsilon=0.2 is 0" in err
+    assert not (out / "mse_cost.csv").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "rep"
     args = ["run-coupled", "--output", str(out), "--experiment.n_steps=800", "--trace"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from mlmsa.core import (
 )
 from mlmsa.engine import (
     _CHUNK,
+    _CHUNK_VALUES,
     CoupledTrajectory,
+    _Lane,
     _run_ensemble,
+    _run_lanes,
     coupled_msa_run,
     empirical_clt_variance,
     msa_run,
@@ -384,3 +388,62 @@ class TestRunEnsemble:
             assert tuple(ens.x[:, i]) == x
             assert ens.psi[i] == traj.psi_path[-1]
             assert ens.last_reproj[i] == (traj.reprojection_events or (0,))[-1]
+
+
+class TestRunLanes:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), m=st.integers(3, 12),
+           family=st.sampled_from([FAMILY, TIGHT, ReprojectionFamily(0.001, 0.001)]),
+           ns=st.lists(st.integers(1, _CHUNK + 40), min_size=1, max_size=4, unique=True),
+           seed0=st.integers(0, 2**32))
+    def test_lanes_equal_standalone_runs(self, data, m, family, ns, seed0):
+        # each lane of a joint run, ending mid-chunk or not, is bit for bit
+        # its own run: its steps, generators and starts only
+        model = build_model(m=m)
+        specs = []
+        for j, n in enumerate(ns):
+            l = data.draw(st.integers(0, 5))
+            coupled, coupling = data.draw(st.sampled_from(
+                [(False, "crn"), (True, "crn"), (True, "independent")] if l > 0
+                else [(False, "crn")]))
+            seeds = [seed0 + 10 * j + i for i in range(data.draw(st.integers(1, 3)))]
+            schedule = poly(gamma0=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+            specs.append((l, schedule, n, seeds, coupled, coupling))
+
+        def lane(l, schedule, n, seeds, coupled, coupling):
+            return _Lane(l, schedule, n, [np.random.default_rng(s) for s in seeds],
+                         0.0, None, 0.0, None, coupled, coupling)
+
+        states, _ = _run_lanes(model, [lane(*spec) for spec in specs], family)
+        for (l, schedule, n, seeds, coupled, coupling), joint in zip(specs, states):
+            alone, _ = _run_ensemble(model, l, schedule, family, n,
+                                     [np.random.default_rng(s) for s in seeds], 0.0, None,
+                                     coupled=coupled, coupling=coupling)
+            for name in ("theta", "x", "psi", "last_reproj"):
+                a, b = getattr(joint, name), getattr(alone, name)
+                assert a.shape == b.shape and (a == b).all(), name
+
+    def test_chunk_uniforms_do_not_grow_with_the_lane_count(self):
+        # 40 lanes of 100 replicates under the independent coupling draw ten
+        # times the uniforms of a one-lane step at R = 400; the chunk is cut
+        # to keep what it holds at the one-lane size (uncut, its acceptance
+        # uniforms alone take 2.5 times that: 32 MB)
+        model = build_model(m=8)
+        lanes = [_Lane(1 + j % 5, poly(), 500 + 10 * j,
+                       [np.random.default_rng(100 * j + i) for i in range(100)],
+                       0.0, None, 0.0, None, coupled=True, coupling="independent")
+                 for j in range(40)]
+        tracemalloc.start()
+        try:
+            _run_lanes(model, lanes, FAMILY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * _CHUNK_VALUES
+
+    def test_step_vectors_of_all_lanes_are_checked_together(self, default_model):
+        # each lane fits the byte budget alone, the two step vectors do not
+        n = 20_000_000
+        lanes = [_Lane(l, poly(), n, [], 0.0, None) for l in (0, 1)]
+        with pytest.raises(ParameterError, match="step vectors of 2 runs"):
+            _run_lanes(default_model, lanes, FAMILY)

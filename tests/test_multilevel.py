@@ -183,6 +183,18 @@ class TestMseCostExperiment:
             ratio = r_big.stderr_mse / r_small.stderr_mse
             assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
 
+    def test_plans_sharing_root_seeds_stay_apart(self, small_model):
+        # every plan's levels run in one loop on the same root seeds; each
+        # row must still be the MSE of that plan's standalone estimates
+        kw = dict(n_min=10, c_n=4.0)
+        res = mse_cost_experiment(small_model, [0.5, 0.3, 0.2], 50, 300, rates=RATES, **kw)
+        truth = level_root(small_model, math.inf)
+        for row in res.rows:
+            plan = schedule_levels(row.epsilon, RATES, **kw)
+            hats = np.array([ml_estimate(small_model, plan, seed=300 + r).theta_hat
+                             for r in range(50)])
+            assert row.mse == float(((hats - truth) ** 2).mean())
+
     def test_cost_slope_in_scaling_regime(self, default_model):
         res = mse_cost_experiment(default_model, [0.4, 0.2, 0.1], 50, 230,
                                   rates=RATES, n_min=50, c_n=50.0)
