@@ -286,6 +286,7 @@ def _plan(cfg, parts):
 
 
 def _cmd_variance_exact(cfg, parts, outdir):
+    _require(cfg["experiment"]["levels"] != [], "experiment.levels", "must list a level")
     rows, records = [], []
     for l in cfg["experiment"]["levels"]:
         rep = asymptotic_variance(parts["model"], l, coupling=cfg["model"]["coupling"])
@@ -371,41 +372,38 @@ def _cmd_run_msa(cfg, parts, outdir):
     exp = cfg["experiment"]
     traj = msa_run(parts["model"], exp["level"], parts["schedule"], parts["reprojection"],
                    exp["n_steps"], exp["theta0"], exp["x0"], cfg["seed"])
+    theta_final = float(traj.theta_path[-1, 0])
     _write_csv(outdir / "run_msa.csv",
                ("level", "n_steps", "seed", "theta_final", "psi_final", "n_reprojections",
                 "theta0", "x0"),
-               [(exp["level"], exp["n_steps"], cfg["seed"], traj.theta_final,
-                 int(traj.psi_path[-1]), len(traj.reprojection_events), traj.theta0,
-                 traj.x0)])
+               [(exp["level"], exp["n_steps"], cfg["seed"], theta_final,
+                 int(traj.psi_path[-1]), len(traj.reprojection_events), exp["theta0"],
+                 traj.x_path[0, 0])])
     if exp["trace"]:
-        rows = zip(range(len(traj.theta_path)), traj.theta_path, traj.x_path,
-                   traj.psi_path)
+        rows = zip(range(exp["n_steps"] + 1), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
         _write_csv(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), rows)
-    return {"theta_final": traj.theta_final}
+    return {"theta_final": theta_final}
 
 
 def _cmd_run_coupled(cfg, parts, outdir):
     exp = cfg["experiment"]
+    coupling = cfg["model"]["coupling"]
     traj = coupled_msa_run(parts["model"], exp["level"], parts["schedule"],
                            parts["reprojection"], exp["n_steps"], cfg["seed"],
                            theta0=exp["theta0"], theta0_bar=exp["theta0_bar"],
-                           x0=exp["x0"], x0_bar=exp["x0_bar"], coupling=cfg["model"]["coupling"])
+                           x0=exp["x0"], x0_bar=exp["x0_bar"], coupling=coupling)
+    fine, coarse = traj.theta_path[-1].tolist()
     _write_csv(outdir / "run_coupled.csv",
                ("level", "n_steps", "seed", "coupling", "increment_final",
                 "fine_theta_final", "coarse_theta_final", "psi_final",
                 "n_reprojections"),
-               [(exp["level"], exp["n_steps"], cfg["seed"], traj.coupling,
-                 traj.increment_final, float(traj.fine_theta_path[-1]),
-                 float(traj.coarse_theta_path[-1]), int(traj.psi_path[-1]),
-                 len(traj.reprojection_events))])
+               [(exp["level"], exp["n_steps"], cfg["seed"], coupling, fine - coarse,
+                 fine, coarse, int(traj.psi_path[-1]), len(traj.reprojection_events))])
     if exp["trace"]:
-        rows = zip(range(len(traj.psi_path)), traj.fine_theta_path,
-                   traj.coarse_theta_path, traj.fine_x_path, traj.coarse_x_path,
-                   traj.psi_path)
+        rows = zip(range(exp["n_steps"] + 1), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
         _write_csv(outdir / "trace_coupled.csv",
-                   ("step", "theta_fine", "theta_coarse", "x_fine", "x_coarse", "psi"),
-                   rows)
-    return {"increment_final": traj.increment_final}
+                   ("step", "theta_fine", "theta_coarse", "x_fine", "x_coarse", "psi"), rows)
+    return {"increment_final": fine - coarse}
 
 
 def _cmd_schedule(cfg, parts, outdir):

@@ -4,7 +4,11 @@ Three procedures are provided: single-level stochastic approximation with
 reprojection (:func:`msa_run`), the coupled level-increment variant that
 advances a fine and a coarse chain with shared step sizes
 (:func:`coupled_msa_run`), and a replicated estimator of the increment
-CLT variance (:func:`empirical_clt_variance`).
+CLT variance (:func:`empirical_clt_variance`).  A recorded run is one
+:class:`Trajectory` whose paths carry a chain axis: column 0 is the chain
+at level l, column 1 the coarse chain of a coupled run.  Each fact is
+stored once: the starts are row 0, the final state the last row, and the
+reprojections the steps where psi rises.
 
 One iteration is: sample the next chain state from the Metropolis kernel
 at the current parameter, take the tentative Robbins-Monro step
@@ -53,13 +57,16 @@ and counts as a reprojection like any exit from the set.
 The run inputs are checked once, in the lane loop every procedure goes
 through, for every lane before any step vector or generator of the loop
 exists: n_steps >= 1, the coupling, a finite level l >= 1 for a coupled
-run, the bytes of the arrays n_steps and R size, each start parameter in
-K_0 and each configured start state on the grid; then the step vectors
-of all lanes together.  empirical_clt_variance, which builds its
-generators itself, checks n_steps and those bytes first.  What one chunk
-holds over all running lanes (an acceptance uniform and a step size per
-chain and column per step) is capped at _CHUNK_VALUES, which also caps
-the uniforms it draws, so its memory does not grow with the lane count.
+run, the bytes n_steps and R size (the arrays, and per replicate a
+generator and the loop's column arrays), each start parameter in K_0 and
+each configured start state on the grid; then the step vectors,
+generators and column arrays of all lanes together.
+empirical_clt_variance, which builds its generators itself, checks
+n_steps and those bytes first.  What one chunk holds over all running
+lanes (an acceptance uniform and a step size per chain and column per
+step) is capped at _CHUNK_VALUES, which also caps the uniforms it draws,
+so its memory does not grow with the lane count; a chunk of one step,
+the least the loop takes, is counted in the column arrays.
 """
 
 from __future__ import annotations
@@ -77,7 +84,6 @@ from .model import FiniteLevelModel, _step_diffs, level_statistic
 
 __all__ = [
     "Trajectory",
-    "CoupledTrajectory",
     "msa_run",
     "coupled_msa_run",
     "CLTVarianceEstimate",
@@ -89,48 +95,37 @@ _CHUNK = 1024
 # acceptance uniform and a step size for each chain and column): as many as
 # the uniforms of a one-lane chunk at R = 400 under the independent coupling
 _CHUNK_VALUES = _CHUNK * 4 * 400
+# bytes held per replicate besides the chunk, both measured with tracemalloc:
+# one np.random.default_rng(int) generator (940.7 over 10,000 of them), and
+# what the lane loop holds per replicate column at one step per chunk under
+# the independent coupling (states, starts, offsets, psi, set bounds, step
+# temporaries and the per-replicate draws; 511 at R = 50,000)
+_GENERATOR_BYTES = 941
+_COLUMN_BYTES = 512
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Single-level run record; paths have length n_steps + 1 (entry 0 is
-    the initial condition)."""
+    """Recorded run: paths of shape (n_steps + 1, chains), row 0 the start
+    and row n the state after step n; column 0 is the chain at level l and
+    column 1 the coarse chain of a coupled run.  The chains share psi and
+    reset together, so a reprojection is a step where psi rises."""
 
-    level: int | float
-    seed: int
     theta_path: np.ndarray
     x_path: np.ndarray
     psi_path: np.ndarray
-    reprojection_events: tuple[int, ...]
-    theta0: float
-    x0: int
 
     @property
-    def theta_final(self) -> float:
-        return float(self.theta_path[-1])
-
-
-@dataclass(frozen=True)
-class CoupledTrajectory:
-    """Coupled run record; the two chains share psi and reset together."""
-
-    level: int
-    seed: int
-    coupling: str
-    fine_theta_path: np.ndarray
-    coarse_theta_path: np.ndarray
-    fine_x_path: np.ndarray
-    coarse_x_path: np.ndarray
-    psi_path: np.ndarray
-    reprojection_events: tuple[int, ...]
-    theta0: float
-    theta0_bar: float
-    x0: int
-    x0_bar: int
+    def reprojection_events(self) -> tuple[int, ...]:
+        return tuple((np.flatnonzero(np.diff(self.psi_path) > 0) + 1).tolist())
 
     @property
-    def increment_final(self) -> float:
-        return float(self.fine_theta_path[-1] - self.coarse_theta_path[-1])
+    def fine_x_path(self) -> np.ndarray:
+        return self.x_path[:, 0]
+
+    @property
+    def coarse_x_path(self) -> np.ndarray:
+        return self.x_path[:, 1]
 
 
 class _Lane(NamedTuple):
@@ -167,13 +162,12 @@ class _Placed(NamedTuple):
 
 @dataclass
 class _LaneState:
-    """Final state of one lane: theta, x and x0 per (chain, replicate), the
-    fine chain's row first; psi and last_reproj per replicate; gamma_n, the
-    lane's last step size."""
+    """Final state of one lane: theta and x per (chain, replicate), the fine
+    chain's row first; psi and last_reproj per replicate; gamma_n, the lane's
+    last step size."""
 
     theta: np.ndarray
     x: np.ndarray
-    x0: np.ndarray
     psi: np.ndarray
     last_reproj: np.ndarray
     gamma_n: float
@@ -212,14 +206,16 @@ def _move(x2, up, u_acc, theta, table):
 
 def _check_run_bytes(n_steps: int, R: int, coupled: bool, coupling: str,
                      record: bool) -> None:
-    """Refuse, before any of them exists, the arrays a run sizes from its
-    inputs: the step vector, one chunk of uniforms (two columns per step,
-    four under the independent coupling) and, when recorded, the paths.
-    n_steps >= 1 is checked first: a negative count makes the bytes negative."""
+    """Refuse, before any of them exists, what a run sizes from its inputs:
+    the step vector, one chunk of uniforms (two columns per step, four under
+    the independent coupling), a generator and the loop's column arrays per
+    replicate and, when recorded, the paths.  n_steps >= 1 is checked first:
+    a negative count makes the bytes negative."""
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     columns = 4 if coupled and coupling == "independent" else 2
-    need = 8 * (n_steps + min(_CHUNK, n_steps) * columns * R)
+    need = (8 * (n_steps + min(_CHUNK, n_steps) * columns * R)
+            + R * (_GENERATOR_BYTES + _COLUMN_BYTES))
     if record:
         need += 8 * (n_steps + 1) * R * (5 if coupled else 3)  # theta, x per chain; psi
     _check_bytes(f"a run of n_steps={n_steps} over R={R} replicates", need)
@@ -242,8 +238,9 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     m = model.m
     for lane in lanes:
         _check_lane(lane, m, family, record)
-    _check_bytes(f"the step vectors of {len(lanes)} runs",
-                 8 * sum(lane.n_steps for lane in lanes))
+    _check_bytes(f"the step vectors of {len(lanes)} runs and their generators",
+                 sum(8 * lane.n_steps + len(lane.rngs) * (_GENERATOR_BYTES + _COLUMN_BYTES)
+                     for lane in lanes))
     C = 2 if any(lane.coupled for lane in lanes) else 1
     levels = {}  # level -> its block of the one move table
     runs, theta0, x0, offsets = [], [], [], []
@@ -290,7 +287,7 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
         n_steps, R = lanes[0].n_steps, theta.shape[1]
         paths = {"theta": np.empty((n_steps + 1,) + theta.shape),
                  "x": np.empty((n_steps + 1,) + x.shape, np.int64),
-                 "psi": np.empty((n_steps + 1, R), np.int64), "events": [[] for _ in range(R)]}
+                 "psi": np.empty((n_steps + 1, R), np.int64)}
         paths["theta"][0], paths["x"][0], paths["psi"][0] = theta, x, psi
     states = [None] * len(lanes)
     step = 0
@@ -335,18 +332,14 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                     psi = psi + reset
                     last_reproj = np.where(reset, step, last_reproj)
                     bound = family.r0 + family.growth * psi
-                    if record:
-                        for r in np.flatnonzero(reset):
-                            paths["events"][r].append(step)
                 if record:
                     paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
         while runs and runs[-1].lane.n_steps == step:
             run = runs.pop()
             rows, sl = slice(0, 1 + run.lane.coupled), run.cols
             states[run.index] = _LaneState(
-                theta=theta[rows, sl], x=x[rows, sl] // 2 - offsets[rows, sl],
-                x0=x0[rows, sl] // 2 - offsets[rows, sl],
-                psi=psi[sl], last_reproj=last_reproj[sl], gamma_n=run.gammas[-1])
+                theta=theta[rows, sl], x=x[rows, sl] // 2 - offsets[rows, sl], psi=psi[sl],
+                last_reproj=last_reproj[sl], gamma_n=run.gammas[-1])
         width = runs[-1].cols.stop if runs else 0
         theta, x, theta0, x0 = theta[:, :width], x[:, :width], theta0[:, :width], x0[:, :width]
         psi, last_reproj, bound = psi[:width], last_reproj[:width], bound[:width]
@@ -368,52 +361,45 @@ def _run_ensemble(model: FiniteLevelModel, l, schedule: StepSchedule,
     return states[0], paths
 
 
+def _recorded_run(model: FiniteLevelModel, l, schedule: StepSchedule,
+                  reproj: ReprojectionFamily, n_steps: int, seed: int,
+                  *starts, coupled: bool = False, coupling: str = "crn") -> Trajectory:
+    """One recorded run on a generator seeded from seed; starts are
+    (theta0, x0[, theta0_bar, x0_bar])."""
+    _, paths = _run_ensemble(model, l, schedule, reproj, n_steps,
+                             [np.random.default_rng(seed)], *starts,
+                             coupled=coupled, coupling=coupling, record=True)
+    return Trajectory(paths["theta"][:, :, 0], paths["x"][:, :, 0], paths["psi"][:, 0])
+
+
 def msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
             reproj: ReprojectionFamily, n_steps: int, theta0: float,
             x0: int | None, seed: int) -> Trajectory:
-    """Single-level stochastic approximation run.
+    """Single-level stochastic approximation run, recorded as one column.
 
     theta0 must lie in the initial constraint set.  x0 = None draws the
     initial state uniformly from the grid (one integer draw before the
     per-step uniforms).
     """
-    rng = np.random.default_rng(seed)
-    st, paths = _run_ensemble(model, l, schedule, reproj, n_steps, [rng],
-                              theta0, x0, record=True)
-    return Trajectory(level=l, seed=seed,
-                      theta_path=paths["theta"][:, 0, 0].copy(),
-                      x_path=paths["x"][:, 0, 0].copy(),
-                      psi_path=paths["psi"][:, 0].copy(),
-                      reprojection_events=tuple(paths["events"][0]),
-                      theta0=theta0, x0=int(st.x0[0, 0]))
+    return _recorded_run(model, l, schedule, reproj, n_steps, seed, theta0, x0)
 
 
 def coupled_msa_run(model: FiniteLevelModel, l, schedule: StepSchedule,
                     reproj: ReprojectionFamily, n_steps: int, seed: int,
                     theta0: float = 0.0, theta0_bar: float = 0.0,
                     x0: int | None = None, x0_bar: int | None = None,
-                    coupling: str = "crn") -> CoupledTrajectory:
+                    coupling: str = "crn") -> Trajectory:
     """Coupled level-increment run: fine chain at level l, coarse at l - 1,
     both parameters updated with the same step sizes, states advanced by
-    one coupled transition per iteration, reprojection joint.
+    one coupled transition per iteration, reprojection joint; recorded as
+    columns (fine, coarse).
 
     With x0 and x0_bar unconfigured the pair starts at one shared uniform
     draw (coalesced), which is the point of the coupling; pass explicit
     distinct states to study excursions.
     """
-    rng = np.random.default_rng(seed)
-    st, paths = _run_ensemble(model, l, schedule, reproj, n_steps, [rng],
-                              theta0, x0, theta0_bar, x0_bar,
-                              coupled=True, coupling=coupling, record=True)
-    return CoupledTrajectory(level=int(l), seed=seed, coupling=coupling,
-                             fine_theta_path=paths["theta"][:, 0, 0].copy(),
-                             coarse_theta_path=paths["theta"][:, 1, 0].copy(),
-                             fine_x_path=paths["x"][:, 0, 0].copy(),
-                             coarse_x_path=paths["x"][:, 1, 0].copy(),
-                             psi_path=paths["psi"][:, 0].copy(),
-                             reprojection_events=tuple(paths["events"][0]),
-                             theta0=theta0, theta0_bar=theta0_bar,
-                             x0=int(st.x0[0, 0]), x0_bar=int(st.x0[1, 0]))
+    return _recorded_run(model, l, schedule, reproj, n_steps, seed,
+                         theta0, x0, theta0_bar, x0_bar, coupled=True, coupling=coupling)
 
 
 @dataclass(frozen=True)

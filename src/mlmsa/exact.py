@@ -51,9 +51,8 @@ __all__ = [
     "estimate_geometric_rate",
     "ErgodicityCertificate",
     "certify_drift_minorization",
-    "RateDiagnostics",
+    "LevelDiagnostics",
     "rate_diagnostics",
-    "LemmaDiagnostics",
     "lemma_diagnostics",
     "fitted_log2_slope",
 ]
@@ -543,15 +542,6 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     )
 
 
-def _v_weighted_measure_gap(mu: np.ndarray, xi: np.ndarray, W: np.ndarray) -> float:
-    return float(np.sum(W * np.abs(mu - xi)))
-
-
-def _v_weighted_kernel_gap(K1: np.ndarray, K2: np.ndarray, W: np.ndarray) -> float:
-    row = np.abs(K1 - K2) @ W
-    return float(np.max(row / W))
-
-
 def fitted_log2_slope(levels, values) -> float | str:
     """Least-squares slope of log2(values) against the level index.
 
@@ -568,10 +558,36 @@ def fitted_log2_slope(levels, values) -> float | str:
 
 
 @dataclass(frozen=True)
-class RateDiagnostics:
-    """Exactly evaluated level-perturbation norms with fitted decay slopes.
+class LevelDiagnostics:
+    """Exactly evaluated per-level quantities, each an array over levels,
+    and the log2 decay slopes fitted to some of them; an identically zero
+    quantity has the slope "exact"."""
 
-    quantities maps each diagnostic to its per-level values:
+    levels: tuple[int, ...]
+    quantities: dict[str, np.ndarray]
+    slopes: dict[str, float | str]
+
+
+def _slope_levels(levels, r: float) -> list[int]:
+    """The levels of a slope fit as ints: at least 4 distinct ones, each
+    >= 1, since a gap pairs l with l - 1; r, the power of the Lyapunov
+    weight, must lie in (0, 1]."""
+    levels = [int(l) for l in levels]
+    if len(set(levels)) < 4:
+        raise ParameterError(f"need at least 4 distinct levels for a slope fit, got {levels}")
+    if min(levels) < 1:
+        raise ParameterError("levels must be >= 1 (gaps pair l with l-1)")
+    if not (0.0 < r <= 1.0):
+        raise ParameterError(f"r must lie in (0, 1], got {r}")
+    return levels
+
+
+def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
+                     r: float = 1.0) -> LevelDiagnostics:
+    """Measure the level hierarchy's perturbation norms and their decay.
+
+    The quantities, exact finite sums and maxima over states, each with
+    its fitted slope:
 
     - kernel_distance:     |||K_{theta,l} - K_{theta,inf}|||_{V_{theta,l}^r}
     - stationary_distance: ||pi_{theta,l} - pi_{theta,inf}||_{V_{theta,inf}^r}
@@ -579,31 +595,10 @@ class RateDiagnostics:
     - smoothed_shift:      |K_{theta,inf}(H_l - H_{l-1})|_{V_{theta,l-1}^r}
     - derivative_shift:    |pi_{theta,inf}(dH_l/dtheta - dH_inf/dtheta)|
 
-    Slopes are log2 decay rates per level; identically-zero quantities are
-    reported as "exact".
+    The slopes should reproduce -beta0 for quantities that depend on the
+    level at all.
     """
-
-    levels: tuple[int, ...]
-    theta: float
-    r: float
-    quantities: dict[str, np.ndarray]
-    slopes: dict[str, float | str]
-
-
-def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
-                     r: float = 1.0) -> RateDiagnostics:
-    """Measure the level hierarchy's perturbation norms and their decay.
-
-    All quantities are exact finite sums/maxima over states; the slopes
-    should reproduce -beta0 for quantities that depend on the level at all.
-    """
-    levels = [int(l) for l in levels]
-    if len(levels) < 4:
-        raise ParameterError(f"need at least 4 levels for a slope fit, got {len(levels)}")
-    if min(levels) < 1:
-        raise ParameterError("levels must be >= 1 (gaps pair l with l-1)")
-    if not (0.0 < r <= 1.0):
-        raise ParameterError(f"r must lie in (0, 1], got {r}")
+    levels = _slope_levels(levels, r)
     K_inf = kernel_matrix(model, math.inf, theta)
     pi_inf = target_density(model, math.inf, theta)
     V_inf = lyapunov_vector(model, math.inf, theta) ** r
@@ -616,9 +611,9 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
         s_l = level_statistic(model, l)
         s_lm1 = level_statistic(model, l - 1)
         q["kernel_distance"].append(
-            _v_weighted_kernel_gap(kernel_matrix(model, l, theta), K_inf, V_l))
+            float(np.max(np.abs(kernel_matrix(model, l, theta) - K_inf) @ V_l / V_l)))
         q["stationary_distance"].append(
-            _v_weighted_measure_gap(target_density(model, l, theta), pi_inf, V_inf))
+            float(np.sum(V_inf * np.abs(target_density(model, l, theta) - pi_inf))))
         # H_l - H_inf = phi_l - phi_inf: the theta part cancels
         q["mean_shift"].append(abs(float(pi_inf @ (s_l - s_inf))))
         q["smoothed_shift"].append(float(np.max(np.abs(K_inf @ (s_l - s_lm1)) / V_lm1)))
@@ -626,8 +621,7 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
         q["derivative_shift"].append(0.0)
     quantities = {k: np.asarray(v) for k, v in q.items()}
     slopes = {k: fitted_log2_slope(levels, v) for k, v in quantities.items()}
-    return RateDiagnostics(levels=tuple(levels), theta=float(theta), r=float(r),
-                           quantities=quantities, slopes=slopes)
+    return LevelDiagnostics(tuple(levels), quantities, slopes)
 
 
 @lru_cache(maxsize=4096)
@@ -642,45 +636,26 @@ def _poisson_for(model: FiniteLevelModel, l, theta: float) -> PoissonSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class LemmaDiagnostics:
-    """Exactly evaluated Poisson-solution gap diagnostics.
+def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime: float,
+                      zeta: float = 1.0, r: float = 1.0,
+                      coupling: str = "crn") -> LevelDiagnostics:
+    """Evaluate the Poisson-gap and variance-block diagnostics per level.
 
-    Per level: the V-norm gap of the Poisson solution across adjacent
+    The quantities: the V-norm gap of the Poisson solution across adjacent
     levels (solution_gap) and of its one-step smoothing (smoothed_gap);
     the theta-continuity gap at fixed level divided by
     |theta - theta'|**zeta (theta_gap, holder_ratio); the mean-field
     derivative gap across levels at (theta, theta') (derivative_gap) and
     at equal arguments (derivative_gap_equal, the purely level-driven part
     whose decay rate is clean; at theta != theta' the raw gap plateaus at
-    the Holder term); the
-    Lipschitz ratio of the Poisson solution in the state metric
-    (lipschitz_ratio); and the coupled-expectation blocks of the variance
-    formula at the per-level roots (block_*), with sqrt of the coupled
-    second moment of the metric (coupled_d2_sqrt) and the root gap
-    (root_gap) for comparison.
+    the Holder term); the Lipschitz ratio of the Poisson solution in the
+    state metric (lipschitz_ratio); and the coupled-expectation blocks of
+    the variance formula at the per-level roots (block_*), with sqrt of
+    the coupled second moment of the metric (coupled_d2_sqrt) and the root
+    gap (root_gap) for comparison.  Slopes are fitted to solution_gap,
+    smoothed_gap, derivative_gap_equal, coupled_d2_sqrt and root_gap.
     """
-
-    levels: tuple[int, ...]
-    theta: float
-    theta_prime: float
-    zeta: float
-    r: float
-    quantities: dict[str, np.ndarray]
-    slopes: dict[str, float | str]
-
-
-def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime: float,
-                      zeta: float = 1.0, r: float = 1.0,
-                      coupling: str = "crn") -> LemmaDiagnostics:
-    """Evaluate the Poisson-gap and variance-block diagnostics per level."""
-    levels = [int(l) for l in levels]
-    if len(levels) < 4:
-        raise ParameterError(f"need at least 4 levels for a slope fit, got {len(levels)}")
-    if min(levels) < 1:
-        raise ParameterError("levels must be >= 1 (gaps pair l with l-1)")
-    if not (0.0 < r <= 1.0):
-        raise ParameterError(f"r must lie in (0, 1], got {r}")
+    levels = _slope_levels(levels, r)
     D = metric_matrix(model)
     off = ~np.eye(model.m, dtype=bool)
     q = {k: [] for k in ("solution_gap", "smoothed_gap", "theta_gap", "holder_ratio",
@@ -715,6 +690,4 @@ def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime
     slopes = {k: fitted_log2_slope(levels, quantities[k])
               for k in ("solution_gap", "smoothed_gap", "derivative_gap_equal",
                         "coupled_d2_sqrt", "root_gap")}
-    return LemmaDiagnostics(levels=tuple(levels), theta=float(theta),
-                            theta_prime=float(theta_prime), zeta=float(zeta), r=float(r),
-                            quantities=quantities, slopes=slopes)
+    return LevelDiagnostics(tuple(levels), quantities, slopes)

@@ -22,7 +22,8 @@ O(eps**-2 log(eps)**2); anything below is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +137,6 @@ class MLEstimate:
     level_estimates: tuple[float, ...]
     realized_cost: float
     seeds: tuple[tuple[int, int], ...]
-    plan: LevelPlan = field(repr=False)
 
 
 class _LevelStreams:
@@ -205,8 +205,7 @@ def ml_estimate(model: FiniteLevelModel, plan: LevelPlan, seed: int,
     return MLEstimate(theta_hat=float(theta_hat[0]),
                       level_estimates=tuple(float(v) for v in estimates[:, 0]),
                       realized_cost=float(cost),
-                      seeds=tuple((int(seed), l) for l in range(plan.L + 1)),
-                      plan=plan)
+                      seeds=tuple((int(seed), l) for l in range(plan.L + 1)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,6 @@ class MseCostResult:
     rows: tuple[MseCostRow, ...]
     cost_slope: float        # slope of log(mean_cost) against log(epsilon)
     theta_reference: float   # the limit root the MSE is measured against
-    replicates: int
 
     def mse_ratio_drift(self) -> float:
         """max over eps of MSE/eps**2 divided by its min (schedule health)."""
@@ -247,8 +245,8 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 3 or any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ParameterError("epsilons must be strictly decreasing with at least 3 entries")
-    if R < 50:
-        raise ParameterError(f"need R >= 50 replicates, got {R}")
+    if not 50 <= R <= sys.maxsize:  # the length of the range of root seeds is an index
+        raise ParameterError(f"need 50 <= R <= {sys.maxsize} replicates, got {R}")
     if rates is None:
         rates = RateParameters(alpha=model.beta0, beta=model.beta0, zeta=1.0, kappa=0.5)
     if reproj is None:
@@ -266,5 +264,4 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
                                  f"equals the limit root {truth!r}")
     slope = float(np.polyfit(np.log([r.epsilon for r in rows]),
                              np.log([r.mean_cost for r in rows]), 1)[0])
-    return MseCostResult(rows=tuple(rows), cost_slope=slope,
-                         theta_reference=float(truth), replicates=R)
+    return MseCostResult(rows=tuple(rows), cost_slope=slope, theta_reference=float(truth))

@@ -68,15 +68,11 @@ def poisson_series(K, pi, f, n_terms=200):
 
 
 def validate_containment(traj, family):
-    """Check, on a single or coupled run record, theta_n in K_{psi_n} for
-    every path and n, that psi increments exactly at the recorded
-    reprojection events, and that psi never decreases."""
-    if hasattr(traj, "theta_path"):
-        paths = (traj.theta_path,)
-    else:
-        paths = (traj.fine_theta_path, traj.coarse_theta_path)
+    """Check, on a run record, theta_n in K_{psi_n} for every chain (column)
+    and n, that psi increments exactly at the recorded reprojection events,
+    and that psi never decreases."""
     bounds = family.r0 + family.growth * traj.psi_path
-    if any(np.any(np.abs(path) > bounds) for path in paths):
+    if np.any(np.abs(traj.theta_path) > bounds[:, None]):
         raise NumericalError("containment violated: a parameter left its constraint set")
     jumps = np.flatnonzero(np.diff(traj.psi_path) != 0) + 1
     if not np.array_equal(jumps, np.asarray(traj.reprojection_events, dtype=jumps.dtype)):

@@ -101,7 +101,7 @@ def test_criterion_4_perfect_coupling_zero(bias_off_model):
     sched = make_step_schedule("polynomial", 1.0, 0.75)
     traj = coupled_msa_run(bias_off_model, 3, sched, ReprojectionFamily(2.0, 1.0),
                            20000, seed=5, theta0=0.4, theta0_bar=0.4)
-    np.testing.assert_array_equal(traj.fine_theta_path, traj.coarse_theta_path)
+    np.testing.assert_array_equal(traj.theta_path[:, 0], traj.theta_path[:, 1])
     _report(4, t0, 10.0,
             f"exact sigma {rep.sigma:.2e}, max |increment| 0 over 2e4 steps")
 

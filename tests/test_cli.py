@@ -370,18 +370,33 @@ def test_input_that_sizes_arrays_beyond_the_byte_budget_is_a_validation_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand, replicates", [
-    ("variance-empirical", 10 ** 11), ("mse-cost", 10 ** 6)])
+@pytest.mark.parametrize("argv, fragment", [
+    (("variance-empirical", "--experiment.replicates=100000000000"), "R=100000000000 "),
+    (("mse-cost", "--experiment.replicates=1000000"), "R=1000000 "),
+    # one step and one chunk fit the budget; the generators and columns do not
+    (("variance-empirical", "--experiment.n_steps=1", "--experiment.replicates=16000000"),
+     "R=16000000 "),
+    # each of the 15 lanes fits alone; their 300,000 generators together do not
+    (("mse-cost", "--experiment.replicates=20000"), "step vectors of 15 runs"),
+], ids=["variance-empirical-100000000000", "mse-cost-1000000",
+        "variance-empirical-16000000-one-step", "mse-cost-20000-lanes"])
 def test_replicate_count_beyond_the_byte_budget_is_refused_before_any_generator(
-        tmp_path, capsys, monkeypatch, subcommand, replicates):
+        tmp_path, capsys, monkeypatch, argv, fragment):
     def no_generator(*args, **kwargs):
         raise AssertionError("a generator was built before the size check")
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.setattr(np.random, "SeedSequence", no_generator)
     out = tmp_path / "never"
-    assert run_cli(subcommand, f"--experiment.replicates={replicates}", "--output", str(out)) == 1
+    assert run_cli(*argv, "--output", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("mlmsa: validation error") and f"R={replicates} " in err
+    assert err.startswith("mlmsa: validation error") and fragment in err
+    assert not out.exists()
+
+
+def test_replicate_count_beyond_the_index_range_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("mse-cost", f"--experiment.replicates={10 ** 400}", "--output", str(out)) == 1
+    assert capsys.readouterr().err.startswith("mlmsa: validation error")
     assert not out.exists()
 
 
@@ -437,6 +452,20 @@ def test_lyapunov_power_outside_the_unit_interval_is_a_validation_error(tmp_path
                    "--output", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: validation error") and "r must lie in (0, 1]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate-check", "--experiment.levels=[2,2,2,2]"),
+    ("lemma-check", "--experiment.levels=[3,3,3,3]"),
+    ("rate-check", "--experiment.levels=[2,3,4,4]"),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_slope_fit_through_fewer_than_four_distinct_levels_is_a_validation_error(
+        tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "4 distinct levels" in err
     assert not out.exists()
 
 
@@ -583,6 +612,14 @@ def test_empty_theta_grid_is_a_configuration_error(tmp_path, capsys, n_theta):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: configuration error") and "'experiment.n_theta'" in err
+    assert not out.exists()
+
+
+def test_empty_level_list_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("variance-exact", "--experiment.levels=[]", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and "'experiment.levels'" in err
     assert not out.exists()
 
 

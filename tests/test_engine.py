@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from mlmsa.core import (
     NumericalError,
@@ -16,7 +17,7 @@ from mlmsa.core import (
 from mlmsa.engine import (
     _CHUNK,
     _CHUNK_VALUES,
-    CoupledTrajectory,
+    Trajectory,
     _Lane,
     _run_ensemble,
     _run_lanes,
@@ -25,7 +26,7 @@ from mlmsa.engine import (
     msa_run,
 )
 from mlmsa.exact import asymptotic_variance, level_root
-from mlmsa.model import build_model, target_density
+from mlmsa.model import build_model, kernel_matrix, target_density
 
 from reference import coupled_sample_step, drift_term, sample_step, validate_containment
 
@@ -57,12 +58,12 @@ class TestMsaRun:
         b = msa_run(default_model, 3, poly(), FAMILY, 2000, 0.0, None, seed=9)
         np.testing.assert_array_equal(a.theta_path, b.theta_path)
         np.testing.assert_array_equal(a.x_path, b.x_path)
-        assert a.x0 == b.x0
+        assert a.x_path[0, 0] == b.x_path[0, 0]
 
     def test_converges_to_level_root(self, default_model):
         traj = msa_run(default_model, 4, poly(gamma0=0.1), FAMILY,
                        100000, 0.0, None, seed=12345)
-        assert abs(traj.theta_final - level_root(default_model, 4)) <= 0.05
+        assert abs(traj.theta_path[-1, 0] - level_root(default_model, 4)) <= 0.05
         assert len(traj.reprojection_events) == 0  # r0 = 2 is ample
 
     def test_reprojection_resets_and_counts(self, default_model):
@@ -71,8 +72,8 @@ class TestMsaRun:
         assert len(traj.reprojection_events) > 0
         validate_containment(traj, tight)
         k = traj.reprojection_events[0]
-        assert traj.theta_path[k] == traj.theta0
-        assert traj.x_path[k] == traj.x0  # state resets too, by design
+        assert traj.theta_path[k, 0] == 0.0  # theta0
+        assert traj.x_path[k, 0] == traj.x_path[0, 0]  # state resets too, by design
         assert traj.psi_path[k] == traj.psi_path[k - 1] + 1
 
     def test_containment_invariant_on_generic_run(self, default_model):
@@ -109,8 +110,8 @@ class TestMsaRun:
             else:
                 theta, x, psi = 0.1, x0, psi + 1
                 events.append(k)
-            assert traj.theta_path[k] == theta
-            assert traj.x_path[k] == x
+            assert traj.theta_path[k, 0] == theta
+            assert traj.x_path[k, 0] == x
             assert traj.psi_path[k] == psi
         assert psi > 0 or m == 3  # the reset path is replayed too
         assert traj.reprojection_events == tuple(events)
@@ -128,7 +129,7 @@ class TestCoupledMsaRun:
         traj = coupled_msa_run(bias_off_model, 3, poly(), FAMILY, 5000,
                                seed=11, theta0=0.2, theta0_bar=0.2)
         # exact: both chains identical
-        np.testing.assert_array_equal(traj.fine_theta_path, traj.coarse_theta_path)
+        np.testing.assert_array_equal(traj.theta_path[:, 0], traj.theta_path[:, 1])
 
     def test_increment_near_root_gap(self, default_model):
         rep = asymptotic_variance(default_model, 4)
@@ -136,17 +137,17 @@ class TestCoupledMsaRun:
         traj = coupled_msa_run(default_model, 4, poly(), FAMILY, n, seed=777)
         sd = math.sqrt(poly().step_sizes(n)[-1] * rep.sigma)
         truth = rep.theta_star_l - rep.theta_star_lm1
-        assert abs(traj.increment_final - truth) <= 3 * sd
+        assert abs(traj.theta_path[-1, 0] - traj.theta_path[-1, 1] - truth) <= 3 * sd
 
     def test_deterministic_given_seed(self, default_model):
         a = coupled_msa_run(default_model, 2, poly(), FAMILY, 3000, seed=21)
         b = coupled_msa_run(default_model, 2, poly(), FAMILY, 3000, seed=21)
-        np.testing.assert_array_equal(a.fine_theta_path, b.fine_theta_path)
-        np.testing.assert_array_equal(a.coarse_x_path, b.coarse_x_path)
+        np.testing.assert_array_equal(a.theta_path[:, 0], b.theta_path[:, 0])
+        np.testing.assert_array_equal(a.x_path[:, 1], b.x_path[:, 1])
 
     def test_unconfigured_pair_starts_coalesced(self, default_model):
         traj = coupled_msa_run(default_model, 2, poly(), FAMILY, 10, seed=4)
-        assert traj.x0 == traj.x0_bar
+        assert traj.x_path[0, 0] == traj.x_path[0, 1]
 
     def test_joint_reprojection_resets_both(self, default_model):
         tight = ReprojectionFamily(0.001, 0.001)
@@ -154,19 +155,14 @@ class TestCoupledMsaRun:
         assert len(traj.reprojection_events) > 0
         validate_containment(traj, tight)
         k = traj.reprojection_events[0]
-        assert traj.fine_theta_path[k] == traj.theta0
-        assert traj.coarse_theta_path[k] == traj.theta0_bar
-        assert traj.fine_x_path[k] == traj.x0
-        assert traj.coarse_x_path[k] == traj.x0_bar
+        # both chains back at their starts: theta0 = theta0_bar = 0, x0, x0_bar
+        np.testing.assert_array_equal(traj.theta_path[k], [0.0, 0.0])
+        np.testing.assert_array_equal(traj.x_path[k], traj.x_path[0])
 
     def test_containment_rejects_decreasing_psi(self):
-        # psi jumps at the recorded events, but the second jump goes down
-        zeros = np.zeros(3)
-        traj = CoupledTrajectory(level=1, seed=0, coupling="crn",
-                                 fine_theta_path=zeros, coarse_theta_path=zeros,
-                                 fine_x_path=zeros.astype(int), coarse_x_path=zeros.astype(int),
-                                 psi_path=np.array([0, 1, 0]), reprojection_events=(1, 2),
-                                 theta0=0.0, theta0_bar=0.0, x0=0, x0_bar=0)
+        # psi rises at step 1 and falls at step 2
+        zeros = np.zeros((3, 2))
+        traj = Trajectory(theta_path=zeros, x_path=zeros.astype(int), psi_path=np.array([0, 1, 0]))
         with pytest.raises(NumericalError):
             validate_containment(traj, FAMILY)
 
@@ -178,7 +174,7 @@ class TestCoupledMsaRun:
         n = 100000
         traj = coupled_msa_run(m8, 2, frozen, FAMILY, n, seed=99,
                                theta0=0.7, theta0_bar=0.7)
-        occ = np.bincount(traj.fine_x_path[1:], minlength=8) / n
+        occ = np.bincount(traj.x_path[1:, 0], minlength=8) / n
         pi = target_density(m8, 2, 0.7)
         assert 0.5 * np.abs(occ - pi).sum() <= 0.02
 
@@ -217,10 +213,8 @@ class TestCoupledMsaRun:
             else:
                 th, tb, x, xb, psi = 0.1, -0.2, x0, x0_bar, psi + 1
                 events.append(k)
-            assert traj.fine_theta_path[k] == th
-            assert traj.coarse_theta_path[k] == tb
-            assert traj.fine_x_path[k] == x
-            assert traj.coarse_x_path[k] == xb
+            assert tuple(traj.theta_path[k]) == (th, tb)
+            assert tuple(traj.x_path[k]) == (x, xb)
             assert traj.psi_path[k] == psi
         assert psi > 0 or m == 3  # the reset path is replayed too
         assert traj.reprojection_events == tuple(events)
@@ -234,8 +228,8 @@ class TestEmpiricalCltVariance:
         for i in (0, 37, 99):
             traj = coupled_msa_run(default_model, 2, poly(), FAMILY, n,
                                    seed=seed0 + i)
-            assert est.increments[i] == pytest.approx(traj.increment_final,
-                                                      abs=1e-12)
+            assert est.increments[i] == pytest.approx(
+                traj.theta_path[-1, 0] - traj.theta_path[-1, 1], abs=1e-12)
 
     def test_zero_steps_rejected(self, default_model):
         with pytest.raises(ParameterError, match="n_steps"):
@@ -336,14 +330,10 @@ class TestRunEnsemble:
             if coupled:
                 traj = coupled_msa_run(default_model, l, poly(), family, n, seed0 + i,
                                        coupling=coupling)
-                assert st.theta[0, i] == traj.fine_theta_path[-1]
-                assert st.theta[1, i] == traj.coarse_theta_path[-1]
-                assert st.x[0, i] == traj.fine_x_path[-1]
-                assert st.x[1, i] == traj.coarse_x_path[-1]
             else:
                 traj = msa_run(default_model, l, poly(), family, n, 0.0, None, seed0 + i)
-                assert st.theta[0, i] == traj.theta_path[-1]
-                assert st.x[0, i] == traj.x_path[-1]
+            assert tuple(st.theta[:, i]) == tuple(traj.theta_path[-1])
+            assert tuple(st.x[:, i]) == tuple(traj.x_path[-1])
             assert st.psi[i] == traj.psi_path[-1]
             assert (st.psi[i] > 0) == (family is not FAMILY)
 
@@ -361,7 +351,9 @@ class TestRunEnsemble:
                                   0.0, None, coupled=coupled, record=True)
         assert np.all(np.isfinite(st.theta))
         assert np.all(st.psi == len(range(0, n, 7)))
-        assert all(events == list(range(1, n + 1, 7)) for events in paths["events"])
+        jumps = np.diff(paths["psi"], axis=0) > 0
+        assert all(list(np.flatnonzero(jumps[:, r]) + 1) == list(range(1, n + 1, 7))
+                   for r in range(R))
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(3, 12), l=st.integers(1, 6), R=st.integers(1, 4),
@@ -379,13 +371,10 @@ class TestRunEnsemble:
             if coupled:
                 traj = coupled_msa_run(model, l, poly(), family, n, seed0 + i,
                                        coupling=coupling)
-                theta = (traj.fine_theta_path[-1], traj.coarse_theta_path[-1])
-                x = (traj.fine_x_path[-1], traj.coarse_x_path[-1])
             else:
                 traj = msa_run(model, l, poly(), family, n, 0.0, None, seed0 + i)
-                theta, x = (traj.theta_path[-1],), (traj.x_path[-1],)
-            assert tuple(ens.theta[:, i]) == theta
-            assert tuple(ens.x[:, i]) == x
+            assert tuple(ens.theta[:, i]) == tuple(traj.theta_path[-1])
+            assert tuple(ens.x[:, i]) == tuple(traj.x_path[-1])
             assert ens.psi[i] == traj.psi_path[-1]
             assert ens.last_reproj[i] == (traj.reprojection_events or (0,))[-1]
 
@@ -447,3 +436,30 @@ class TestRunLanes:
         lanes = [_Lane(l, poly(), n, [], 0.0, None) for l in (0, 1)]
         with pytest.raises(ParameterError, match="step vectors of 2 runs"):
             _run_lanes(default_model, lanes, FAMILY)
+
+
+class TestFrozenLaw:
+    # the chi-square statistic of one chain's final states against its exact
+    # law is refused above its 1 - 1e-5 quantile on m - 1 degrees of freedom
+    ALPHA = 1e-5
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 8), l=st.integers(1, 6), theta=st.floats(-2.0, 2.0),
+           n=st.integers(1, 30), R=st.integers(800, 2000), seed0=st.integers(0, 2**32),
+           coupled=st.booleans())
+    def test_final_states_follow_the_exact_law(self, m, l, theta, n, R, seed0, coupled):
+        # gamma0 = 0 freezes theta, so each chain is a plain Metropolis chain
+        # from a uniform start (a coupled pair from one shared draw, under
+        # CRN); after n steps its state has the law uniform @ K^n of its own
+        # level's kernel, the coarse chain's at level l - 1
+        model = build_model(m=m)
+        frozen = make_step_schedule("constant", 0.0)
+        rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
+        state, _ = _run_ensemble(model, l, frozen, FAMILY, n, rngs, theta, None, theta, None,
+                                 coupled=coupled)
+        assert (state.theta == theta).all() and state.x.shape == (1 + coupled, R)
+        for x, level in zip(state.x, (l, l - 1)):
+            K_n = np.linalg.matrix_power(kernel_matrix(model, level, theta), n)
+            expected = R * np.full(m, 1.0 / m) @ K_n
+            stat = np.sum((np.bincount(x, minlength=m) - expected) ** 2 / expected)
+            assert stat <= chi2.isf(self.ALPHA, m - 1), (level, stat)

@@ -412,7 +412,7 @@ class TestAsymptoticVariance:
         frozen = make_step_schedule("constant", 0.0)
         traj = msa_run(default_model, l, frozen, ReprojectionFamily(5.0, 1.0),
                        400000, theta0=rep.theta_star_l, x0=None, seed=314)
-        vals = H[traj.x_path[1:]]
+        vals = H[traj.x_path[1:, 0]]
         b = 2000
         batches = vals[: (len(vals) // b) * b].reshape(-1, b).mean(axis=1)
         bm = b * batches.var(ddof=1)
@@ -429,8 +429,8 @@ class TestAsymptoticVariance:
         traj = coupled_msa_run(default_model, 2, frozen, ReprojectionFamily(5.0, 1.0),
                                n, seed=2718, theta0=rep.theta_star_l,
                                theta0_bar=rep.theta_star_lm1)
-        Hf = (level_statistic(default_model, 2) - rep.theta_star_l)[traj.fine_x_path[1:]]
-        Hc = (level_statistic(default_model, 1) - rep.theta_star_lm1)[traj.coarse_x_path[1:]]
+        Hf = (level_statistic(default_model, 2) - rep.theta_star_l)[traj.x_path[1:, 0]]
+        Hc = (level_statistic(default_model, 1) - rep.theta_star_lm1)[traj.x_path[1:, 1]]
         a = n // b
         bf = Hf[: a * b].reshape(a, b).mean(axis=1)
         bc = Hc[: a * b].reshape(a, b).mean(axis=1)
