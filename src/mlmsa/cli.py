@@ -36,6 +36,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -151,21 +152,24 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, texts) -> None:
+    """Write the strings of texts one after another."""
     # the output directory appears with the first result: a failed run leaves none
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.writelines(texts)
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, _json_text(obj) + "\n")
+    _write_text(path, [_json_text(obj), "\n"])
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    # formatted 4,096 rows at a time: a trace's text is about six times its paths
+    rows = iter(rows)
+    blocks = iter(lambda: "".join(",".join(map(_fmt, row)) + "\n"
+                                  for row in islice(rows, 4096)), "")
+    _write_text(path, chain([",".join(header) + "\n"], blocks))
 
 
 def _merge_strict(defaults: dict, given: dict, prefix: str = "") -> dict:

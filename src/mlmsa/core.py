@@ -75,7 +75,10 @@ class StepSchedule:
         """Vector (gamma_1, ..., gamma_n_steps)."""
         if self.kind == "constant":
             return np.full(n_steps, self.gamma0)
-        return self.gamma0 * np.arange(1, n_steps + 1, dtype=float) ** (-self.rho)
+        g = np.arange(1, n_steps + 1, dtype=float)  # in place: one vector at the peak
+        g **= -self.rho
+        g *= self.gamma0
+        return g
 
 
 def make_step_schedule(kind: str, gamma0: float, rho: float | None = None) -> StepSchedule:

@@ -57,23 +57,23 @@ and counts as a reprojection like any exit from the set.
 The run inputs are checked once, in the lane loop every procedure goes
 through, for every lane before any step vector or generator of the loop
 exists: n_steps >= 1, the coupling, a finite level l >= 1 for a coupled
-run, the bytes n_steps and R size (the arrays, and per replicate a
-generator and the loop's column arrays), each start parameter in K_0 and
-each configured start state on the grid; then the step vectors,
-generators and column arrays of all lanes together.
-empirical_clt_variance, which builds its generators itself, checks
-n_steps and those bytes first.  What one chunk holds over all running
-lanes (an acceptance uniform and a step size per chain and column per
-step) is capped at _CHUNK_VALUES, which also caps the uniforms it draws,
-so its memory does not grow with the lane count; a chunk of one step,
-the least the loop takes, is counted in the column arrays.
+run, the bytes the lane holds (its step vector, a generator and the
+loop's column arrays per replicate and, when recorded, its paths), each
+start parameter in K_0 and each configured start state on the grid; then
+the bytes of all lanes and of the loop's chunk together.  Generators are
+built only by iterating a lane's _Streams, after the checks.  What one
+chunk holds over all running lanes (an acceptance uniform and a step
+size per chain and column per step) is capped at _CHUNK_VALUES, which
+also caps the uniforms it draws, so its memory does not grow with the
+lane count; a chunk of one step, the least the loop takes, is counted in
+the column arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,8 +95,14 @@ _CHUNK = 1024
 # acceptance uniform and a step size for each chain and column): as many as
 # the uniforms of a one-lane chunk at R = 400 under the independent coupling
 _CHUNK_VALUES = _CHUNK * 4 * 400
+# bytes a chunk holds per chain, column and step: a direction flag, an
+# acceptance uniform and a step size, and at most two uniforms, held twice
+# (drawn, then copied); and what a loop holds whatever its lanes, measured
+# with tracemalloc at R = 1, m = 8: numpy's 64 KiB iterator buffers and the
+# loop's small arrays
+_CHUNK_VALUE_BYTES, _LOOP_BYTES = 49, 2 ** 17
 # bytes held per replicate besides the chunk, both measured with tracemalloc:
-# one np.random.default_rng(int) generator (940.7 over 10,000 of them), and
+# one generator built by _Streams (939.3 over 10,000 of them), and
 # what the lane loop holds per replicate column at one step per chunk under
 # the independent coupling (states, starts, offsets, psi, set bounds, step
 # temporaries and the per-replicate draws; 511 at R = 50,000)
@@ -128,16 +134,31 @@ class Trajectory:
         return self.x_path[:, 1]
 
 
+class _Streams:
+    """Generators default_rng(SeedSequence(root, spawn_key=key)), one per root
+    seed, built as they are iterated; the empty key gives default_rng(root)."""
+
+    def __init__(self, roots, key=()):
+        self.roots, self.key = roots, key
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __iter__(self):
+        return (np.random.default_rng(np.random.SeedSequence(root, spawn_key=self.key))
+                for root in self.roots)
+
+
 class _Lane(NamedTuple):
     """One run of the lane loop: a single chain at level l, or a coupled pair
     at (l, l - 1), with its own step rule, run length, starts and one
-    generator per replicate.  rngs is iterated once, after every lane of the
-    loop is checked, so it may build its generators lazily."""
+    generator per replicate, which the loop builds from rngs, a _Streams,
+    after every lane of the loop is checked."""
 
     level: int | float
     schedule: StepSchedule
     n_steps: int
-    rngs: Sequence
+    rngs: _Streams | list
     theta0: float
     x0: int | None
     theta0_bar: float = 0.0
@@ -162,9 +183,9 @@ class _Placed(NamedTuple):
 
 @dataclass
 class _LaneState:
-    """Final state of one lane: theta and x per (chain, replicate), the fine
-    chain's row first; psi and last_reproj per replicate; gamma_n, the lane's
-    last step size."""
+    """Final state of one lane (the loop built its generators and drops
+    them): theta and x per (chain, replicate), the fine chain's row first;
+    psi and last_reproj per replicate; gamma_n, the lane's last step size."""
 
     theta: np.ndarray
     x: np.ndarray
@@ -173,15 +194,22 @@ class _LaneState:
     gamma_n: float
 
 
-def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -> None:
+def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -> int:
     """Refuse a lane's invalid inputs before any array or generator of the
-    loop exists."""
+    loop exists; returns the bytes the lane holds.  n_steps >= 1 is checked
+    first: a negative count makes the bytes negative."""
+    if lane.n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {lane.n_steps}")
     if lane.coupling not in ("crn", "independent"):
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {lane.coupling!r}")
     if lane.coupled and (lane.level == math.inf or lane.level < 1):
         raise ParameterError(f"coupled run needs a finite level l >= 1, got {lane.level!r}")
-    _check_run_bytes(lane.n_steps, len(lane.rngs), lane.coupled, lane.coupling, record)
-    chains = 1 + lane.coupled
+    chains, R = 1 + lane.coupled, len(lane.rngs)
+    # the step vector, a generator and the column arrays per replicate and,
+    # when recorded, the paths (theta and x per chain, psi)
+    need = (8 * lane.n_steps + R * (_GENERATOR_BYTES + _COLUMN_BYTES)
+            + record * 8 * (lane.n_steps + 1) * R * (2 * chains + 1))
+    _check_bytes(f"a run of n_steps={lane.n_steps} over R={R} replicates", need)
     for name, theta in zip(("theta0", "theta0_bar"), (lane.theta0, lane.theta0_bar)[:chains]):
         if not family.contains(theta, 0):
             raise ParameterError(f"{name}={theta} is outside the initial constraint "
@@ -191,6 +219,7 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
                               or not 0 <= x < m):  # None: drawn or shared
             raise ParameterError(f"{name} must be None or an integer in [0, m) with "
                                  f"m={m}, got {x!r}")
+    return need
 
 
 def _move(x2, up, u_acc, theta, table):
@@ -202,23 +231,6 @@ def _move(x2, up, u_acc, theta, table):
     i = x2 + up
     acc = np.exp(np.minimum(theta * diff[i], 0.0))
     return np.where(u_acc < acc, dest2[i], x2)
-
-
-def _check_run_bytes(n_steps: int, R: int, coupled: bool, coupling: str,
-                     record: bool) -> None:
-    """Refuse, before any of them exists, what a run sizes from its inputs:
-    the step vector, one chunk of uniforms (two columns per step, four under
-    the independent coupling), a generator and the loop's column arrays per
-    replicate and, when recorded, the paths.  n_steps >= 1 is checked first:
-    a negative count makes the bytes negative."""
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    columns = 4 if coupled and coupling == "independent" else 2
-    need = (8 * (n_steps + min(_CHUNK, n_steps) * columns * R)
-            + R * (_GENERATOR_BYTES + _COLUMN_BYTES))
-    if record:
-        need += 8 * (n_steps + 1) * R * (5 if coupled else 3)  # theta, x per chain; psi
-    _check_bytes(f"a run of n_steps={n_steps} over R={R} replicates", need)
 
 
 def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
@@ -235,13 +247,14 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     pre-drawn per chunk from each replicate's own generator (batching does
     not change a generator's stream), and a chunk's values over every
     running lane are capped at _CHUNK_VALUES."""
-    m = model.m
-    for lane in lanes:
-        _check_lane(lane, m, family, record)
-    _check_bytes(f"the step vectors of {len(lanes)} runs and their generators",
-                 sum(8 * lane.n_steps + len(lane.rngs) * (_GENERATOR_BYTES + _COLUMN_BYTES)
-                     for lane in lanes))
-    C = 2 if any(lane.coupled for lane in lanes) else 1
+    m, C = model.m, 2 if any(lane.coupled for lane in lanes) else 1
+    need = sum(_check_lane(lane, m, family, record) for lane in lanes)
+    # a chunk takes at most _CHUNK steps over every chain and column and,
+    # unless one step long, holds at most _CHUNK_VALUES values
+    columns = sum(len(lane.rngs) for lane in lanes)
+    values = C * columns * min(_CHUNK, max(lane.n_steps for lane in lanes))
+    _check_bytes(f"the step vectors of {len(lanes)} runs, their generators and one chunk",
+                 need + _LOOP_BYTES + _CHUNK_VALUE_BYTES * min(values, _CHUNK_VALUES // 2))
     levels = {}  # level -> its block of the one move table
     runs, theta0, x0, offsets = [], [], [], []
     for i in sorted(range(len(lanes)), key=lambda i: -lanes[i].n_steps):
@@ -366,8 +379,7 @@ def _recorded_run(model: FiniteLevelModel, l, schedule: StepSchedule,
                   *starts, coupled: bool = False, coupling: str = "crn") -> Trajectory:
     """One recorded run on a generator seeded from seed; starts are
     (theta0, x0[, theta0_bar, x0_bar])."""
-    _, paths = _run_ensemble(model, l, schedule, reproj, n_steps,
-                             [np.random.default_rng(seed)], *starts,
+    _, paths = _run_ensemble(model, l, schedule, reproj, n_steps, _Streams([seed]), *starts,
                              coupled=coupled, coupling=coupling, record=True)
     return Trajectory(paths["theta"][:, :, 0], paths["x"][:, :, 0], paths["psi"][:, 0])
 
@@ -435,17 +447,14 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     settling rule, which indicates a reprojection family that is too
     tight for the model.
     """
-    if R < 100:
-        raise ParameterError(f"need R >= 100 replicates, got {R}")
+    if not 100 <= R <= sys.maxsize:  # the length of the range of seeds is an index
+        raise ParameterError(f"need 100 <= R <= {sys.maxsize} replicates, got {R}")
     if schedule.kind != "polynomial":
         raise ParameterError("CLT variance estimation needs a polynomial schedule")
     if reproj is None:
         reproj = ReprojectionFamily(2.0, 1.0)
-    _check_run_bytes(n_steps, R, True, coupling, False)
-    rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
-    st, _ = _run_ensemble(model, l, schedule, reproj, n_steps, rngs,
-                          theta0, None, theta0_bar, None,
-                          coupled=True, coupling=coupling, record=False)
+    st, _ = _run_ensemble(model, l, schedule, reproj, n_steps, _Streams(range(seed0, seed0 + R)),
+                          theta0, None, theta0_bar, None, coupled=True, coupling=coupling)
     keep = st.last_reproj <= n_steps // 2
     n_disc = int(R - keep.sum())
     if n_disc > 0.2 * R:

@@ -34,7 +34,7 @@ from .core import (
     ReprojectionFamily,
     make_step_schedule,
 )
-from .engine import _Lane, _run_lanes
+from .engine import _Lane, _run_lanes, _Streams
 from .exact import level_root
 from .model import FiniteLevelModel
 
@@ -139,34 +139,18 @@ class MLEstimate:
     seeds: tuple[tuple[int, int], ...]
 
 
-class _LevelStreams:
-    """Level l's generators, one per root seed: child l of
-    SeedSequence(root), which SeedSequence(root, spawn_key=(l,)) is.  They
-    are built when the lane loop iterates them, after its size checks."""
-
-    def __init__(self, root_seeds, l: int):
-        self.root_seeds, self.l = root_seeds, l
-
-    def __len__(self) -> int:
-        return len(self.root_seeds)
-
-    def __iter__(self):
-        return (np.random.default_rng(np.random.SeedSequence(rs, spawn_key=(self.l,)))
-                for rs in self.root_seeds)
-
-
 def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
                        reproj: ReprojectionFamily, theta0: float,
                        coupling: str) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Run every level of every plan for all replicates in one lane loop of
     max n_l steps.
 
-    Level l of every plan reads child l of each root seed; each lane builds
-    its own generators, so plans sharing root seeds stay apart.  Returns per
+    Level l of every plan reads child l of each root seed, its own streams
+    of generators, so plans sharing root seeds stay apart.  Returns per
     plan (per-level estimates of shape (L+1, R), assembled theta_hat of
     shape (R,), realized cost of a single replicate)."""
     lanes = [_Lane(l, make_step_schedule("constant", plan.gamma_l[l]), plan.n_l[l],
-                   _LevelStreams(root_seeds, l), theta0, None, theta0, None,
+                   _Streams(root_seeds, (l,)), theta0, None, theta0, None,
                    coupled=l > 0, coupling=coupling)
              for plan in plans for l in range(plan.L + 1)]
     states = iter(_run_lanes(model, lanes, reproj)[0])

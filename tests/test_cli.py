@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,23 @@ def test_csv_format_contract(tmp_path):
     assert lines[0] == "l,delta,sigma,t1,t2,theta_star_l,dh_l"
     assert len(lines) == 4 and lines[3] == ""  # header + 2 rows + trailing LF
     assert "\r" not in text
+
+
+def test_csv_writer_holds_a_block_of_rows_not_the_whole_text(tmp_path):
+    # 50,000 trace rows are about 7 MiB of text; the writer formats and
+    # writes a block of rows at a time
+    n = 50_000
+    rows = zip(range(n), np.linspace(-1.0, 1.0, n), np.arange(n) % 32, np.arange(n) // 1000)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "trace.csv", ("step", "theta", "x", "psi"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    lines = (tmp_path / "trace.csv").read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    assert lines[n] == f"{n - 1},1,{(n - 1) % 32},{(n - 1) // 1000}"
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -393,9 +411,11 @@ def test_replicate_count_beyond_the_byte_budget_is_refused_before_any_generator(
     assert not out.exists()
 
 
-def test_replicate_count_beyond_the_index_range_is_a_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand", ["mse-cost", "variance-empirical"])
+def test_replicate_count_beyond_the_index_range_is_a_validation_error(tmp_path, capsys,
+                                                                      subcommand):
     out = tmp_path / "never"
-    assert run_cli("mse-cost", f"--experiment.replicates={10 ** 400}", "--output", str(out)) == 1
+    assert run_cli(subcommand, f"--experiment.replicates={10 ** 400}", "--output", str(out)) == 1
     assert capsys.readouterr().err.startswith("mlmsa: validation error")
     assert not out.exists()
 

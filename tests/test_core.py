@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ class TestStepSchedule:
         # direct evaluation of gamma0 * n**-rho at n = 3
         assert sched.step_sizes(3)[-1] == pytest.approx(0.4386913376508308, rel=1e-15)
         assert sched.step_sizes(1)[-1] == 1.0
+
+    def test_polynomial_vector_is_built_in_place(self):
+        # gamma0 * arange ** -rho as one expression holds two vectors at its peak
+        n = 10 ** 6
+        sched = make_step_schedule("polynomial", 0.7, 0.6)
+        tracemalloc.start()
+        try:
+            steps = sched.step_sizes(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n
+        assert (steps == 0.7 * np.arange(1, n + 1, dtype=float) ** -0.6).all()
 
     def test_constant_value(self):
         sched = make_step_schedule("constant", 0.1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from mlmsa import engine
 from mlmsa.core import (
     NumericalError,
     ParameterError,
@@ -21,6 +22,7 @@ from mlmsa.engine import (
     _Lane,
     _run_ensemble,
     _run_lanes,
+    _Streams,
     coupled_msa_run,
     empirical_clt_variance,
     msa_run,
@@ -429,6 +431,51 @@ class TestRunLanes:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * _CHUNK_VALUES
+
+    # (level, n_steps, R, coupled, coupling) per lane
+    @pytest.mark.parametrize("specs, record", [
+        ([(3, 10_000, 1, False, "crn")], True),
+        ([(3, 2048, 400, True, "crn")], False),
+        ([(3, 2048, 400, True, "independent")], False),
+        ([(3, 1100, 4000, True, "independent")], False),
+        ([(j % 5, 100 + 130 * j, 200, j % 5 > 0, ("crn", "independent")[j % 2])
+          for j in range(15)], False),
+    ], ids=["R1-single-recorded", "R400-crn", "R400-independent", "R4000-independent",
+            "15-lanes-mixed"])
+    def test_size_rule_bounds_what_the_loop_holds(self, monkeypatch, specs, record):
+        model = build_model(m=8)
+
+        def lanes():
+            return [_Lane(l, poly(), n, _Streams(range(R), (j,)), 0.0, None, 0.0, None,
+                          coupled, coupling)
+                    for j, (l, n, R, coupled, coupling) in enumerate(specs)]
+        counted = []
+        check_bytes = engine._check_bytes
+        monkeypatch.setattr(engine, "_check_bytes",
+                            lambda what, need: (counted.append(need), check_bytes(what, need)))
+        tracemalloc.start()
+        try:
+            _run_lanes(model, lanes(), FAMILY, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == len(specs) + 1  # one check per lane, then the joint one
+        assert peak <= counted[-1]
+
+    def test_size_rule_admits_a_replicate_count_whose_run_fits(self, monkeypatch):
+        # counted with a chunk of every step at R = 16,000 this was 285 MB, over
+        # the budget; the loop caps its chunk, and the run peaks near 50 MB.
+        # The loop builds its first generator once every size check has passed
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+        monkeypatch.setattr(np.random, "default_rng", admitted)
+        lane = _Lane(3, poly(), 1024, _Streams(range(16_000)), 0.0, None, 0.0, None,
+                     coupled=True)
+        with pytest.raises(Admitted):
+            _run_lanes(build_model(m=8), [lane], FAMILY)
 
     def test_step_vectors_of_all_lanes_are_checked_together(self, default_model):
         # each lane fits the byte budget alone, the two step vectors do not
