@@ -108,6 +108,11 @@ _CHUNK_VALUE_BYTES, _LOOP_BYTES = 49, 2 ** 17
 # temporaries and the per-replicate draws; 511 at R = 50,000)
 _GENERATOR_BYTES = 941
 _COLUMN_BYTES = 512
+# bytes per state of each level the lanes use: the level's cached
+# _step_diffs table, its block of the joined move table and statistic, and
+# the temporaries that join them; tracemalloc measures 92 to 96 at m = 2**14
+# to 2**17 over 2 to 7 levels, with cold caches
+_TABLE_BYTES = 100
 
 
 @dataclass(frozen=True)
@@ -253,8 +258,11 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     # unless one step long, holds at most _CHUNK_VALUES values
     columns = sum(len(lane.rngs) for lane in lanes)
     values = C * columns * min(_CHUNK, max(lane.n_steps for lane in lanes))
-    _check_bytes(f"the step vectors of {len(lanes)} runs, their generators and one chunk",
-                 need + _LOOP_BYTES + _CHUNK_VALUE_BYTES * min(values, _CHUNK_VALUES // 2))
+    n_levels = len({lane.level - c for lane in lanes for c in range(1 + lane.coupled)})
+    _check_bytes(f"the step vectors of {len(lanes)} runs, their generators, one chunk "
+                 f"and the move table of {n_levels} levels at m={m}",
+                 need + _LOOP_BYTES + _CHUNK_VALUE_BYTES * min(values, _CHUNK_VALUES // 2)
+                 + _TABLE_BYTES * n_levels * m)
     levels = {}  # level -> its block of the one move table
     runs, theta0, x0, offsets = [], [], [], []
     for i in sorted(range(len(lanes)), key=lambda i: -lanes[i].n_steps):

@@ -60,11 +60,17 @@ __all__ = [
 _ROOT_BRACKET = (-2.0, 2.0)
 _ROOT_TOL = 1e-12
 _RATE_MAX_POWERS = 2000  # power steps of estimate_geometric_rate
+_RATE_CHUNK = 16  # powers per reduction: the chunk buffer is about 1.5 MB at the defaults
 _RATE_N_PROBES = 6  # probe functions: constant, alternating, seeded random signs
 _RATE_SEED = 0
 _DRIFT_MARGIN = 0.05  # added to the worst drift ratio to give lambda_drift
 _MINOR_TARGET = 0.05  # minorization mass the doubling search for n0 aims at
 _MINOR_N0_CAP = 1 << 15
+# bytes certify_drift_minorization holds, measured with tracemalloc at m = 8 to
+# 64 over 63 and 280 kernels: per kernel and state, the V, pi and KV stacks
+# with the drift search's temporaries (55 to 65); and per call, numpy's
+# iterator buffers and the fits' small arrays (about 110 KiB)
+_CERT_STATE_BYTES, _CERT_CALL_BYTES = 72, 2 ** 17
 
 
 def _check_stochastic(*blocks: np.ndarray) -> None:
@@ -392,25 +398,47 @@ def estimate_geometric_rate(K: np.ndarray, pi: np.ndarray,
     kernel stops at its own first power n with sup_n < 1e-13 max(sup_1, 1),
     the loop ends once every kernel has stopped or after _RATE_MAX_POWERS
     powers, and each fit reads its kernel's sequence up to its own stop.
+
+    The loop runs in chunks of _RATE_CHUNK powers.  Each power is one
+    matmul into the chunk buffer; each chunk then reduces all its powers at
+    once, in place, against full-shape copies of the means and of V, and
+    finds every running kernel's first power under the stop.  These are the
+    same IEEE operations on the same operands as one reduction per power,
+    and a max is exact, so the sups, stops and fits do not depend on the
+    chunk size.  A chunk may run past the power where the last kernel
+    stops; no fit reads those powers.
     """
     _check_stochastic(K)
-    n = K.shape[-1]
+    B, n = K.shape[:2]
     rng = np.random.default_rng(_RATE_SEED)
     signs = [np.ones(n), (-1.0) ** np.arange(n)]
     while len(signs) < _RATE_N_PROBES:
         signs.append(rng.choice([-1.0, 1.0], size=n))
     curr = np.stack([V * s for s in signs], axis=-1)  # (B, n, probes)
-    means = pi[:, None, :] @ curr
-    sup, stop = [], np.zeros(len(K), dtype=int)  # the power each kernel stopped at
-    for power in range(1, _RATE_MAX_POWERS + 1):
-        curr = K @ curr
-        sup.append(np.max(np.abs(curr - means) / V[:, :, None], axis=(1, 2)))
-        stop[(stop == 0) & (sup[-1] < 1e-13 * np.maximum(sup[0], 1.0))] = power
-        if stop.all():
-            break
+    shape = curr.shape
+    means = np.broadcast_to(pi[:, None, :] @ curr, shape).copy()
+    weights = np.broadcast_to(V[:, :, None], shape).copy()
+    buf = np.empty((_RATE_CHUNK,) + shape)
+    sup = np.empty((_RATE_MAX_POWERS, B))  # row j: each kernel's sup at power j + 1
+    stop = np.zeros(B, dtype=int)  # the power each kernel stopped at
+    done = 0
+    while done < _RATE_MAX_POWERS and not stop.all():
+        t = min(_RATE_CHUNK, _RATE_MAX_POWERS - done)
+        for i in range(t):
+            curr = np.matmul(K, curr, out=buf[i])
+        curr = curr.copy()  # the reductions below overwrite the chunk in place
+        chunk = buf[:t]
+        np.subtract(chunk, means, out=chunk)
+        np.abs(chunk, out=chunk)
+        np.divide(chunk, weights, out=chunk)
+        np.max(chunk.reshape(t, B, -1), axis=2, out=sup[done:done + t])
+        below = sup[done:done + t] < 1e-13 * np.maximum(sup[0], 1.0)
+        hit = (stop == 0) & below.any(axis=0)
+        stop[hit] = done + 1 + below.argmax(axis=0)[hit]
+        done += t
     stop[stop == 0] = _RATE_MAX_POWERS
     rates = []
-    for row, n_powers in zip(np.array(sup).T, stop.tolist()):
+    for row, n_powers in zip(sup.T, stop.tolist()):
         row = row[:n_powers]
         start = min(5, max(n_powers - 3, 0))
         usable = row[start:] > 1e-300
@@ -473,13 +501,28 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     minorization.
     """
     levels = [int(l) for l in levels]
-    thetas = [float(t) for t in theta_grid]
-    if not levels or not thetas:
+    n_kernels, m = len(levels) * len(theta_grid), model.m
+    if not n_kernels:
         raise ParameterError("need at least one level and one theta")
-    m = model.m
+    # per kernel: the kernel stack and the state vectors, then the larger of
+    # matrix_power's temporaries (up to three more kernel stacks) and the rate
+    # loop's sup history, chunk buffer and five more probe stacks (the probe
+    # list, the stack, its copy, the means and the weights)
+    probe_stack = 8 * _RATE_N_PROBES * m
+    per_kernel = 8 * m * m + _CERT_STATE_BYTES * m + max(
+        3 * 8 * m * m, 8 * _RATE_MAX_POWERS + probe_stack * (_RATE_CHUNK + 5))
+    _check_bytes(f"a certificate over {len(levels)} levels x {len(theta_grid)} thetas at m={m}",
+                 _CERT_CALL_BYTES + n_kernels * per_kernel)
+    thetas = [float(t) for t in theta_grid]
     grid = [(l, th) for l in levels for th in thetas]
     K = np.stack([kernel_matrix(model, l, th) for l, th in grid])
-    V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow is named below
+        V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():
+        l, th = grid[int(np.argmin(finite))]
+        raise NumericalError(f"Lyapunov vector overflows at (theta={th}, l={l}): "
+                             f"(pi/max pi)**-{model.lyap_exponent} is not finite")
     pi = np.stack([target_density(model, l, th) for l, th in grid])
     order = np.argsort(-pi, axis=1)
     take = (np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1) < 0.5).sum(axis=1) + 1
@@ -520,7 +563,13 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
             f"minorization mass {eps:.3e} at n0={n0} not in (0, 1); chain mixes too slowly")
     # compress keeps rows C-ordered, so each row sums as the 1-D colmin[core] would
     nu_mass = np.min(colmin.compress(core, axis=1).sum(axis=1) / mass)
-    rho = max(rate.rho_hat for rate in estimate_geometric_rate(K, pi, V))
+    rhos = [rate.rho_hat for rate in estimate_geometric_rate(K, pi, V)]
+    k = int(np.argmax(rhos))
+    rho = rhos[k]
+    if not rho < 1.0:
+        raise NumericalError(f"fitted rate {rho!r} is not below 1 at (theta={grid[k][1]}, "
+                             f"l={grid[k][0]}): the chain does not decay within "
+                             f"{_RATE_MAX_POWERS} powers")
 
     # defensive: the reported inequality must hold entrywise on the grid
     gap = KV - (lam * V + b * core)

@@ -2,13 +2,15 @@
 
 Each is written without the package's move table, fundamental matrix or
 stepping loop: the scalar Metropolis samplers restate the move rule one
-state at a time, the Poisson series sums powers of the kernel, and the
-containment check reads only a run's recorded paths.
+state at a time, the Poisson series sums powers of the kernel, the
+containment check reads only a run's recorded paths, and the rate fit
+reduces each power on its own.
 """
 
 import numpy as np
 
 from mlmsa.core import NumericalError, ParameterError
+from mlmsa.exact import _RATE_MAX_POWERS, _RATE_N_PROBES, _RATE_SEED, GeometricRate
 from mlmsa.model import level_statistic
 
 
@@ -79,3 +81,35 @@ def validate_containment(traj, family):
         raise NumericalError("psi jumps do not match recorded reprojection events")
     if np.any(np.diff(traj.psi_path) < 0):
         raise NumericalError("psi must be nondecreasing")
+
+
+def reference_geometric_rate(K, pi, V):
+    """estimate_geometric_rate's fit with one reduction per power: the loop
+    the chunked one must equal bit for bit (same probes, stop rule and fit,
+    read from the package's constants)."""
+    n = K.shape[-1]
+    rng = np.random.default_rng(_RATE_SEED)
+    signs = [np.ones(n), (-1.0) ** np.arange(n)]
+    while len(signs) < _RATE_N_PROBES:
+        signs.append(rng.choice([-1.0, 1.0], size=n))
+    curr = np.stack([V * s for s in signs], axis=-1)  # (B, n, probes)
+    means = pi[:, None, :] @ curr
+    sup, stop = [], np.zeros(len(K), dtype=int)  # the power each kernel stopped at
+    for power in range(1, _RATE_MAX_POWERS + 1):
+        curr = K @ curr
+        sup.append(np.max(np.abs(curr - means) / V[:, :, None], axis=(1, 2)))
+        stop[(stop == 0) & (sup[-1] < 1e-13 * np.maximum(sup[0], 1.0))] = power
+        if stop.all():
+            break
+    stop[stop == 0] = _RATE_MAX_POWERS
+    rates = []
+    for row, n_powers in zip(np.array(sup).T, stop.tolist()):
+        row = row[:n_powers]
+        start = min(5, max(n_powers - 3, 0))
+        usable = row[start:] > 1e-300
+        rho = 0.0
+        if np.sum(usable) >= 3:
+            ns = np.arange(start + 1, n_powers + 1)[usable]
+            rho = float(np.exp(np.polyfit(ns, np.log(row[start:][usable]), 1)[0]))
+        rates.append(GeometricRate(rho_hat=rho, n_powers=n_powers))
+    return tuple(rates)

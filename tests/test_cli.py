@@ -374,10 +374,16 @@ def test_every_setting_a_subcommand_accepts_changes_its_results(tmp_path):
     ("ml-run", "--experiment.c_n=1e12"),
     ("mse-cost", "--experiment.c_n=1e12"),
     ("certify", "--experiment.n_theta=1000000000000"),
+    # admitted when only the grid and the kernel stack were counted, 8 * 1000 *
+    # 7169 bytes (about 57 MB), of a certificate that holds about 390 MB
+    ("certify", "--experiment.n_theta=1000"),
     ("certify", "--model.m=1000000"),
     ("rate-check", "--model.m=1000000"),
     ("lemma-check", "--model.m=1000000"),
     ("variance-exact", "--model.m=1000000"),
+    # admitted when the lane loop did not count its move table: five levels
+    # at about 100 bytes per state and level
+    ("ml-run", f"--model.m={2 ** 20}"),
 ], ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_input_that_sizes_arrays_beyond_the_byte_budget_is_a_validation_error(
         tmp_path, capsys, argv):
@@ -622,6 +628,34 @@ def test_rate_check_that_fits_through_nan_is_a_numerical_failure(tmp_path, capsy
         assert run_cli("rate-check", "--experiment.theta=1000", "--output", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: numerical failure") and "nan or infinite" in err
+    assert not out.exists()
+
+
+def test_certificate_whose_rate_is_not_below_one_is_a_numerical_failure(tmp_path, capsys):
+    # at theta = 15 the chains do not decay within the power cap, and the fit
+    # reads 1.0000003
+    out = tmp_path / "never"
+    assert run_cli("certify", "--experiment.theta_min=15", "--experiment.theta_max=15",
+                   "--experiment.n_theta=1", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure")
+    assert "is not below 1 at (theta=15.0, l=" in err and "within 2000 powers" in err
+    assert not out.exists()
+
+
+def test_certificate_whose_lyapunov_vector_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # at theta = 1000 the stationary law underflows to 0 and V = (pi/max pi)**-a to inf
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("certify", "--experiment.theta_max=1000", "--experiment.n_theta=3",
+                     "--output", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure")
+    assert "Lyapunov vector overflows at (theta=1000.0, l=0)" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -477,6 +477,25 @@ class TestRunLanes:
         with pytest.raises(Admitted):
             _run_lanes(build_model(m=8), [lane], FAMILY)
 
+    def test_size_rule_counts_the_move_table(self, monkeypatch):
+        # seven levels at m = 2**15 join a move table of about 20 MB, many
+        # times what the one-step, one-replicate lanes hold besides
+        lane = _Lane(1, poly(), 1, _Streams([0]), 0.0, None, 0.0, None, coupled=True)
+        _run_lanes(build_model(m=8), [lane], FAMILY)  # imports numpy's lazy modules
+        lanes = [lane._replace(level=l, rngs=_Streams([l])) for l in range(1, 7)]
+        counted = []
+        check_bytes = engine._check_bytes
+        monkeypatch.setattr(engine, "_check_bytes",
+                            lambda what, need: (counted.append(need), check_bytes(what, need)))
+        model = build_model(m=2 ** 15)
+        tracemalloc.start()
+        try:
+            _run_lanes(model, lanes, FAMILY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 16 * 2 ** 20 and peak <= counted[-1]
+
     def test_step_vectors_of_all_lanes_are_checked_together(self, default_model):
         # each lane fits the byte budget alone, the two step vectors do not
         n = 20_000_000

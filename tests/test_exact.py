@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from mlmsa.model import (
     target_density,
 )
 
-from reference import poisson_series
+from reference import poisson_series, reference_geometric_rate
 
 
 def random_reversible_chain(n, seed):
@@ -497,6 +498,44 @@ class TestGeometricRate:
         assert stacked == tuple(singles)
         assert singles[3].n_powers <= 3 < min(r.n_powers for r in singles[:3] + singles[4:])
 
+    # per kernel of a stack: its kind, a seed, a weight for the mix kind and
+    # whether V is constant
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), kernels=st.lists(
+        st.tuples(st.sampled_from(["reversible", "lazy", "iid", "mix"]),
+                  st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.999), st.booleans()),
+        min_size=1, max_size=6))
+    @example(n=2, kernels=[("iid", 0, 0.0, True)])  # every kernel stops at power 1
+    @example(n=3, kernels=[("mix", 1, 0.999, True), ("lazy", 2, 0.0, False)])  # the cap
+    def test_chunked_loop_equals_per_power_loop(self, n, kernels):
+        Ks, pis, Vs = [], [], []
+        for kind, seed, weight, flat in kernels:
+            K, pi = random_reversible_chain(n, seed)
+            iid = np.tile(pi, (n, 1))
+            Ks.append({"reversible": K, "lazy": 0.9 * np.eye(n) + 0.1 * K, "iid": iid,
+                       "mix": weight * np.eye(n) + (1.0 - weight) * iid}[kind])
+            pis.append(pi)
+            Vs.append(np.ones(n) if flat else 1.0 + np.random.default_rng(seed).random(n))
+        K, pi, V = np.stack(Ks), np.stack(pis), np.stack(Vs)
+        assert estimate_geometric_rate(K, pi, V) == reference_geometric_rate(K, pi, V)
+
+    def test_stops_at_chunk_edges_equal_per_power_loop(self):
+        # (K^n - pi)(f) is lam**n f for the two-state chain with eigenvalue
+        # lam and every probe is +-1 or 0 off its mean, so the stop is the
+        # first n with |lam|**n < 1e-13: lam = +-10**(-13 / (s - 0.5)) stops at s
+        T = exact._RATE_CHUNK
+        stops = [1, 7, T, T + 1, T + 1, 2 * T, exact._RATE_MAX_POWERS]
+        lams = [0.0, 10 ** (-13 / 6.5), 10 ** (-13 / (T - 0.5)), 10 ** (-13 / (T + 0.5)),
+                -10 ** (-13 / (T + 0.5)), 10 ** (-13 / (2 * T - 0.5)), 0.999]
+        K = np.stack([[[1 + lam, 1 - lam], [1 - lam, 1 + lam]] for lam in lams]) / 2
+        pi, V = np.full((len(lams), 2), 0.5), np.ones((len(lams), 2))
+        reference = reference_geometric_rate(K, pi, V)
+        assert [rate.n_powers for rate in reference] == stops
+        assert estimate_geometric_rate(K, pi, V) == reference
+        for i in range(len(lams)):  # alone, each kernel ends the loop at its own stop
+            one = slice(i, i + 1)
+            assert estimate_geometric_rate(K[one], pi[one], V[one]) == reference[one]
+
     def test_stack_rejects_a_non_stochastic_kernel(self):
         K = np.stack([np.eye(3), np.full((3, 3), 0.5)])
         with pytest.raises(ParameterError, match="sum to 1"):
@@ -551,6 +590,24 @@ class TestCertificate:
         assert len(cert.small_set) == 8  # V constant: b-term needed everywhere
         assert cert.lambda_drift < 1.0
         assert cert.nu_mass == pytest.approx(1.0)
+
+    # m = 8: the rate loop's sup history dominates; m = 40: matrix_power's
+    # temporaries at an n0 that is not a power of two
+    @pytest.mark.parametrize("m", [8, 40])
+    def test_size_rule_bounds_what_certify_holds(self, monkeypatch, m):
+        counted = []
+        check_bytes = exact._check_bytes
+        monkeypatch.setattr(exact, "_check_bytes",
+                            lambda what, need: (counted.append(need), check_bytes(what, need)))
+        model = build_model(m=m)
+        certify_drift_minorization(model, [0], [0.5])  # imports numpy's lazy modules
+        tracemalloc.start()
+        try:
+            certify_drift_minorization(model, range(7), np.linspace(-2, 2, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 2 and peak <= counted[1]
 
 
 class TestRateDiagnostics:
