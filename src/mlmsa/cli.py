@@ -36,7 +36,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +165,19 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    _write_text(path, chain([",".join(header) + "\n"],
+                            (",".join(map(_fmt, row)) + "\n" for row in rows)))
+
+
+def _write_trace(path: Path, header, traj) -> None:
+    """Write a recorded run one row per step: the step, theta and x per
+    chain, psi; floats as 17 significant digits, the text of _fmt."""
+    chains = traj.theta_path.shape[1]
+    row = "%d," + "%.17g," * chains + "%d," * chains + "%d\n"
+    columns = (np.arange(len(traj.psi_path)), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
     # formatted 4,096 rows at a time: a trace's text is about six times its paths
-    rows = iter(rows)
-    blocks = iter(lambda: "".join(",".join(map(_fmt, row)) + "\n"
-                                  for row in islice(rows, 4096)), "")
+    blocks = ("".join(row % r for r in zip(*(c[i:i + 4096].tolist() for c in columns)))
+              for i in range(0, len(traj.psi_path), 4096))
     _write_text(path, chain([",".join(header) + "\n"], blocks))
 
 
@@ -383,8 +392,7 @@ def _cmd_run_msa(cfg, parts, outdir):
                  int(traj.psi_path[-1]), len(traj.reprojection_events), exp["theta0"],
                  traj.x_path[0, 0])])
     if exp["trace"]:
-        rows = zip(range(exp["n_steps"] + 1), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
-        _write_csv(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), rows)
+        _write_trace(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), traj)
     return {"theta_final": theta_final}
 
 
@@ -403,9 +411,8 @@ def _cmd_run_coupled(cfg, parts, outdir):
                [(exp["level"], exp["n_steps"], cfg["seed"], coupling, fine - coarse,
                  fine, coarse, int(traj.psi_path[-1]), len(traj.reprojection_events))])
     if exp["trace"]:
-        rows = zip(range(exp["n_steps"] + 1), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
-        _write_csv(outdir / "trace_coupled.csv",
-                   ("step", "theta_fine", "theta_coarse", "x_fine", "x_coarse", "psi"), rows)
+        _write_trace(outdir / "trace_coupled.csv",
+                     ("step", "theta_fine", "theta_coarse", "x_fine", "x_coarse", "psi"), traj)
     return {"increment_final": fine - coarse}
 
 

@@ -48,11 +48,17 @@ uniforms, so its result is bit-identical to that run.
 Inside the loop a chain's state x is held as its move-table index base
 2*(x + b*m), b being its level's block of the table: a move's table
 entry is then one add, and landing states and the statistic are stored
-against that base.  Resets are rare, so each step asks once whether
-every tentative parameter lies in its set; only when one does not are
-the resets, the psi increments and the set bounds worked out.  A nan or
-infinite tentative parameter fails |theta| <= bound, so a blow-up resets
-and counts as a reprojection like any exit from the set.
+against that base.  Resets are rare, so each step tests every tentative
+parameter with one reduction: max |theta| over all chains and columns
+against the smallest set bound of the running columns, which is
+recomputed only where a bound changes, after a reset and after a
+segment cut.  Only when that test fails is each column checked against
+its own bound and are the resets, the psi increments and the bounds
+worked out; where the bounds differ the test can fail with every column
+inside its set, and then nothing changes.  The maximum propagates nan,
+so a nan or infinite tentative parameter fails the test and
+|theta| <= bound, and a blow-up resets and counts as a reprojection like
+any exit from the set.
 
 The run inputs are checked once, in the lane loop every procedure goes
 through, for every lane before any step vector or generator of the loop
@@ -108,10 +114,10 @@ _CHUNK_VALUE_BYTES, _LOOP_BYTES = 49, 2 ** 17
 # temporaries and the per-replicate draws; 511 at R = 50,000)
 _GENERATOR_BYTES = 941
 _COLUMN_BYTES = 512
-# bytes per state of each level the lanes use: the level's cached
-# _step_diffs table, its block of the joined move table and statistic, and
-# the temporaries that join them; tracemalloc measures 92 to 96 at m = 2**14
-# to 2**17 over 2 to 7 levels, with cold caches
+# bytes per state of each level the lanes use: the level's _step_diffs
+# table, built for the loop, its block of the joined move table and
+# statistic, and the temporaries that join them; tracemalloc measures 92 to
+# 96 at m = 2**14 to 2**17 over 2 to 7 levels, with cold caches
 _TABLE_BYTES = 100
 
 
@@ -227,17 +233,6 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
     return need
 
 
-def _move(x2, up, u_acc, theta, table):
-    """Vectorized Metropolis move of states held as their move-table index
-    base 2*x, given the direction flags (proposal is +1) and acceptance
-    uniforms; table is (increment, doubled landing state) per entry of a
-    _step_diffs table, and the result is again an index base."""
-    diff, dest2 = table
-    i = x2 + up
-    acc = np.exp(np.minimum(theta * diff[i], 0.0))
-    return np.where(u_acc < acc, dest2[i], x2)
-
-
 def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                record: bool = False):
     """Advance every lane its own n_steps in one loop; returns each lane's
@@ -291,10 +286,12 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                             lane.schedule.step_sizes(lane.n_steps)))
     # one table for every level: level k's states, landing states included,
     # are offset by its block times m, so one gather serves every chain;
-    # states are held doubled (the index base), and s2[2*x] is the statistic at x
+    # states are held doubled (the index base), so the entry of a move from x
+    # is 2*x + (proposal is +1), dest2 holds doubled landing states and
+    # s2[2*x] is the statistic at x
     diffs, dests = zip(*(_step_diffs(model, k) for k in levels))
-    table = (np.concatenate(diffs),
-             2 * (np.stack(dests) + m * np.arange(len(levels))[:, None]).ravel())
+    diff = np.concatenate(diffs)
+    dest2 = 2 * (np.stack(dests) + m * np.arange(len(levels))[:, None]).ravel()
     s2 = np.repeat(np.concatenate([level_statistic(model, k) for k in levels]), 2)
     offsets = np.concatenate(offsets, axis=1)
     theta0 = np.concatenate(theta0, axis=1)
@@ -314,6 +311,7 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     step = 0
     while runs:
         end = runs[-1].lane.n_steps  # the shortest running lane ends this segment
+        bmin = bound.min()  # every column of the segment is in its set if max|theta| <= bmin
         chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (2 * theta.size)))
         # one set of chunk arrays per segment, refilled in place: allocated
         # afresh per chunk, their pages were faulted in again every chunk,
@@ -340,19 +338,25 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                 gammas[:span, :, run.cols] = run.gammas[step:step + span, None, None]
             for t in range(span):
                 step += 1
-                xn = _move(x, ups[t], accs[t], theta, table)
+                # the Metropolis move: gather the entry, accept with
+                # probability exp(min(theta * increment, 0))
+                i = x + ups[t]
+                acc = np.exp(np.minimum(theta * diff[i], 0.0))
+                xn = np.where(accs[t] < acc, dest2[i], x)
                 theta_half = theta + gammas[t] * (s2[xn] - theta)
-                ok = np.abs(theta_half) <= bound
-                if ok.all():
+                # maximum propagates nan, which fails <= and takes the branch below
+                if np.maximum.reduce(np.abs(theta_half), axis=None) <= bmin:
                     theta, x = theta_half, xn
                 else:
-                    # one chain outside the set, or nan, resets both chains
-                    reset = ~ok.all(axis=0)
+                    # one chain outside its set, or nan, resets both chains;
+                    # columns whose bounds exceed bmin may all still be inside
+                    reset = ~(np.abs(theta_half) <= bound).all(axis=0)
                     theta = np.where(reset, theta0, theta_half)
                     x = np.where(reset, x0, xn)
                     psi = psi + reset
                     last_reproj = np.where(reset, step, last_reproj)
                     bound = family.r0 + family.growth * psi
+                    bmin = bound.min()
                 if record:
                     paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
         while runs and runs[-1].lane.n_steps == step:

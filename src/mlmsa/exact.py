@@ -476,6 +476,19 @@ class ErgodicityCertificate:
     extended_states: tuple[int, ...]  # states added to the top-mass core
 
 
+def _lyapunov_vectors(model: FiniteLevelModel, grid) -> np.ndarray:
+    """The Lyapunov vectors V_{theta,l} of the (l, theta) pairs of grid,
+    stacked; a vector that overflows is a NumericalError naming its pair."""
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow is named below
+        V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():
+        l, th = grid[int(np.argmin(finite))]
+        raise NumericalError(f"Lyapunov vector overflows at (theta={th}, l={l}): "
+                             f"(pi/max pi)**-{model.lyap_exponent} is not finite")
+    return V
+
+
 def certify_drift_minorization(model: FiniteLevelModel, levels,
                                theta_grid) -> ErgodicityCertificate:
     """Search a uniform drift/minorization certificate over the grid.
@@ -516,13 +529,7 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     thetas = [float(t) for t in theta_grid]
     grid = [(l, th) for l in levels for th in thetas]
     K = np.stack([kernel_matrix(model, l, th) for l, th in grid])
-    with np.errstate(divide="ignore", over="ignore"):  # an overflow is named below
-        V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
-    finite = np.isfinite(V).all(axis=1)
-    if not finite.all():
-        l, th = grid[int(np.argmin(finite))]
-        raise NumericalError(f"Lyapunov vector overflows at (theta={th}, l={l}): "
-                             f"(pi/max pi)**-{model.lyap_exponent} is not finite")
+    V = _lyapunov_vectors(model, grid)
     pi = np.stack([target_density(model, l, th) for l, th in grid])
     order = np.argsort(-pi, axis=1)
     take = (np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1) < 0.5).sum(axis=1) + 1
@@ -650,13 +657,12 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
     levels = _slope_levels(levels, r)
     K_inf = kernel_matrix(model, math.inf, theta)
     pi_inf = target_density(model, math.inf, theta)
-    V_inf = lyapunov_vector(model, math.inf, theta) ** r
+    V_inf = _lyapunov_vectors(model, [(math.inf, theta)])[0] ** r
     s_inf = level_statistic(model, math.inf)
     q = {k: [] for k in ("kernel_distance", "stationary_distance", "mean_shift",
                          "smoothed_shift", "derivative_shift")}
     for l in levels:
-        V_l = lyapunov_vector(model, l, theta) ** r
-        V_lm1 = lyapunov_vector(model, l - 1, theta) ** r
+        V_l, V_lm1 = _lyapunov_vectors(model, [(l, theta), (l - 1, theta)]) ** r
         s_l = level_statistic(model, l)
         s_lm1 = level_statistic(model, l - 1)
         q["kernel_distance"].append(
@@ -712,7 +718,7 @@ def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime
                          "block_fine", "block_coarse", "block_fine_smoothed",
                          "block_coarse_smoothed", "coupled_d2_sqrt", "root_gap")}
     for l in levels:
-        V_l = lyapunov_vector(model, l, theta) ** r
+        V_l = _lyapunov_vectors(model, [(l, theta)])[0] ** r
         sol_l = _poisson_for(model, l, theta)
         sol_lm1 = _poisson_for(model, l - 1, theta)
         q["solution_gap"].append(float(np.max(np.abs(sol_l.g_hat - sol_lm1.g_hat) / V_l)))

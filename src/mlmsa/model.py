@@ -134,23 +134,21 @@ def level_statistic(model: FiniteLevelModel, l) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
 def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
     """Move table of the level-l chain: (statistic increment, landing state).
 
     Entry 2*x + 1 is the +1 proposal from x and entry 2*x the -1 proposal.
     Wall rule: an off-grid proposal lands on x with increment 0, so it
-    leaves the state in place whatever the acceptance draw.
+    leaves the state in place whatever the acceptance draw.  Built on each
+    call: a cache keyed by the model would keep every run's tables, since
+    each command-line call builds a fresh model.
     """
     s = level_statistic(model, l)
     x = np.arange(model.m)
     dest = np.empty(2 * model.m, dtype=np.int64)
     dest[0::2] = np.maximum(x - 1, 0)
     dest[1::2] = np.minimum(x + 1, model.m - 1)
-    diff = s[dest] - np.repeat(s, 2)
-    diff.setflags(write=False)
-    dest.setflags(write=False)
-    return diff, dest
+    return s[dest] - np.repeat(s, 2), dest
 
 
 def _move_probabilities(model: FiniteLevelModel, l, theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlmsa import cli
 from mlmsa.core import NumericalError, ParameterError
+from mlmsa.engine import Trajectory
 
 
 def run_cli(*argv):
@@ -507,6 +508,42 @@ def test_trace_flag_writes_trajectory(tmp_path):
     assert not (out2 / "trace_msa.csv").exists()
 
 
+@pytest.mark.parametrize("family", [(), ("--reprojection.r0=0.05", "--reprojection.growth=0.01")],
+                         ids=["default", "tight"])
+@pytest.mark.parametrize("command, run, name", [("run-msa", "msa_run", "trace_msa.csv"),
+                                               ("run-coupled", "coupled_msa_run",
+                                                "trace_coupled.csv")])
+def test_trace_rows_are_the_fmt_text_of_the_recorded_run(tmp_path, monkeypatch, family,
+                                                          command, run, name):
+    recorded, record = [], getattr(cli, run)
+    monkeypatch.setattr(cli, run, lambda *a, **k: recorded.append(record(*a, **k)) or recorded[0])
+    out = tmp_path / "t"
+    assert run_cli(command, "--output", str(out), "--experiment.n_steps=3000", "--trace",
+                   *family) == 0
+    traj, = recorded
+    assert (traj.psi_path[-1] >= 10) == bool(family)  # the tight family reprojects often
+    rows = zip(range(3001), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
+    text = (out / name).read_text().split("\n", 1)[1]
+    assert text == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+def test_trace_writer_holds_a_block_of_rows_not_the_whole_text(tmp_path):
+    # 50,000 coupled rows are about 2.6 MiB of text
+    n = 50_000
+    traj = Trajectory(np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2),
+                      (np.arange(2 * n) % 32).reshape(n, 2), np.arange(n) // 1000)
+    tracemalloc.start()
+    try:
+        cli._write_trace(tmp_path / "trace.csv", ("step", "a", "b", "c", "d", "psi"), traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+    lines = (tmp_path / "trace.csv").read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    assert lines[n] == ",".join(map(cli._fmt, (n - 1, *traj.theta_path[-1], 30, 31, 49)))
+
+
 def test_trace_is_a_config_value_of_the_run_commands_only(tmp_path, capsys):
     rc = run_cli("variance-exact", "--output", str(tmp_path / "v"), "--trace")
     assert rc == 1
@@ -621,13 +658,28 @@ def test_level_within_the_float_range_runs(tmp_path):
 
 
 def test_rate_check_that_fits_through_nan_is_a_numerical_failure(tmp_path, capsys):
-    # at theta = 1000 the Lyapunov weights overflow and the perturbation norms are nan
+    # at theta = 1000 the Lyapunov weights overflow, which would make the
+    # perturbation norms nan; the overflow is named before any fit
     out = tmp_path / "never"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli("rate-check", "--experiment.theta=1000", "--output", str(out)) == 2
+    assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("mlmsa: numerical failure") and "nan or infinite" in err
+    assert err.startswith("mlmsa: numerical failure")
+    assert "Lyapunov vector overflows at (theta=1000.0, l=" in err
+    assert not out.exists()
+
+
+def test_lemma_check_whose_lyapunov_vector_overflows_is_a_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("lemma-check", "--experiment.theta=1000", "--output", str(out)) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure")
+    assert "Lyapunov vector overflows at (theta=1000.0, l=" in err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -357,6 +358,32 @@ class TestRunEnsemble:
         assert all(list(np.flatnonzero(jumps[:, r]) + 1) == list(range(1, n + 1, 7))
                    for r in range(R))
 
+    @pytest.mark.parametrize("coupled, coupling", [(False, "crn"), (True, "crn"),
+                                                   (True, "independent")],
+                             ids=["single", "crn", "independent"])
+    def test_columns_whose_bounds_differ_equal_standalone_runs(self, default_model, coupled,
+                                                              coupling):
+        # the replicates reset at different steps, so their set bounds
+        # differ, and some steps move a |theta| above the smallest bound
+        # with every column inside its own set: no column may reset there
+        family, l, n, R, seed0 = ReprojectionFamily(0.05, 0.01), 2, 300, 3, 80
+        _, paths = _run_ensemble(default_model, l, poly(), family, n,
+                                 _Streams(range(seed0, seed0 + R)), 0.0, None, 0.0, None,
+                                 coupled=coupled, coupling=coupling, record=True)
+        theta, psi = paths["theta"], paths["psi"]
+        kept = (psi[1:] == psi[:-1]).all(axis=1)
+        smallest_bound = (family.r0 + family.growth * psi[:-1]).min(axis=1)
+        assert np.any(kept & (np.abs(theta[1:]).max(axis=(1, 2)) > smallest_bound))
+        for i in range(R):
+            if coupled:
+                traj = coupled_msa_run(default_model, l, poly(), family, n, seed0 + i,
+                                       coupling=coupling)
+            else:
+                traj = msa_run(default_model, l, poly(), family, n, 0.0, None, seed0 + i)
+            assert np.array_equal(theta[:, :, i], traj.theta_path)
+            assert np.array_equal(paths["x"][:, :, i], traj.x_path)
+            assert np.array_equal(psi[:, i], traj.psi_path)
+
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(3, 12), l=st.integers(1, 6), R=st.integers(1, 4),
            run=st.sampled_from([(False, "crn"), (True, "crn"), (True, "independent")]),
@@ -495,6 +522,23 @@ class TestRunLanes:
         finally:
             tracemalloc.stop()
         assert peak > 16 * 2 ** 20 and peak <= counted[-1]
+
+    def test_loop_keeps_no_move_table(self):
+        # a run leaves held only its levels' cached statistics, 8 bytes per
+        # state and level; its move tables, 32 bytes per state and level,
+        # go with the loop, so runs on fresh models do not pile them up
+        m = 2 ** 16
+        lane = _Lane(1, poly(), 1, _Streams([0]), 0.0, None, 0.0, None, coupled=True)
+        _run_lanes(build_model(m=8), [lane], FAMILY)  # imports numpy's lazy modules
+        model = build_model(m=m)
+        tracemalloc.start()
+        try:
+            _run_lanes(model, [lane], FAMILY)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 16 * m
 
     def test_step_vectors_of_all_lanes_are_checked_together(self, default_model):
         # each lane fits the byte budget alone, the two step vectors do not

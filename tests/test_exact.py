@@ -688,6 +688,11 @@ class TestSlopeFit:
         vals = [3.0 * 2.0 ** (-1.5 * l) for l in range(2, 8)]
         assert fitted_log2_slope(range(2, 8), vals) == pytest.approx(-1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan_and_infinite_values(self, bad):
+        with pytest.raises(NumericalError, match="nan or infinite"):
+            fitted_log2_slope([2, 3, 4, 5], [1.0, 0.5, bad, 0.125])
+
     def test_rejects_mixed_zeros(self):
         with pytest.raises(NumericalError):
             fitted_log2_slope([2, 3, 4], [1.0, 0.0, 0.5])
