@@ -67,12 +67,22 @@ run, the bytes the lane holds (its step vector, a generator and the
 loop's column arrays per replicate and, when recorded, its paths), each
 start parameter in K_0 and each configured start state on the grid; then
 the bytes of all lanes and of the loop's chunk together.  Generators are
-built only by iterating a lane's _Streams, after the checks.  What one
-chunk holds over all running lanes (an acceptance uniform and a step
-size per chain and column per step) is capped at _CHUNK_VALUES, which
-also caps the uniforms it draws, so its memory does not grow with the
-lane count; a chunk of one step, the least the loop takes, is counted in
-the column arrays.
+built only by iterating a lane's _Streams, after the checks.
+
+The uniforms are drawn per chunk of steps: each replicate draws its
+chunk from its own generator straight into its row of one
+replicate-major buffer, (columns, steps, uniforms per step), which holds
+the same values as its standalone run draws step by step.  The step loop
+reads each step's directions and acceptance uniforms as
+(chains, columns) views of these rows, so a chunk is neither stacked nor
+copied.  The buffer carries one padding step: without it a replicate's
+row at R = 400 is 16 KiB, the entries one step reads from all replicates
+fall in the same cache sets, and reading them takes about twice as long.
+The chain-column steps of a chunk over all running lanes are capped at
+_CHUNK_VALUES / 2, so the uniforms it draws, at most two per chain and
+column per step, do not grow with the lane count; a chunk of one step,
+the least the loop takes, and the padding step are counted in the column
+arrays.
 """
 
 from __future__ import annotations
@@ -97,23 +107,23 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# the most float64 values a chunk holds over all running lanes (per step, an
-# acceptance uniform and a step size for each chain and column): as many as
-# the uniforms of a one-lane chunk at R = 400 under the independent coupling
+# twice the most chain-column steps a chunk holds over all running lanes: so
+# the uniforms it draws, at most two per chain and column per step, are at
+# most those of a one-lane chunk at R = 400 under the independent coupling
 _CHUNK_VALUES = _CHUNK * 4 * 400
-# bytes a chunk holds per chain, column and step: a direction flag, an
-# acceptance uniform and a step size, and at most two uniforms, held twice
-# (drawn, then copied); and what a loop holds whatever its lanes, measured
-# with tracemalloc at R = 1, m = 8: numpy's 64 KiB iterator buffers and the
-# loop's small arrays
-_CHUNK_VALUE_BYTES, _LOOP_BYTES = 49, 2 ** 17
+# bytes a chunk holds per chain, column and step: at most two uniforms, a
+# direction flag and a step size (tracemalloc: 25.05 to 25.15 at R = 400
+# under either coupling and for single chains, padding step included); and
+# what a loop holds whatever its lanes, measured with tracemalloc at R = 1,
+# m = 8: numpy's 64 KiB iterator buffers and the loop's small arrays
+_CHUNK_VALUE_BYTES, _LOOP_BYTES = 25, 2 ** 17
 # bytes held per replicate besides the chunk, both measured with tracemalloc:
 # one generator built by _Streams (939.3 over 10,000 of them), and
 # what the lane loop holds per replicate column at one step per chunk under
 # the independent coupling (states, starts, offsets, psi, set bounds, step
-# temporaries and the per-replicate draws; 511 at R = 50,000)
+# temporaries and the chunk's step and padding step; 252 at R = 50,000)
 _GENERATOR_BYTES = 941
-_COLUMN_BYTES = 512
+_COLUMN_BYTES = 256
 # bytes per state of each level the lanes use: the level's _step_diffs
 # table, built for the loop, its block of the joined move table and
 # statistic, and the temporaries that join them; tracemalloc measures 92 to
@@ -180,15 +190,14 @@ class _Lane(NamedTuple):
 
 class _Placed(NamedTuple):
     """A lane as the loop holds it: its place in the caller's list, its
-    generators and columns, the uniforms it draws per step, the column where
-    each chain's (direction, acceptance) pair starts, and its step vector."""
+    generators and columns, the uniforms it draws per step (2, or 4 under
+    the independent coupling) and its step vector."""
 
     index: int
     lane: _Lane
     rngs: list
     cols: slice
     draws: int
-    pairs: tuple[int, ...]
     gammas: np.ndarray
 
 
@@ -244,13 +253,14 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     running are a prefix of the columns.  The loop runs in segments, each
     ending where the shortest running lane ends; that lane's state is then
     read off and the arrays are cut to the running prefix.  Uniforms are
-    pre-drawn per chunk from each replicate's own generator (batching does
-    not change a generator's stream), and a chunk's values over every
-    running lane are capped at _CHUNK_VALUES."""
+    pre-drawn per chunk from each replicate's own generator into its row of
+    one buffer (batching does not change a generator's stream), and a
+    chunk's chain-column steps over every running lane are capped at
+    _CHUNK_VALUES / 2."""
     m, C = model.m, 2 if any(lane.coupled for lane in lanes) else 1
     need = sum(_check_lane(lane, m, family, record) for lane in lanes)
     # a chunk takes at most _CHUNK steps over every chain and column and,
-    # unless one step long, holds at most _CHUNK_VALUES values
+    # unless one step long, at most _CHUNK_VALUES / 2 chain-column steps
     columns = sum(len(lane.rngs) for lane in lanes)
     values = C * columns * min(_CHUNK, max(lane.n_steps for lane in lanes))
     n_levels = len({lane.level - c for lane in lanes for c in range(1 + lane.coupled)})
@@ -282,7 +292,6 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
         # coarse chain, the independent coupling draws two more
         start = runs[-1].cols.stop if runs else 0
         runs.append(_Placed(i, lane, rngs, slice(start, start + R), 4 if indep else 2,
-                            (0, 2 if indep else 0)[:C],
                             lane.schedule.step_sizes(lane.n_steps)))
     # one table for every level: level k's states, landing states included,
     # are offset by its block times m, so one gather serves every chain;
@@ -316,26 +325,31 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
         # one set of chunk arrays per segment, refilled in place: allocated
         # afresh per chunk, their pages were faulted in again every chunk,
         # which cost about 18% of a run at R = 400 under the independent
-        # coupling.  ups, accs and gammas are (chunk, chains, columns); the
-        # uniforms are laid out chain by chain, so a chain's rows are filled
-        # from a lane's draws without a transpose, and a step row of the
-        # state's shape multiplies as fast as one scalar step, where a
-        # broadcast row is slower.  drawn holds one lane's draws at a time
-        ups = accs = gammas = drawn = None
-        ups = np.empty((C, chunk, theta.shape[1]), bool).transpose(1, 0, 2)
-        accs = np.empty((C, chunk, theta.shape[1])).transpose(1, 0, 2)
-        gammas = np.empty((chunk,) + theta.shape)
-        drawn = np.empty(chunk * max(run.draws * len(run.rngs) for run in runs))
+        # coupling.  drawn is (columns, chunk + 1 padding step, W), W the
+        # widest lane's draws per step; a lane that draws fewer fills both
+        # halves of its row, so its second chain reads its first chain's
+        # pair.  ups and accs are (chunk, chains, columns) views of it, their
+        # chain axis of stride 0 when W = 2.  gammas is a full-shape array: a
+        # step row of the state's shape multiplies as fast as one scalar
+        # step, where a broadcast row is slower
+        W = max(run.draws for run in runs)
+        steps = (chunk,) + theta.shape
+        drawn = dirs = ups = accs = gammas = None
+        drawn = np.empty((theta.shape[1], chunk + 1, W))
+        dirs = np.empty((theta.shape[1], chunk + 1, W // 2), bool)
+        ups = np.broadcast_to(dirs[:, :chunk].transpose(1, 2, 0), steps)
+        accs = np.broadcast_to(drawn[:, :chunk, 1::2].transpose(1, 2, 0), steps)
+        gammas = np.empty(steps)
         while step < end:
             span = min(end - step, chunk)
             for run in runs:
-                size = span * run.draws * len(run.rngs)
-                U = np.stack([rng.random((span, run.draws)) for rng in run.rngs], axis=2,
-                             out=drawn[:size].reshape(span, run.draws, -1))
-                for c, col in enumerate(run.pairs):
-                    np.less(U[:, col], 0.5, out=ups[:span, c, run.cols])
-                    accs[:span, c, run.cols] = U[:, col + 1]
+                for col, rng in enumerate(run.rngs, run.cols.start):
+                    if run.draws < W:
+                        drawn[col, :span, 2:] = drawn[col, :span, :2] = rng.random((span, 2))
+                    else:
+                        rng.random(out=drawn[col, :span])
                 gammas[:span, :, run.cols] = run.gammas[step:step + span, None, None]
+            np.less(drawn[:, :span, 0::2], 0.5, out=dirs[:, :span])
             for t in range(span):
                 step += 1
                 # the Metropolis move: gather the entry, accept with

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,14 +124,21 @@ def _check_level(l, minimum: int = 0) -> None:
                              f"{sys.float_info.max:.17g}] or math.inf, got {l!r}")
 
 
-@lru_cache(maxsize=512)
+# model -> {level: phi_l}; a model that nothing else holds takes its levels'
+# statistics with it, so an in-process caller keeps none of a finished run's
+_STATISTICS = weakref.WeakKeyDictionary()
+
+
 def level_statistic(model: FiniteLevelModel, l) -> np.ndarray:
-    """phi_l = phi + delta_l**beta0 * c; phi itself at l = inf."""
+    """phi_l = phi + delta_l**beta0 * c; phi itself at l = inf.  Kept per
+    model and level while the model lives."""
     _check_level(l)
-    amp = level_delta(l) ** model.beta0
-    out = model.phi + amp * model.bias
-    out.setflags(write=False)
-    return out
+    kept = _STATISTICS.setdefault(model, {})
+    if l not in kept:
+        amp = level_delta(l) ** model.beta0
+        kept[l] = model.phi + amp * model.bias
+        kept[l].setflags(write=False)
+    return kept[l]
 
 
 def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:

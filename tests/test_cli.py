@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -525,6 +526,24 @@ def test_trace_rows_are_the_fmt_text_of_the_recorded_run(tmp_path, monkeypatch, 
     rows = zip(range(3001), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
     text = (out / name).read_text().split("\n", 1)[1]
     assert text == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+def test_in_process_calls_hold_no_growing_memory(tmp_path):
+    # each call builds a fresh model; once a call returns, nothing keeps its
+    # model or the statistics of its levels, 4 MB a call at m = 131072
+    argv = ("run-coupled", "--model.m=131072", "--experiment.n_steps=10")
+    assert run_cli(*argv, "--output", str(tmp_path / "warm")) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = []
+        for i in range(3):
+            assert run_cli(*argv, "--output", str(tmp_path / str(i))) == 0
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held) < 2 ** 18
 
 
 def test_trace_writer_holds_a_block_of_rows_not_the_whole_text(tmp_path):

@@ -441,6 +441,31 @@ class TestRunLanes:
                 a, b = getattr(joint, name), getattr(alone, name)
                 assert a.shape == b.shape and (a == b).all(), name
 
+    @pytest.mark.parametrize("indep_steps", [300, _CHUNK + 100],
+                             ids=["independent-shortest", "independent-longest"])
+    @pytest.mark.parametrize("family", [FAMILY, TIGHT], ids=["roomy", "tight"])
+    def test_lanes_equal_standalone_runs_across_buffer_widths(self, default_model, family,
+                                                               indep_steps):
+        # a single chain, a CRN pair and an independent pair in one loop: the
+        # uniform buffer is 4 wide while the independent lane runs, and the
+        # other lanes fill both halves of their rows; when it ends first the
+        # next segments' buffers are 2 wide, when it ends last every segment's
+        # is 4 wide.  The longest lane crosses a chunk boundary
+        specs = [(2, _CHUNK + 37, 3, False, "crn"), (3, 700, 2, True, "crn"),
+                 (2, indep_steps, 2, True, "independent")]
+        lanes = [_Lane(l, poly(), n, _Streams(range(R), (j,)), 0.0, None, 0.0, None,
+                       coupled, coupling)
+                 for j, (l, n, R, coupled, coupling) in enumerate(specs)]
+        states, _ = _run_lanes(default_model, lanes, family)
+        for lane, joint in zip(lanes, states):
+            alone, _ = _run_ensemble(default_model, lane.level, lane.schedule, family,
+                                     lane.n_steps, lane.rngs, 0.0, None, coupled=lane.coupled,
+                                     coupling=lane.coupling)
+            for name in ("theta", "x", "psi", "last_reproj"):
+                a, b = getattr(joint, name), getattr(alone, name)
+                assert a.shape == b.shape and (a == b).all(), name
+        assert (states[1].psi > 0).all() == (family is TIGHT)
+
     def test_chunk_uniforms_do_not_grow_with_the_lane_count(self):
         # 40 lanes of 100 replicates under the independent coupling draw ten
         # times the uniforms of a one-lane step at R = 400; the chunk is cut
