@@ -48,6 +48,7 @@ from .core import (
     RateParameters,
     ReprojectionFamily,
     _check_bytes,
+    level_delta,
     make_step_schedule,
 )
 from .engine import coupled_msa_run, empirical_clt_variance, msa_run
@@ -57,7 +58,7 @@ from .exact import (
     lemma_diagnostics,
     rate_diagnostics,
 )
-from .model import build_model
+from .model import COUPLINGS, build_model
 from .multilevel import ml_estimate, mse_cost_experiment, schedule_levels
 
 OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
@@ -70,7 +71,7 @@ _BLOCKS = {
                "bias_choice": "cosine", "coupling": "crn"},
               lambda coupling, **kw: build_model(**kw)),
     "schedule": ({"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}, make_step_schedule),
-    "reprojection": ({"r0": 2.0, "growth": 1.0}, ReprojectionFamily),
+    "reprojection": (asdict(ReprojectionFamily()), ReprojectionFamily),
     "rates": ({"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5}, RateParameters),
 }
 
@@ -143,13 +144,7 @@ def _json_text(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    return json.dumps(str(obj))
+    return json.dumps(obj) if isinstance(obj, str) else _fmt(obj)
 
 
 def _write_text(path: Path, texts) -> None:
@@ -269,7 +264,7 @@ def _typed(value, default, key: str = "", what: str = ""):
 def _validate_types(cfg: dict, defaults: dict) -> dict:
     cfg = _typed(cfg, defaults)
     if "coupling" in cfg.get("model", ()):
-        _require(cfg["model"]["coupling"] in ("crn", "independent"), "model.coupling",
+        _require(cfg["model"]["coupling"] in COUPLINGS, "model.coupling",
                  "must be 'crn' or 'independent'")
     if "seed" in cfg:
         _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
@@ -303,9 +298,9 @@ def _cmd_variance_exact(cfg, parts, outdir):
     rows, records = [], []
     for l in cfg["experiment"]["levels"]:
         rep = asymptotic_variance(parts["model"], l, coupling=cfg["model"]["coupling"])
-        rows.append((rep.level, 2.0 ** (-rep.level), rep.sigma, rep.t1, rep.t2,
-                     rep.theta_star_l, rep.dh_l))
-        records.append(asdict(rep) | {"delta": 2.0 ** (-rep.level)})
+        delta = level_delta(rep.level)
+        rows.append((rep.level, delta, rep.sigma, rep.t1, rep.t2, rep.theta_star_l, rep.dh_l))
+        records.append(asdict(rep) | {"delta": delta})
     _write_csv(outdir / "variance_exact.csv",
                ("l", "delta", "sigma", "t1", "t2", "theta_star_l", "dh_l"), rows)
     _write_json(outdir / "variance_exact.json", records)
@@ -482,9 +477,12 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, help="override output directory")
     parser.add_argument("--trace", action="store_true",
                         help="same as --experiment.trace=true (run-msa / run-coupled)")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes an override whose value holds a space for the config path
+    given = [item for item in argv if item.startswith("--") and "=" in item]
     try:
-        args, unknown = parser.parse_known_args(argv)
-        overrides = [_parse_override(item) for item in unknown]
+        args, unknown = parser.parse_known_args([item for item in argv if item not in given])
+        overrides = [_parse_override(item) for item in given + unknown]
         if args.seed is not None:
             overrides.append(("seed", args.seed))
         if args.output is not None:

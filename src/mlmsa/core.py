@@ -123,11 +123,12 @@ class ReprojectionFamily:
     """Nested symmetric intervals K_k = [-(r0 + growth*k), r0 + growth*k].
 
     The family covers the whole real line as k grows, which is all the
-    stability argument needs; the linear growth rate is a free choice.
+    stability argument needs; the linear growth rate is a free choice.  The
+    defaults are the command line's reprojection settings.
     """
 
-    r0: float
-    growth: float
+    r0: float = 2.0
+    growth: float = 1.0
 
     def __post_init__(self):
         if self.r0 <= 0:
@@ -135,8 +136,9 @@ class ReprojectionFamily:
         if self.growth <= 0:
             raise ParameterError(f"growth must be positive, got {self.growth}")
 
-    def radius(self, k: int) -> float:
-        if k < 0:
+    def radius(self, k):
+        """r0 + growth*k, elementwise for an array of set indices."""
+        if np.min(k) < 0:
             raise ParameterError(f"set index must be >= 0, got {k}")
         return self.r0 + self.growth * k
 

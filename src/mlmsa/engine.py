@@ -62,12 +62,13 @@ any exit from the set.
 
 The run inputs are checked once, in the lane loop every procedure goes
 through, for every lane before any step vector or generator of the loop
-exists: n_steps >= 1, the coupling, a finite level l >= 1 for a coupled
-run, the bytes the lane holds (its step vector, a generator and the
-loop's column arrays per replicate and, when recorded, its paths), each
-start parameter in K_0 and each configured start state on the grid; then
-the bytes of all lanes and of the loop's chunk together.  Generators are
-built only by iterating a lane's _Streams, after the checks.
+exists: the level by the model's rule, n_steps >= 1, the coupling, a
+coupled run's finite level l >= 1, the bytes the lane holds (its step
+vector, a generator and the loop's column arrays per replicate and, when
+recorded, its paths), each start parameter in K_0 and each configured
+start state on the grid; then the bytes of all lanes and of the loop's
+chunk together.  Generators are built only by iterating a lane's
+_Streams, after the checks.
 
 The uniforms are drawn per chunk of steps: each replicate draws its
 chunk from its own generator straight into its row of one
@@ -96,7 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NumericalError, ParameterError, ReprojectionFamily, StepSchedule, _check_bytes
-from .model import FiniteLevelModel, _step_diffs, level_statistic
+from .model import COUPLINGS, FiniteLevelModel, _check_level, _step_diffs, level_statistic
 
 __all__ = [
     "Trajectory",
@@ -216,11 +217,12 @@ class _LaneState:
 
 def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -> int:
     """Refuse a lane's invalid inputs before any array or generator of the
-    loop exists; returns the bytes the lane holds.  n_steps >= 1 is checked
-    first: a negative count makes the bytes negative."""
+    loop exists; returns the bytes the lane holds.  The level is checked
+    first, then n_steps >= 1: a negative count makes the bytes negative."""
+    _check_level(lane.level)
     if lane.n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {lane.n_steps}")
-    if lane.coupling not in ("crn", "independent"):
+    if lane.coupling not in COUPLINGS:
         raise ParameterError(f"coupling must be 'crn' or 'independent', got {lane.coupling!r}")
     if lane.coupled and (lane.level == math.inf or lane.level < 1):
         raise ParameterError(f"coupled run needs a finite level l >= 1, got {lane.level!r}")
@@ -308,7 +310,7 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     theta, x = theta0, x0
     psi = np.zeros(theta.shape[1], dtype=np.int64)
     last_reproj = np.zeros_like(psi)
-    bound = family.r0 + family.growth * psi
+    bound = family.radius(psi)
     paths = None
     if record:
         n_steps, R = lanes[0].n_steps, theta.shape[1]
@@ -369,7 +371,7 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                     x = np.where(reset, x0, xn)
                     psi = psi + reset
                     last_reproj = np.where(reset, step, last_reproj)
-                    bound = family.r0 + family.growth * psi
+                    bound = family.radius(psi)
                     bmin = bound.min()
                 if record:
                     paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
@@ -461,7 +463,7 @@ class CLTVarianceEstimate:
 
 def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
                            n_steps: int, R: int, seed0: int,
-                           reproj: ReprojectionFamily | None = None,
+                           reproj: ReprojectionFamily = ReprojectionFamily(),
                            coupling: str = "crn",
                            theta0: float = 0.0, theta0_bar: float = 0.0) -> CLTVarianceEstimate:
     """Estimate the increment CLT variance from R independent coupled runs.
@@ -477,8 +479,6 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
         raise ParameterError(f"need 100 <= R <= {sys.maxsize} replicates, got {R}")
     if schedule.kind != "polynomial":
         raise ParameterError("CLT variance estimation needs a polynomial schedule")
-    if reproj is None:
-        reproj = ReprojectionFamily(2.0, 1.0)
     st, _ = _run_ensemble(model, l, schedule, reproj, n_steps, _Streams(range(seed0, seed0 + R)),
                           theta0, None, theta0_bar, None, coupled=True, coupling=coupling)
     keep = st.last_reproj <= n_steps // 2

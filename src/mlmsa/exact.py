@@ -476,19 +476,6 @@ class ErgodicityCertificate:
     extended_states: tuple[int, ...]  # states added to the top-mass core
 
 
-def _lyapunov_vectors(model: FiniteLevelModel, grid) -> np.ndarray:
-    """The Lyapunov vectors V_{theta,l} of the (l, theta) pairs of grid,
-    stacked; a vector that overflows is a NumericalError naming its pair."""
-    with np.errstate(divide="ignore", over="ignore"):  # an overflow is named below
-        V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
-    finite = np.isfinite(V).all(axis=1)
-    if not finite.all():
-        l, th = grid[int(np.argmin(finite))]
-        raise NumericalError(f"Lyapunov vector overflows at (theta={th}, l={l}): "
-                             f"(pi/max pi)**-{model.lyap_exponent} is not finite")
-    return V
-
-
 def certify_drift_minorization(model: FiniteLevelModel, levels,
                                theta_grid) -> ErgodicityCertificate:
     """Search a uniform drift/minorization certificate over the grid.
@@ -500,7 +487,7 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     The small set starts as the union over the grid of the smallest
     top-mass state sets holding half the stationary mass; states whose
     worst-case drift ratio max K(V)/V is not below 1 are then moved into
-    the set greedily (reflecting walls are the usual culprits).
+    the set by falling ratio (reflecting walls are the usual culprits).
     lambda_drift is the worst ratio outside the set plus _DRIFT_MARGIN, and
     n0 doubles from m until every kernel's column-minimum mass of K^n0
     reaches _MINOR_TARGET or n0 reaches _MINOR_N0_CAP.
@@ -529,7 +516,7 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     thetas = [float(t) for t in theta_grid]
     grid = [(l, th) for l in levels for th in thetas]
     K = np.stack([kernel_matrix(model, l, th) for l, th in grid])
-    V = _lyapunov_vectors(model, grid)
+    V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
     pi = np.stack([target_density(model, l, th) for l, th in grid])
     order = np.argsort(-pi, axis=1)
     take = (np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1) < 0.5).sum(axis=1) + 1
@@ -538,19 +525,18 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     KV = (K @ V[:, :, None])[:, :, 0]
     all_ratios = KV / V
     ratios = all_ratios.max(axis=0)
-    extended = []
-    while np.any(~core):
-        outside = ~core
-        worst_ratio = np.max(ratios[outside])
-        if worst_ratio < 1.0 - 1e-9:
-            break
-        grow = int(np.arange(m)[outside][np.argmax(ratios[outside])])
-        core[grow] = True
-        extended.append(grow)
+    # the outside states by falling ratio, ties to the lower index; those at
+    # or above 1 - 1e-9 join the set, in that order
+    outside = np.flatnonzero(~core)
+    outside = outside[np.argsort(-ratios[outside], kind="stable")]
+    extended = outside[ratios[outside] >= 1.0 - 1e-9].tolist()
+    core[extended] = True
     if np.all(core):
         # flat-target degeneracy: fall back to the worst sub-unit contraction
         pool = all_ratios[all_ratios < 1.0 - 1e-9]
         worst_ratio = float(np.max(pool)) if pool.size else 0.5
+    else:
+        worst_ratio = np.max(ratios[~core])
     lam = min(worst_ratio + _DRIFT_MARGIN, 1.0 - 1e-6)
     if lam <= worst_ratio:
         lam = 0.5 * (worst_ratio + 1.0)
@@ -657,12 +643,12 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
     levels = _slope_levels(levels, r)
     K_inf = kernel_matrix(model, math.inf, theta)
     pi_inf = target_density(model, math.inf, theta)
-    V_inf = _lyapunov_vectors(model, [(math.inf, theta)])[0] ** r
+    V_inf = lyapunov_vector(model, math.inf, theta) ** r
     s_inf = level_statistic(model, math.inf)
     q = {k: [] for k in ("kernel_distance", "stationary_distance", "mean_shift",
                          "smoothed_shift", "derivative_shift")}
     for l in levels:
-        V_l, V_lm1 = _lyapunov_vectors(model, [(l, theta), (l - 1, theta)]) ** r
+        V_l, V_lm1 = (lyapunov_vector(model, k, theta) ** r for k in (l, l - 1))
         s_l = level_statistic(model, l)
         s_lm1 = level_statistic(model, l - 1)
         q["kernel_distance"].append(
@@ -718,7 +704,7 @@ def lemma_diagnostics(model: FiniteLevelModel, levels, theta: float, theta_prime
                          "block_fine", "block_coarse", "block_fine_smoothed",
                          "block_coarse_smoothed", "coupled_d2_sqrt", "root_gap")}
     for l in levels:
-        V_l = _lyapunov_vectors(model, [(l, theta)])[0] ** r
+        V_l = lyapunov_vector(model, l, theta) ** r
         sol_l = _poisson_for(model, l, theta)
         sol_lm1 = _poisson_for(model, l - 1, theta)
         q["solution_gap"].append(float(np.max(np.abs(sol_l.g_hat - sol_lm1.g_hat) / V_l)))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, _check_bytes, level_delta
+from .core import NumericalError, ParameterError, _check_bytes, level_delta
 
 __all__ = [
     "FiniteLevelModel",
@@ -59,6 +59,7 @@ _PHI_CHOICES = ("sine", "zero")
 # and cos(2*pi*u) under which several signed level-perturbation integrals
 # cancel identically; use it when a diagnostic needs the generic decay rate.
 _BIAS_CHOICES = ("cosine", "shifted-cosine", "zero")
+COUPLINGS = ("crn", "independent")  # of a coupled pair's fine and coarse chain
 _MAX_STATES = 2 ** 20  # keeps each O(m) array of the model and its move tables <= 16 MiB
 
 
@@ -125,7 +126,8 @@ def _check_level(l, minimum: int = 0) -> None:
 
 
 # model -> {level: phi_l}; a model that nothing else holds takes its levels'
-# statistics with it, so an in-process caller keeps none of a finished run's
+# statistics with it.  The exact layer's lru_caches are keyed by the model and
+# hold it, so a model an exact solve has seen keeps them until those evict it
 _STATISTICS = weakref.WeakKeyDictionary()
 
 
@@ -211,6 +213,8 @@ def coupled_kernel_blocks(model: FiniteLevelModel, l, theta: float, theta_bar: f
     _check_level(l, minimum=1)
     m = model.m
     _check_bytes(f"coupled kernel blocks for m={m}", 3 * 8 * m ** 3)
+    if coupling not in COUPLINGS:
+        raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     if coupling == "independent":
         Kf = kernel_matrix(model, l, theta)
         bands = np.zeros((3, m))  # Kf[x, x - 1], Kf[x, x], Kf[x, x + 1]
@@ -218,8 +222,6 @@ def coupled_kernel_blocks(model: FiniteLevelModel, l, theta: float, theta_bar: f
         bands[1] = np.diagonal(Kf)
         bands[2, :-1] = np.diagonal(Kf, 1)
         return tuple(bands[:, :, None, None] * kernel_matrix(model, l - 1, theta_bar))
-    if coupling != "crn":
-        raise ParameterError(f"coupling must be 'crn' or 'independent', got {coupling!r}")
     acc_f, dest_f = _move_probabilities(model, l, theta)
     acc_c, dest_c = _move_probabilities(model, l - 1, theta_bar)
     x = np.repeat(np.arange(m), m)
@@ -257,9 +259,15 @@ def coupled_kernel_matrix(model: FiniteLevelModel, l, theta: float, theta_bar: f
 
 def lyapunov_vector(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
     """V_{theta,l} = (pi / max pi)**-lyap_exponent; every entry >= 1 with
-    the minimum 1 attained at the mode."""
-    pi = target_density(model, l, theta)
-    return (pi / pi.max()) ** (-model.lyap_exponent)
+    the minimum 1 attained at the mode.  A vector that overflows is a
+    NumericalError naming its (theta, l)."""
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow is named below
+        pi = target_density(model, l, theta)
+        V = (pi / pi.max()) ** (-model.lyap_exponent)
+    if not np.isfinite(V).all():
+        raise NumericalError(f"Lyapunov vector overflows at (theta={theta}, l={l}): "
+                             f"(pi/max pi)**-{model.lyap_exponent} is not finite")
+    return V
 
 
 def metric_matrix(model: FiniteLevelModel) -> np.ndarray:

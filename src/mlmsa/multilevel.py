@@ -32,6 +32,7 @@ from .core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    level_delta,
     make_step_schedule,
 )
 from .engine import _Lane, _run_lanes, _Streams
@@ -107,7 +108,7 @@ def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
     try:
         L = max(1, _ceil_stable(math.log2(1.0 / epsilon) / rates.alpha))
         for l in range(L + 1):
-            delta = 2.0 ** (-l)
+            delta = level_delta(l)
             n = max(n_min, _ceil_stable(c_n * epsilon ** -2 * delta ** expo))
             n_l.append(n)
             gamma_l.append(1.0 / n)
@@ -173,7 +174,7 @@ def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
 
 
 def ml_estimate(model: FiniteLevelModel, plan: LevelPlan, seed: int,
-                reproj: ReprojectionFamily | None = None, theta0: float = 0.0,
+                reproj: ReprojectionFamily = ReprojectionFamily(), theta0: float = 0.0,
                 coupling: str = "crn") -> MLEstimate:
     """One multilevel estimate under the given plan.
 
@@ -182,8 +183,6 @@ def ml_estimate(model: FiniteLevelModel, plan: LevelPlan, seed: int,
     lanes of one loop, gives the same per-level results.  The assembly
     sums level estimates in level order.
     """
-    if reproj is None:
-        reproj = ReprojectionFamily(2.0, 1.0)
     [(estimates, theta_hat, cost)] = _run_plan_ensemble(model, [plan], [seed], reproj,
                                                         theta0, coupling)
     return MLEstimate(theta_hat=float(theta_hat[0]),
@@ -216,7 +215,7 @@ class MseCostResult:
 
 def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
                         rates: RateParameters | None = None, n_min: int = 100,
-                        c_n: float = 1.0, reproj: ReprojectionFamily | None = None,
+                        c_n: float = 1.0, reproj: ReprojectionFamily = ReprojectionFamily(),
                         theta0: float = 0.0, coupling: str = "crn") -> MseCostResult:
     """Empirical MSE and cost of the multilevel estimator per precision.
 
@@ -233,8 +232,6 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
         raise ParameterError(f"need 50 <= R <= {sys.maxsize} replicates, got {R}")
     if rates is None:
         rates = RateParameters(alpha=model.beta0, beta=model.beta0, zeta=1.0, kappa=0.5)
-    if reproj is None:
-        reproj = ReprojectionFamily(2.0, 1.0)
     plans = [schedule_levels(eps, rates, n_min=n_min, c_n=c_n) for eps in epsilons]
     runs = _run_plan_ensemble(model, plans, range(seed0, seed0 + R), reproj, theta0, coupling)
     truth = level_root(model, math.inf)

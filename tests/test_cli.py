@@ -158,6 +158,19 @@ def test_config_file_and_override_precedence(tmp_path):
     assert manifest["seed"] == 9
 
 
+def test_override_whose_value_holds_a_space(tmp_path):
+    # argparse once read such an argument as the config path when no file was
+    # given, and as an override when one was
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    for name, config in (("defaults", ()), ("config-file", (str(cfg),))):
+        out = tmp_path / name
+        assert run_cli("mse-cost", *config, "--experiment.epsilons=[0.4, 0.2, 0.1]",
+                       "--output", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["experiment"]["epsilons"] == [0.4, 0.2, 0.1]
+
+
 def test_unknown_key_rejected_before_any_output(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"modell": {"m": 16}}))
@@ -668,6 +681,25 @@ def test_level_beyond_the_float_range_is_a_validation_error(tmp_path, capsys, ar
     assert run_cli(*argv, "--output", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: validation error") and "level must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, got", [
+    (("run-msa", "--experiment.level=-1", "--experiment.n_steps=8000000"), "got -1"),
+    (("variance-empirical", f"--experiment.level={_HUGE}", "--experiment.replicates=100000",
+      "--experiment.n_steps=1000000"), f"got {_HUGE}"),
+], ids=["run-msa", "variance-empirical"])
+def test_invalid_level_is_refused_before_any_generator(tmp_path, capsys, monkeypatch, argv, got):
+    # the level was once checked only when the move table was built, after
+    # the step vector and every replicate's generator
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built before the level check")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error: level must be an integer in [0, ")
+    assert err.rstrip().endswith(got)
     assert not out.exists()
 
 
