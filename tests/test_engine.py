@@ -1,14 +1,15 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from mlmsa import engine
+from mlmsa import cli, engine
 from mlmsa.core import (
     NumericalError,
     ParameterError,
@@ -29,7 +30,7 @@ from mlmsa.engine import (
     msa_run,
 )
 from mlmsa.exact import asymptotic_variance, level_root
-from mlmsa.model import build_model, kernel_matrix, target_density
+from mlmsa.model import build_model, kernel_matrix, level_statistic, target_density
 
 from reference import coupled_sample_step, drift_term, sample_step, validate_containment
 
@@ -221,6 +222,89 @@ class TestCoupledMsaRun:
             assert traj.psi_path[k] == psi
         assert psi > 0 or m == 3  # the reset path is replayed too
         assert traj.reprojection_events == tuple(events)
+
+
+class TestSkippedSetTest:
+    # a chunk skips the per-step set test when all its steps lie in [0, 1] and
+    # the largest |statistic| S is at most half the smallest set bound.  Steps
+    # above 1 guard the first chunks of gamma0 > 1 and every chunk of a
+    # constant step above 1; r0 < 2S guards chunks until resets grow the sets
+    RUNS = [(False, "crn"), (True, "crn"), (True, "independent")]
+    SCHEDULES = [poly(gamma0) for gamma0 in (0.5, 1.0, 1.5, 4.0)] + [
+        make_step_schedule("constant", gamma) for gamma in (1.0, 1.5)]
+
+    @staticmethod
+    def replay(model, l, coupled, coupling, gammas, family, theta0s, seed):
+        """The scalar procedure, which tests every step against its set:
+        rows (theta per chain, x per chain, psi) after each step."""
+        rng = np.random.default_rng(seed)
+        x0 = [int(rng.integers(model.m))] * (1 + coupled)  # a pair starts coalesced
+        theta, x, psi, rows = list(theta0s), list(x0), 0, []
+        for g in gammas:
+            if coupled:
+                xn = coupled_sample_step(model, l, *theta, *x, rng, coupling)
+            else:
+                xn = (sample_step(model, l, theta[0], x[0], rng),)
+            half = [th + g * drift_term(model, level, th, state)
+                    for th, level, state in zip(theta, (l, l - 1), xn)]
+            if all(family.contains(h, psi) for h in half):
+                theta, x = half, list(xn)
+            else:
+                theta, x, psi = list(theta0s), list(x0), psi + 1
+            rows.append((theta, x, psi))
+        return rows
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 12), l=st.integers(1, 6), R=st.integers(1, 3),
+           run=st.sampled_from(RUNS), schedule=st.sampled_from(SCHEDULES),
+           r0_over_2S=st.sampled_from([0.25, 0.9, 1.0, 1.1, 4.0]),
+           growth=st.sampled_from([0.01, 1.0]),
+           theta0_over_r0=st.sampled_from([-1.0, -0.99, 0.0, 0.99, 1.0]),
+           n=st.integers(1, 2 * _CHUNK + 100), seed0=st.integers(0, 2**32))
+    # a reset in the first chunk, which steps above 1 guard, then unguarded chunks
+    @example(m=32, l=3, R=2, run=RUNS[1], schedule=SCHEDULES[3], r0_over_2S=4.0, growth=1.0,
+             theta0_over_r0=1.0, n=_CHUNK + 100, seed0=5)
+    # resets where r0 < 2S, then unguarded chunks once the sets have grown
+    @example(m=32, l=3, R=2, run=RUNS[0], schedule=SCHEDULES[1], r0_over_2S=0.25, growth=4.0,
+             theta0_over_r0=0.0, n=2 * _CHUNK + 100, seed0=6)
+    # r0 = 2S exactly, the guard's edge, under a constant step above 1
+    @example(m=32, l=3, R=3, run=RUNS[2], schedule=SCHEDULES[5], r0_over_2S=1.0, growth=0.01,
+             theta0_over_r0=-1.0, n=_CHUNK + 100, seed0=7)
+    def test_every_step_replays_the_scalar_procedure(self, m, l, R, run, schedule, r0_over_2S,
+                                                      growth, theta0_over_r0, n, seed0):
+        coupled, coupling = run
+        model = build_model(m=m)
+        S = max(np.abs(level_statistic(model, k)).max() for k in (l, l - 1)[:1 + coupled])
+        family = ReprojectionFamily(r0_over_2S * 2 * S, growth)
+        theta0 = theta0_over_r0 * family.r0
+        theta0s = (theta0, -theta0)[:1 + coupled]
+        _, paths = _run_ensemble(model, l, schedule, family, n, _Streams(range(seed0, seed0 + R)),
+                                 theta0, None, -theta0, None, coupled=coupled, coupling=coupling,
+                                 record=True)
+        gammas = schedule.step_sizes(n)
+        for i in range(R):
+            rows = self.replay(model, l, coupled, coupling, gammas, family, theta0s, seed0 + i)
+            for name, path, column in zip(("theta", "x", "psi"),
+                                          (paths["theta"][1:, :, i], paths["x"][1:, :, i],
+                                           paths["psi"][1:, i]), zip(*rows)):
+                bad = np.flatnonzero(np.any((path != np.array(column)).reshape(n, -1), axis=1))
+                assert bad.size == 0, f"replicate {i}: {name} differs first at step {bad[0] + 1}"
+
+    def test_runs_at_the_defaults_skip_the_set_test(self, tmp_path, monkeypatch):
+        # no run at the command line's defaults can reset, so the set test,
+        # one np.abs per step wherever it runs, is skipped in every chunk;
+        # each step makes one np.exp call
+        reads = Counter()
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                reads[name] += 1
+                return getattr(np, name)
+        monkeypatch.setattr(engine, "np", CountingNumpy())
+        for sub in ("run-msa", "run-coupled", "ml-run", "mse-cost"):
+            assert cli.main([sub, "--output", str(tmp_path / sub)]) == 0
+        assert reads["exp"] >= 10 * _CHUNK
+        assert reads["abs"] <= reads["exp"] // _CHUNK
 
 
 class TestEmpiricalCltVariance:

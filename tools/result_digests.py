@@ -11,6 +11,14 @@ relative to that temporary directory; manifests are skipped, since they echo
 the output directory.  Run it against two checkouts and compare the outputs
 with ``diff``: no difference means the two wrote byte-identical results.
 
+``tests/result_digests.sha`` holds these lines as recorded, and
+``tests/test_result_digests.py`` runs the same configurations in one process
+through :func:`digest_lines` and compares.  A change that moves a result
+re-records that file in the same diff, from the checkout's root:
+
+    { echo "# recorded with numpy $(python -c 'import numpy; print(numpy.__version__)')"
+      PYTHONPATH=src python tools/result_digests.py; } > tests/result_digests.sha
+
 The list covers every subcommand, both couplings, the certificate's
 flat-target fallback, and, with the tight reprojection family TIGHT, the
 reset branch of the stepping loop.
@@ -58,20 +66,31 @@ CONFIGS = (
 )
 
 
+def _run_in_subprocess(argv, out: Path) -> None:
+    done = subprocess.run([sys.executable, "-m", "mlmsa.cli", *argv, "--output", str(out)],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr}")
+
+
+def digest_lines(root: Path, run=_run_in_subprocess) -> list[str]:
+    """Run every configuration into its own directory under root, through
+    run(argv, out), and return one ``sha256  path`` line per result file."""
+    for i, argv in enumerate(CONFIGS):
+        run(argv, root / f"{i:02d}-{argv[0]}")
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for i, argv in enumerate(CONFIGS):
-            out = root / f"{i:02d}-{argv[0]}"
-            done = subprocess.run([sys.executable, "-m", "mlmsa.cli", *argv, "--output", str(out)],
-                                  capture_output=True, text=True)
-            if done.returncode != 0:
-                print(f"{' '.join(argv)} exited {done.returncode}: {done.stderr}", file=sys.stderr)
-                return 1
-        for path in sorted(root.rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(root)}")
+        try:
+            lines = digest_lines(Path(tmp))
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+    print("\n".join(lines))
     return 0
 
 
