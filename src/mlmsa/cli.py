@@ -51,7 +51,7 @@ from .core import (
     level_delta,
     make_step_schedule,
 )
-from .engine import coupled_msa_run, empirical_clt_variance, msa_run
+from .engine import _run_ensemble, _Streams, coupled_msa_run, empirical_clt_variance, msa_run
 from .exact import (
     asymptotic_variance,
     certify_drift_minorization,
@@ -377,15 +377,20 @@ def _cmd_certify(cfg, parts, outdir):
 
 def _cmd_run_msa(cfg, parts, outdir):
     exp = cfg["experiment"]
-    traj = msa_run(parts["model"], exp["level"], parts["schedule"], parts["reprojection"],
-                   exp["n_steps"], exp["theta0"], exp["x0"], cfg["seed"])
-    theta_final = float(traj.theta_path[-1, 0])
+    run = (parts["model"], exp["level"], parts["schedule"], parts["reprojection"], exp["n_steps"])
+    if exp["trace"]:
+        traj = msa_run(*run, exp["theta0"], exp["x0"], cfg["seed"])
+        theta, psi, x0 = traj.theta_path[-1, 0], traj.psi_path[-1], traj.x_path[0, 0]
+    else:  # msa_run's loop, recording nothing: the row needs the final state alone
+        state, _ = _run_ensemble(*run, _Streams([cfg["seed"]]), exp["theta0"], exp["x0"])
+        theta, psi, x0 = state.theta[0, 0], state.psi[0], state.x0[0, 0]
+    theta_final, psi_final = float(theta), int(psi)
+    # psi rises by exactly 1 at each reprojection
     _write_csv(outdir / "run_msa.csv",
                ("level", "n_steps", "seed", "theta_final", "psi_final", "n_reprojections",
                 "theta0", "x0"),
-               [(exp["level"], exp["n_steps"], cfg["seed"], theta_final,
-                 int(traj.psi_path[-1]), len(traj.reprojection_events), exp["theta0"],
-                 traj.x_path[0, 0])])
+               [(exp["level"], exp["n_steps"], cfg["seed"], theta_final, psi_final, psi_final,
+                 exp["theta0"], x0)])
     if exp["trace"]:
         _write_trace(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), traj)
     return {"theta_final": theta_final}

@@ -48,17 +48,27 @@ uniforms, so its result is bit-identical to that run.
 Inside the loop a chain's state x is held as its move-table index base
 2*(x + b*m), b being its level's block of the table: a move's table
 entry is then one add, and landing states and the statistic are stored
-against that base.  Resets are rare, so each step tests every tentative
-parameter with one reduction: max |theta| over all chains and columns
-against the smallest set bound of the running columns, which is
-recomputed only where a bound changes, after a reset and after a
-segment cut.  Only when that test fails is each column checked against
-its own bound and are the resets, the psi increments and the bounds
-worked out; where the bounds differ the test can fail with every column
-inside its set, and then nothing changes.  The maximum propagates nan,
-so a nan or infinite tentative parameter fails the test and
-|theta| <= bound, and a blow-up resets and counts as a reprojection like
-any exit from the set.
+against that base.  The loop owns x as one contiguous array and moves it
+in place, writing the landing state where the move is accepted; a reset
+builds a new x from the starts, and each segment cut copies the running
+prefix, as a strided view moves in place through a hidden copy and slows
+every other operation on it.  A move is accepted when u < exp(p),
+p = theta * increment, u the acceptance uniform.  For u in [0, 1) this is
+u < exp(min(p, 0)), the kernels' acceptance min(1, exp(p)): for p >= 0
+both accept, an overflow to inf included, and for a nan p both reject.
+So the loop runs with numpy's overflow warning off, and an acceptance
+that overflows warns of nothing.
+
+Resets are rare, so each step tests every tentative parameter with one
+reduction: max |theta| over all chains and columns against the smallest
+set bound of the running columns, which is recomputed only where a bound
+changes, after a reset and after a segment cut.  Only when that test
+fails is each column checked against its own bound and are the resets,
+the psi increments and the bounds worked out; where the bounds differ
+the test can fail with every column inside its set, and then nothing
+changes.  The maximum propagates nan, so a nan or infinite tentative
+parameter fails the test and |theta| <= bound, and a blow-up resets and
+counts as a reprojection like any exit from the set.
 
 Where no reset is possible the test is skipped, decided once per chunk:
 when every running lane's steps in the chunk lie in [0, 1] (a nan step
@@ -94,16 +104,23 @@ The uniforms are drawn per chunk of steps: each replicate draws its
 chunk from its own generator straight into its row of one
 replicate-major buffer, (columns, steps, uniforms per step), which holds
 the same values as its standalone run draws step by step.  The step loop
-reads each step's directions and acceptance uniforms as
-(chains, columns) views of these rows, so a chunk is neither stacked nor
-copied.  The buffer carries one padding step: without it a replicate's
-row at R = 400 is 16 KiB, the entries one step reads from all replicates
-fall in the same cache sets, and reading them takes about twice as long.
-The chain-column steps of a chunk over all running lanes are capped at
-_CHUNK_VALUES / 2, so the uniforms it draws, at most two per chain and
-column per step, do not grow with the lane count; a chunk of one step,
-the least the loop takes, and the padding step are counted in the column
-arrays.
+reads each step's acceptance uniforms as a (chains, columns) view of
+these rows, so they are neither stacked nor copied.  The buffer carries
+one padding step: without it a replicate's row at R = 400 is 16 KiB, the
+entries one step reads from all replicates fall in the same cache sets,
+and reading them takes about twice as long.  The move offsets, 1 where
+the proposal is +1 and 0 where it is -1, are filled once per chunk into
+a step-major int64 array, (steps, chains, columns), contiguous per step:
+the gather's add takes such a row fastest, where a bool or strided row
+is cast through numpy's general iterator.  The fill compares the
+direction uniforms into a replicate-major bool array and transposes that
+with one copy, cheaper at R = 400 than one comparison written through the
+transposed view.  A chunk then holds at most about 33 bytes per
+chain-column step (two uniforms, a direction flag, an offset and a step
+size), and its chain-column steps over all running lanes are capped at
+_CHUNK_VALUES / 4, so what it holds does not grow with the lane count; a
+chunk of one step, the least the loop takes, and the padding step are
+counted in the column arrays.
 """
 
 from __future__ import annotations
@@ -128,16 +145,17 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# twice the most chain-column steps a chunk holds over all running lanes: so
-# the uniforms it draws, at most two per chain and column per step, are at
-# most those of a one-lane chunk at R = 400 under the independent coupling
+# four times the most chain-column steps a chunk holds over all running
+# lanes, so what a chunk holds does not grow with the lane count: at most
+# that of a one-lane chunk of 512 steps at R = 400, coupled
 _CHUNK_VALUES = _CHUNK * 4 * 400
 # bytes a chunk holds per chain, column and step: at most two uniforms, a
-# direction flag and a step size (tracemalloc: 25.05 to 25.15 at R = 400
-# under either coupling and for single chains, padding step included); and
+# direction flag, a move offset and a step size (tracemalloc: 33.1 to 33.8
+# for single chains and the independent coupling, 24.6 to 24.9 under CRN,
+# at R = 100 and 400, padding step included); and
 # what a loop holds whatever its lanes, measured with tracemalloc at R = 1,
 # m = 8: numpy's 64 KiB iterator buffers and the loop's small arrays
-_CHUNK_VALUE_BYTES, _LOOP_BYTES = 25, 2 ** 17
+_CHUNK_VALUE_BYTES, _LOOP_BYTES = 34, 2 ** 17
 # bytes held per replicate besides the chunk, both measured with tracemalloc:
 # one generator built by _Streams (939.3 over 10,000 of them), and
 # what the lane loop holds per replicate column at one step per chunk under
@@ -226,13 +244,15 @@ class _Placed(NamedTuple):
 class _LaneState:
     """Final state of one lane (the loop built its generators and drops
     them): theta and x per (chain, replicate), the fine chain's row first;
-    psi and last_reproj per replicate; gamma_n, the lane's last step size."""
+    psi and last_reproj per replicate; gamma_n, the lane's last step size;
+    x0, the start states per (chain, replicate)."""
 
     theta: np.ndarray
     x: np.ndarray
     psi: np.ndarray
     last_reproj: np.ndarray
     gamma_n: float
+    x0: np.ndarray
 
 
 def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -> int:
@@ -264,6 +284,7 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
     return need
 
 
+@np.errstate(over="ignore")  # exp(theta * increment) may overflow to inf: accepted
 def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                record: bool = False):
     """Advance every lane its own n_steps in one loop; returns each lane's
@@ -278,17 +299,17 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     pre-drawn per chunk from each replicate's own generator into its row of
     one buffer (batching does not change a generator's stream), and a
     chunk's chain-column steps over every running lane are capped at
-    _CHUNK_VALUES / 2."""
+    _CHUNK_VALUES / 4."""
     m, C = model.m, 2 if any(lane.coupled for lane in lanes) else 1
     need = sum(_check_lane(lane, m, family, record) for lane in lanes)
     # a chunk takes at most _CHUNK steps over every chain and column and,
-    # unless one step long, at most _CHUNK_VALUES / 2 chain-column steps
+    # unless one step long, at most _CHUNK_VALUES / 4 chain-column steps
     columns = sum(len(lane.rngs) for lane in lanes)
     values = C * columns * min(_CHUNK, max(lane.n_steps for lane in lanes))
     n_levels = len({lane.level - c for lane in lanes for c in range(1 + lane.coupled)})
     _check_bytes(f"the step vectors of {len(lanes)} runs, their generators, one chunk "
                  f"and the move table of {n_levels} levels at m={m}",
-                 need + _LOOP_BYTES + _CHUNK_VALUE_BYTES * min(values, _CHUNK_VALUES // 2)
+                 need + _LOOP_BYTES + _CHUNK_VALUE_BYTES * min(values, _CHUNK_VALUES // 4)
                  + _TABLE_BYTES * n_levels * m)
     levels = {}  # level -> its block of the one move table
     runs, theta0, x0, offsets = [], [], [], []
@@ -328,7 +349,8 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     offsets = np.concatenate(offsets, axis=1)
     theta0 = np.concatenate(theta0, axis=1)
     x0 = 2 * (np.concatenate(x0, axis=1) + offsets)
-    theta, x = theta0, x0
+    # x is the loop's own contiguous array, moved in place; resets read x0
+    theta, x = theta0, x0.copy()
     psi = np.zeros(theta.shape[1], dtype=np.int64)
     last_reproj = np.zeros_like(psi)
     bound = family.radius(psi)
@@ -344,23 +366,26 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     while runs:
         end = runs[-1].lane.n_steps  # the shortest running lane ends this segment
         bmin = bound.min()  # every column of the segment is in its set if max|theta| <= bmin
-        chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (2 * theta.size)))
+        chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (4 * theta.size)))
         # one set of chunk arrays per segment, refilled in place: allocated
         # afresh per chunk, their pages were faulted in again every chunk,
         # which cost about 18% of a run at R = 400 under the independent
         # coupling.  drawn is (columns, chunk + 1 padding step, W), W the
         # widest lane's draws per step; a lane that draws fewer fills both
         # halves of its row, so its second chain reads its first chain's
-        # pair.  ups and accs are (chunk, chains, columns) views of it, their
-        # chain axis of stride 0 when W = 2.  gammas is a full-shape array: a
-        # step row of the state's shape multiplies as fast as one scalar
-        # step, where a broadcast row is slower
+        # pair.  accs is a (chunk, chains, columns) view of it, its chain
+        # axis of stride 0 when W = 2; ups holds the move offsets (1 where
+        # the proposal is +1) step-major and contiguous, as the gather's add
+        # takes an int64 row fastest, filled per chunk from the bool
+        # comparison dirs by one transposing copy.  gammas is a full-shape
+        # array: a step row of the state's shape multiplies as fast as one
+        # scalar step, where a broadcast row is slower
         W = max(run.draws for run in runs)
         steps = (chunk,) + theta.shape
         drawn = dirs = ups = accs = gammas = None
         drawn = np.empty((theta.shape[1], chunk + 1, W))
         dirs = np.empty((theta.shape[1], chunk + 1, W // 2), bool)
-        ups = np.broadcast_to(dirs[:, :chunk].transpose(1, 2, 0), steps)
+        ups = np.empty(steps, np.int64)
         accs = np.broadcast_to(drawn[:, :chunk, 1::2].transpose(1, 2, 0), steps)
         gammas = np.empty(steps)
         while step < end:
@@ -376,24 +401,25 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
             unguarded = S <= bmin / 2 and all(0.0 <= g.min() and g.max() <= 1.0 for g in (
                 run.gammas[step:step + span] for run in runs))
             np.less(drawn[:, :span, 0::2], 0.5, out=dirs[:, :span])
+            np.copyto(ups[:span], dirs[:, :span].transpose(1, 2, 0))
             for t in range(span):
                 step += 1
                 # the Metropolis move: gather the entry, accept with
-                # probability exp(min(theta * increment, 0))
+                # probability min(exp(theta * increment), 1); u < exp(p) is
+                # u < exp(min(p, 0)) for u in [0, 1), an overflow to inf too
                 i = x + ups[t]
-                acc = np.exp(np.minimum(theta * diff[i], 0.0))
-                xn = np.where(accs[t] < acc, dest2[i], x)
-                theta_half = theta + gammas[t] * (s2[xn] - theta)
+                np.putmask(x, accs[t] < np.exp(theta * diff[i]), dest2[i])
+                theta_half = theta + gammas[t] * (s2[x] - theta)
                 # an unguarded chunk keeps every step untested; otherwise the
                 # maximum propagates nan, which fails <= and takes the branch below
                 if unguarded or np.maximum.reduce(np.abs(theta_half), axis=None) <= bmin:
-                    theta, x = theta_half, xn
+                    theta = theta_half
                 else:
                     # one chain outside its set, or nan, resets both chains;
                     # columns whose bounds exceed bmin may all still be inside
                     reset = ~(np.abs(theta_half) <= bound).all(axis=0)
                     theta = np.where(reset, theta0, theta_half)
-                    x = np.where(reset, x0, xn)
+                    x = np.where(reset, x0, x)
                     psi = psi + reset
                     last_reproj = np.where(reset, step, last_reproj)
                     bound = family.radius(psi)
@@ -405,9 +431,13 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
             rows, sl = slice(0, 1 + run.lane.coupled), run.cols
             states[run.index] = _LaneState(
                 theta=theta[rows, sl], x=x[rows, sl] // 2 - offsets[rows, sl], psi=psi[sl],
-                last_reproj=last_reproj[sl], gamma_n=run.gammas[-1])
+                last_reproj=last_reproj[sl], gamma_n=run.gammas[-1],
+                x0=x0[rows, sl] // 2 - offsets[rows, sl])
         width = runs[-1].cols.stop if runs else 0
-        theta, x, theta0, x0 = theta[:, :width], x[:, :width], theta0[:, :width], x0[:, :width]
+        # x is copied: a strided view moves in place through a copy and slows
+        # every other operation on it
+        theta, theta0, x0 = theta[:, :width], theta0[:, :width], x0[:, :width]
+        x = x[:, :width].copy()
         psi, last_reproj, bound = psi[:width], last_reproj[:width], bound[:width]
     if record:
         paths["x"] //= 2

@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlmsa import cli
-from mlmsa.core import NumericalError, ParameterError
+from mlmsa.core import NumericalError, ParameterError, ReprojectionFamily, make_step_schedule
 from mlmsa.engine import Trajectory
+from mlmsa.model import build_model
+
+from reference import coupled_sample_step, drift_term
 
 
 def run_cli(*argv):
@@ -538,6 +541,38 @@ def test_trace_rows_are_the_fmt_text_of_the_recorded_run(tmp_path, monkeypatch, 
     assert (traj.psi_path[-1] >= 10) == bool(family)  # the tight family reprojects often
     rows = zip(range(3001), *traj.theta_path.T, *traj.x_path.T, traj.psi_path)
     text = (out / name).read_text().split("\n", 1)[1]
+    assert text == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+def test_acceptance_that_overflows_replays_the_clamped_procedure(tmp_path):
+    # from theta0 = 9000, theta0_bar = -9000 and the pair (3, 3), step 1
+    # proposes x - 1 and the fine chain's theta * increment is about 2,600,
+    # where exp overflows to inf: the move is accepted, as the replay's
+    # exp(min(p, 0)) = 1 accepts it, and nothing warns
+    out = tmp_path / "t"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run-coupled", "--model.m=8", "--reprojection.r0=10000",
+                       "--experiment.theta0=9000", "--experiment.theta0_bar=-9000",
+                       "--experiment.x0=3", "--experiment.x0_bar=3", "--trace",
+                       "--output", str(out)) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    model, l, rng = build_model(m=8), 4, np.random.default_rng(1234)
+    family = ReprojectionFamily(10_000.0, 1.0)
+    starts = (9000.0, -9000.0, 3, 3)
+    th, tb, x, xb, psi = *starts, 0
+    rows = [(0, th, tb, x, xb, psi)]
+    for k, g in enumerate(make_step_schedule("polynomial", 1.0, 0.75).step_sizes(10_000), 1):
+        xn, xbn = coupled_sample_step(model, l, th, tb, x, xb, rng)
+        half = th + g * drift_term(model, l, th, xn)
+        half_bar = tb + g * drift_term(model, l - 1, tb, xbn)
+        if family.contains(half, psi) and family.contains(half_bar, psi):
+            th, tb, x, xb = half, half_bar, xn, xbn
+        else:
+            th, tb, x, xb, psi = *starts, psi + 1
+        rows.append((k, th, tb, x, xb, psi))
+    assert rows[1][3] == 2  # the move whose acceptance overflowed
+    text = (out / "trace_coupled.csv").read_text().split("\n", 1)[1]
     assert text == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
 
 

@@ -30,7 +30,14 @@ from mlmsa.engine import (
     msa_run,
 )
 from mlmsa.exact import asymptotic_variance, level_root
-from mlmsa.model import build_model, kernel_matrix, level_statistic, target_density
+from mlmsa.model import (
+    COUPLINGS,
+    build_model,
+    coupled_kernel_matrix,
+    kernel_matrix,
+    level_statistic,
+    target_density,
+)
 
 from reference import coupled_sample_step, drift_term, sample_step, validate_containment
 
@@ -682,3 +689,36 @@ class TestFrozenLaw:
             expected = R * np.full(m, 1.0 / m) @ K_n
             stat = np.sum((np.bincount(x, minlength=m) - expected) ** 2 / expected)
             assert stat <= chi2.isf(self.ALPHA, m - 1), (level, stat)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 6), l=st.integers(1, 6), theta=st.floats(-2.0, 2.0),
+           theta_bar=st.floats(-2.0, 2.0), n=st.integers(1, 29), R=st.integers(2000, 3999),
+           seed0=st.integers(0, 2**32), coupling=st.sampled_from(COUPLINGS),
+           apart=st.booleans())
+    def test_final_pairs_follow_the_exact_coupled_law(self, m, l, theta, theta_bar, n, R, seed0,
+                                                      coupling, apart):
+        # the joint law, which the marginals above cannot tell apart between
+        # couplings: with theta and theta_bar frozen the pair is a Markov
+        # chain on (x, xbar) with the coupled kernel, so after n steps from a
+        # coalesced uniform start, or from (0, m - 1), the pair has the law
+        # start @ K**n.  The statistic runs over the pairs of positive mass
+        # and is refused above its 1 - 1e-5 quantile; a pair of zero mass
+        # must not occur at all
+        model = build_model(m=m)
+        frozen = make_step_schedule("constant", 0.0)
+        starts = (0, m - 1) if apart else (None, None)
+        state, _ = _run_ensemble(model, l, frozen, FAMILY, n, _Streams(range(seed0, seed0 + R)),
+                                 theta, starts[0], theta_bar, starts[1], coupled=True,
+                                 coupling=coupling)
+        start = np.zeros(m * m)
+        if apart:
+            start[m - 1] = 1.0
+        else:
+            start[::m + 1] = 1.0 / m
+        law = start @ np.linalg.matrix_power(
+            coupled_kernel_matrix(model, l, theta, theta_bar, coupling), n)
+        counts = np.bincount(state.x[0] * m + state.x[1], minlength=m * m)
+        assert not counts[law == 0].any(), "a pair of zero mass occurred"
+        expected = R * law[law > 0]
+        stat = np.sum((counts[law > 0] - expected) ** 2 / expected)
+        assert stat <= chi2.isf(self.ALPHA, expected.size - 1), stat
