@@ -142,11 +142,6 @@ class ReprojectionFamily:
             raise ParameterError(f"set index must be >= 0, got {k}")
         return self.r0 + self.growth * k
 
-    def bounds(self, k: int) -> tuple[float, float]:
-        """Closed interval for constraint-set index k."""
-        r = self.radius(k)
-        return (-r, r)
-
     def contains(self, theta: float, k: int) -> bool:
         r = self.radius(k)
         return -r <= theta <= r

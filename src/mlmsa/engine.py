@@ -275,7 +275,7 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
     for name, theta in zip(("theta0", "theta0_bar"), (lane.theta0, lane.theta0_bar)[:chains]):
         if not family.contains(theta, 0):
             raise ParameterError(f"{name}={theta} is outside the initial constraint "
-                                 f"set {list(family.bounds(0))}")
+                                 f"set [{-family.radius(0)}, {family.radius(0)}]")
     for name, x in zip(("x0", "x0_bar"), (lane.x0, lane.x0_bar)[:chains]):
         if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
                               or not 0 <= x < m):  # None: drawn or shared
@@ -510,7 +510,6 @@ class CLTVarianceEstimate:
     estimate: float
     stderr: float
     gamma_n: float
-    n_steps: int
     n_kept: int
     n_discarded: int
     increments: np.ndarray = field(repr=False)
@@ -519,8 +518,7 @@ class CLTVarianceEstimate:
 def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
                            n_steps: int, R: int, seed0: int,
                            reproj: ReprojectionFamily = ReprojectionFamily(),
-                           coupling: str = "crn",
-                           theta0: float = 0.0, theta0_bar: float = 0.0) -> CLTVarianceEstimate:
+                           coupling: str = "crn") -> CLTVarianceEstimate:
     """Estimate the increment CLT variance from R independent coupled runs.
 
     Requires a polynomial schedule (the CLT scaling needs decaying steps)
@@ -535,7 +533,7 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     if schedule.kind != "polynomial":
         raise ParameterError("CLT variance estimation needs a polynomial schedule")
     st, _ = _run_ensemble(model, l, schedule, reproj, n_steps, _Streams(range(seed0, seed0 + R)),
-                          theta0, None, theta0_bar, None, coupled=True, coupling=coupling)
+                          0.0, None, 0.0, None, coupled=True, coupling=coupling)
     keep = st.last_reproj <= n_steps // 2
     n_disc = int(R - keep.sum())
     if n_disc > 0.2 * R:
@@ -553,5 +551,4 @@ def empirical_clt_variance(model: FiniteLevelModel, l, schedule: StepSchedule,
     jack = loo_var / st.gamma_n
     stderr = float(np.sqrt((n - 1) / n * np.sum((jack - jack.mean()) ** 2)))
     return CLTVarianceEstimate(estimate=est, stderr=stderr, gamma_n=float(st.gamma_n),
-                               n_steps=n_steps, n_kept=n, n_discarded=n_disc,
-                               increments=inc)
+                               n_kept=n, n_discarded=n_disc, increments=inc)

@@ -211,6 +211,8 @@ def coupled_kernel_blocks(model: FiniteLevelModel, l, theta: float, theta_bar: f
     single-level kernels exactly as coordinate marginals.
     """
     _check_level(l, minimum=1)
+    if l == INF:  # the limit chain has no coarser level to be coupled with
+        raise ParameterError(f"coupled kernel needs a finite level l >= 1, got {l!r}")
     m = model.m
     _check_bytes(f"coupled kernel blocks for m={m}", 3 * 8 * m ** 3)
     if coupling not in COUPLINGS:

@@ -166,9 +166,7 @@ def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
             estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
             cost += plan.n_l[l] * (2.0 ** (l * kappa)
                                    + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))
-        theta_hat = estimates[0].copy()
-        for l in range(1, plan.L + 1):
-            theta_hat = theta_hat + estimates[l]
+        theta_hat = sum(estimates[1:], estimates[0])
         out.append((estimates, theta_hat, cost))
     return out
 

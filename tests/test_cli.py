@@ -289,6 +289,29 @@ def test_config_file_that_does_not_parse_is_a_configuration_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [(None, "config file not found: "),
+                                           ("[1, 2]", "config file must hold a JSON object")],
+                         ids=["missing", "json-list"])
+def test_config_file_that_is_missing_or_not_an_object_is_a_configuration_error(
+        tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "never"
+    assert run_cli("schedule", str(cfg), "--output", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"mlmsa: configuration error: {message}")
+    assert not out.exists()
+
+
+def test_unknown_subcommand_is_a_configuration_error(tmp_path):
+    # main's argument parser refuses it first; run, below it, refuses it as
+    # the ConfigError that main reports with exit code 1
+    out = tmp_path / "never"
+    with pytest.raises(cli.ConfigError, match="unknown subcommand 'bogus'; choose from"):
+        cli.run("bogus", None, [("output", str(out))])
+    assert not out.exists()
+
+
 _UNREAD = [
     (("ml-run", "--schedule.rho=1.0"), "schedule"),
     (("ml-run", "--schedule.kind=constant", "--schedule.gamma0=5"), "schedule"),
@@ -525,6 +548,24 @@ def test_trace_flag_writes_trajectory(tmp_path):
     assert not (out2 / "trace_msa.csv").exists()
 
 
+@pytest.mark.parametrize("extra, resets", [
+    ((), False),
+    (("--reprojection.r0=0.05", "--reprojection.growth=0.01"), True),
+    (("--experiment.x0=3", "--experiment.n_steps=777"), False),
+], ids=["defaults", "tight", "x0-777-steps"])
+def test_untraced_run_msa_writes_the_traced_row(tmp_path, extra, resets):
+    # untraced, run-msa steps the lane loop and reads its final state;
+    # traced, it records the run through msa_run: the rows must be the same
+    rows = []
+    for trace in ((), ("--trace",)):
+        out = tmp_path / ("traced" if trace else "untraced")
+        assert run_cli("run-msa", "--output", str(out), *extra, *trace) == 0
+        rows.append((out / "run_msa.csv").read_bytes())
+    assert rows[0] == rows[1]
+    header, row = rows[0].decode().splitlines()
+    assert (int(dict(zip(header.split(","), row.split(",")))["n_reprojections"]) > 0) == resets
+
+
 @pytest.mark.parametrize("family", [(), ("--reprojection.r0=0.05", "--reprojection.growth=0.01")],
                          ids=["default", "tight"])
 @pytest.mark.parametrize("command, run, name", [("run-msa", "msa_run", "trace_msa.csv"),
@@ -632,7 +673,12 @@ def test_trace_is_a_config_value_of_the_run_commands_only(tmp_path, capsys):
     (("run-msa", "--experiment.x0=99", "--trace"), "x0"),
     (("ml-run", "--experiment.theta0=3.0"), "theta0"),
     (("mse-cost", "--experiment.theta0=3.0"), "theta0"),
-], ids=["--experiment.x0=-1", "--experiment.x0=99", "ml-run-theta0", "mse-cost-theta0"])
+    (("run-coupled", "--experiment.theta0=3.0"),
+     "theta0=3.0 is outside the initial constraint set [-2.0, 2.0]"),
+    (("run-coupled", "--experiment.theta0_bar=-3.0"),
+     "theta0_bar=-3.0 is outside the initial constraint set [-2.0, 2.0]"),
+], ids=["--experiment.x0=-1", "--experiment.x0=99", "ml-run-theta0", "mse-cost-theta0",
+        "run-coupled-theta0", "run-coupled-theta0_bar"])
 def test_initial_state_off_grid_is_a_validation_error(tmp_path, capsys, argv, name):
     # a start state off the grid, or a start parameter outside K_0
     out = tmp_path / "never"

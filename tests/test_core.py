@@ -99,15 +99,14 @@ class TestStepSchedule:
 class TestReprojectionFamily:
     def test_interval_examples(self):
         fam = ReprojectionFamily(1.0, 1.0)
-        assert fam.bounds(0) == (-1.0, 1.0)
-        assert fam.bounds(3) == (-4.0, 4.0)
+        assert fam.radius(0) == 1.0
+        assert fam.radius(3) == 4.0
+        assert fam.contains(-4.0, 3) and fam.contains(4.0, 3) and not fam.contains(4.5, 3)
 
     def test_nested_over_scanned_range(self):
         fam = ReprojectionFamily(0.5, 2.0)
         for k in range(1, 40):
-            lo0, hi0 = fam.bounds(k - 1)
-            lo1, hi1 = fam.bounds(k)
-            assert lo1 <= lo0 and hi0 <= hi1
+            assert fam.radius(k - 1) <= fam.radius(k)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -115,7 +114,7 @@ class TestReprojectionFamily:
         with pytest.raises(ParameterError):
             ReprojectionFamily(1.0, -1.0)
         with pytest.raises(ParameterError):
-            ReprojectionFamily(1.0, 1.0).bounds(-1)
+            ReprojectionFamily(1.0, 1.0).radius(-1)
 
 
 class TestRateParameters:

@@ -193,6 +193,12 @@ class TestCoupledMsaRun:
         with pytest.raises(ParameterError):
             coupled_msa_run(default_model, 0, poly(), FAMILY, 10, seed=0)
 
+    def test_unknown_coupling_rejected(self, default_model):
+        # not silently run as CRN
+        with pytest.raises(ParameterError, match="coupling must be 'crn' or 'independent', "
+                                                 "got 'bogus'"):
+            coupled_msa_run(default_model, 2, poly(), FAMILY, 10, seed=0, coupling="bogus")
+
     @pytest.mark.parametrize("state", [-1, 32])
     @pytest.mark.parametrize("name", ["x0", "x0_bar"])
     def test_initial_state_off_grid_rejected(self, default_model, name, state):
@@ -328,12 +334,6 @@ class TestEmpiricalCltVariance:
     def test_zero_steps_rejected(self, default_model):
         with pytest.raises(ParameterError, match="n_steps"):
             empirical_clt_variance(default_model, 2, poly(), 0, 100, 0)
-
-    @pytest.mark.parametrize("name, value", [("theta0", 5.0), ("theta0_bar", -5.0)])
-    def test_start_parameters_outside_k0_rejected(self, default_model, name, value):
-        with pytest.raises(ParameterError,
-                           match=f"{name}={value} is outside the initial constraint set"):
-            empirical_clt_variance(default_model, 2, poly(), 100, 100, 0, **{name: value})
 
     def test_scales_by_the_last_step_the_engine_took(self):
         # at n = 14, gamma0 * 14**-rho evaluated as a scalar differs in the
@@ -680,9 +680,8 @@ class TestFrozenLaw:
         # level's kernel, the coarse chain's at level l - 1
         model = build_model(m=m)
         frozen = make_step_schedule("constant", 0.0)
-        rngs = [np.random.default_rng(seed0 + i) for i in range(R)]
-        state, _ = _run_ensemble(model, l, frozen, FAMILY, n, rngs, theta, None, theta, None,
-                                 coupled=coupled)
+        state, _ = _run_ensemble(model, l, frozen, FAMILY, n, _Streams(range(seed0, seed0 + R)),
+                                 theta, None, theta, None, coupled=coupled)
         assert (state.theta == theta).all() and state.x.shape == (1 + coupled, R)
         for x, level in zip(state.x, (l, l - 1)):
             K_n = np.linalg.matrix_power(kernel_matrix(model, level, theta), n)

@@ -225,6 +225,17 @@ class TestCoupledKernel:
         with pytest.raises(ParameterError):
             coupled_kernel_matrix(default_model, 0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("build", [coupled_kernel_blocks, coupled_kernel_matrix])
+    def test_limit_level_has_no_coupled_kernel(self, build):
+        # like asymptotic_variance and a coupled run, the kernel refuses l = inf
+        with pytest.raises(ParameterError, match="finite level l >= 1, got inf"):
+            build(build_model(m=8), math.inf, 0.1, 0.1)
+
+    def test_unknown_coupling_rejected(self):
+        with pytest.raises(ParameterError, match="coupling must be 'crn' or 'independent', "
+                                                 "got 'bogus'"):
+            coupled_kernel_blocks(build_model(m=8), 2, 0.1, 0.1, "bogus")
+
 
 def reference_kernel(model, l, theta):
     """Single kernel from per-state loops over phi_l: an off-grid proposal

@@ -4,16 +4,18 @@ Usage, from any directory:
 
     PYTHONPATH=<checkout>/src python tools/result_digests.py > digests.sha
 
-Each configuration below runs as ``python -m mlmsa.cli`` in a fresh process,
-writing into its own directory under one temporary directory, which is
-removed at the end.  One line ``sha256  path`` is printed per file, the path
-relative to that temporary directory; manifests are skipped, since they echo
-the output directory.  Run it against two checkouts and compare the outputs
-with ``diff``: no difference means the two wrote byte-identical results.
+Each configuration below runs in this process through ``mlmsa.cli.main``,
+into its own directory under one temporary directory, which is removed at
+the end.  Each builds its own model, and the exact caches are keyed by the
+model, so no result carries over between configurations.  One line
+``sha256  path`` is printed per file, the path relative to that temporary
+directory; manifests are skipped, since they echo the output directory.
+Run it against two checkouts and compare the outputs with ``diff``: no
+difference means the two wrote byte-identical results.
 
 ``tests/result_digests.sha`` holds these lines as recorded, and
-``tests/test_result_digests.py`` runs the same configurations in one process
-through :func:`digest_lines` and compares.  A change that moves a result
+``tests/test_result_digests.py`` runs the same configurations through
+:func:`digest_lines` and compares.  A change that moves a result
 re-records that file in the same diff, from the checkout's root:
 
     { echo "# recorded with numpy $(python -c 'import numpy; print(numpy.__version__)')"
@@ -27,10 +29,11 @@ reset branch of the stepping loop.
 from __future__ import annotations
 
 import hashlib
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from mlmsa import cli
 
 TIGHT = ("--reprojection.r0=0.05", "--reprojection.growth=0.01")
 
@@ -66,18 +69,12 @@ CONFIGS = (
 )
 
 
-def _run_in_subprocess(argv, out: Path) -> None:
-    done = subprocess.run([sys.executable, "-m", "mlmsa.cli", *argv, "--output", str(out)],
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr}")
-
-
-def digest_lines(root: Path, run=_run_in_subprocess) -> list[str]:
-    """Run every configuration into its own directory under root, through
-    run(argv, out), and return one ``sha256  path`` line per result file."""
+def digest_lines(root: Path) -> list[str]:
+    """Run every configuration into its own directory under root and return
+    one ``sha256  path`` line per result file."""
     for i, argv in enumerate(CONFIGS):
-        run(argv, root / f"{i:02d}-{argv[0]}")
+        if cli.main([*argv, "--output", str(root / f"{i:02d}-{argv[0]}")]) != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
             for path in sorted(root.rglob("*"))
             if path.is_file() and path.name != "manifest.json"]
