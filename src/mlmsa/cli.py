@@ -375,42 +375,43 @@ def _cmd_certify(cfg, parts, outdir):
     return {"lambda_drift": cert.lambda_drift}
 
 
-def _cmd_run_msa(cfg, parts, outdir):
+def _single_run(cfg, parts, coupled):
+    """The command's one run, recorded by msa_run or coupled_msa_run under
+    --trace only: its final theta and start states per chain, fine first, its
+    final psi (up 1 per reprojection), and the recorded run or None."""
     exp = cfg["experiment"]
     run = (parts["model"], exp["level"], parts["schedule"], parts["reprojection"], exp["n_steps"])
+    starts = {k: v for k, v in exp.items() if k in ("theta0", "x0", "theta0_bar", "x0_bar")}
+    starts |= {"coupling": cfg["model"]["coupling"]} if coupled else {}
     if exp["trace"]:
-        traj = msa_run(*run, exp["theta0"], exp["x0"], cfg["seed"])
-        theta, psi, x0 = traj.theta_path[-1, 0], traj.psi_path[-1], traj.x_path[0, 0]
-    else:  # msa_run's loop, recording nothing: the row needs the final state alone
-        state, _ = _run_ensemble(*run, _Streams([cfg["seed"]]), exp["theta0"], exp["x0"])
-        theta, psi, x0 = state.theta[0, 0], state.psi[0], state.x0[0, 0]
-    theta_final, psi_final = float(theta), int(psi)
-    # psi rises by exactly 1 at each reprojection
+        traj = (coupled_msa_run if coupled else msa_run)(*run, seed=cfg["seed"], **starts)
+        return traj.theta_path[-1], traj.x_path[0], traj.psi_path[-1], traj
+    state, _ = _run_ensemble(*run, _Streams([cfg["seed"]]), coupled=coupled, **starts)
+    return state.theta[:, 0], state.x0[:, 0], state.psi[0], None
+
+
+def _cmd_run_msa(cfg, parts, outdir):
+    exp = cfg["experiment"]
+    (theta,), (x0,), psi, traj = _single_run(cfg, parts, coupled=False)
     _write_csv(outdir / "run_msa.csv",
                ("level", "n_steps", "seed", "theta_final", "psi_final", "n_reprojections",
                 "theta0", "x0"),
-               [(exp["level"], exp["n_steps"], cfg["seed"], theta_final, psi_final, psi_final,
-                 exp["theta0"], x0)])
-    if exp["trace"]:
+               [(exp["level"], exp["n_steps"], cfg["seed"], theta, psi, psi, exp["theta0"], x0)])
+    if traj is not None:
         _write_trace(outdir / "trace_msa.csv", ("step", "theta", "x", "psi"), traj)
-    return {"theta_final": theta_final}
+    return {"theta_final": float(theta)}
 
 
 def _cmd_run_coupled(cfg, parts, outdir):
     exp = cfg["experiment"]
-    coupling = cfg["model"]["coupling"]
-    traj = coupled_msa_run(parts["model"], exp["level"], parts["schedule"],
-                           parts["reprojection"], exp["n_steps"], cfg["seed"],
-                           theta0=exp["theta0"], theta0_bar=exp["theta0_bar"],
-                           x0=exp["x0"], x0_bar=exp["x0_bar"], coupling=coupling)
-    fine, coarse = traj.theta_path[-1].tolist()
+    (fine, coarse), _, psi, traj = _single_run(cfg, parts, coupled=True)
     _write_csv(outdir / "run_coupled.csv",
                ("level", "n_steps", "seed", "coupling", "increment_final",
                 "fine_theta_final", "coarse_theta_final", "psi_final",
                 "n_reprojections"),
-               [(exp["level"], exp["n_steps"], cfg["seed"], coupling, fine - coarse,
-                 fine, coarse, int(traj.psi_path[-1]), len(traj.reprojection_events))])
-    if exp["trace"]:
+               [(exp["level"], exp["n_steps"], cfg["seed"], cfg["model"]["coupling"],
+                 fine - coarse, fine, coarse, psi, psi)])
+    if traj is not None:
         _write_trace(outdir / "trace_coupled.csv",
                      ("step", "theta_fine", "theta_coarse", "x_fine", "x_coarse", "psi"), traj)
     return {"increment_final": fine - coarse}

@@ -182,10 +182,6 @@ class Trajectory:
     psi_path: np.ndarray
 
     @property
-    def reprojection_events(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(np.diff(self.psi_path) > 0) + 1).tolist())
-
-    @property
     def fine_x_path(self) -> np.ndarray:
         return self.x_path[:, 0]
 

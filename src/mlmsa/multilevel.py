@@ -146,10 +146,10 @@ def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
     """Run every level of every plan for all replicates in one lane loop of
     max n_l steps.
 
-    Level l of every plan reads child l of each root seed, its own streams
-    of generators, so plans sharing root seeds stay apart.  Returns per
-    plan (per-level estimates of shape (L+1, R), assembled theta_hat of
-    shape (R,), realized cost of a single replicate)."""
+    Level l of every plan reads child l of each root seed, so plans sharing
+    root seeds draw identical uniforms and start states at level l.  Returns
+    per plan (per-level estimates (L+1, R), assembled theta_hat (R,) and the
+    realized cost of a single replicate)."""
     lanes = [_Lane(l, make_step_schedule("constant", plan.gamma_l[l]), plan.n_l[l],
                    _Streams(root_seeds, (l,)), theta0, None, theta0, None,
                    coupled=l > 0, coupling=coupling)
@@ -217,11 +217,13 @@ def mse_cost_experiment(model: FiniteLevelModel, epsilons, R: int, seed0: int,
                         theta0: float = 0.0, coupling: str = "crn") -> MseCostResult:
     """Empirical MSE and cost of the multilevel estimator per precision.
 
-    For each eps: R independent estimates (replicate r rooted at
-    seed0 + r), MSE against the exact limit root, replicate-mean realized
-    cost.  The log-log slope of cost against eps should sit near -2 in the
-    analyzed regime.  Every plan runs in one lane loop; an MSE of exactly 0
-    leaves MSE/eps**2 without a drift and is a NumericalError.
+    For each eps: R independent estimates, replicate r rooted at seed0 + r
+    at every eps, so the rows share common random numbers and their
+    stderr_mse values are not independent of each other; MSE against the
+    exact limit root, replicate-mean realized cost.  The log-log slope of
+    cost against eps should sit near -2 in the analyzed regime.  Every plan
+    runs in one lane loop; an MSE of exactly 0 leaves MSE/eps**2 without a
+    drift and is a NumericalError.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 3 or any(b >= a for a, b in zip(epsilons, epsilons[1:])):

@@ -69,6 +69,11 @@ def poisson_series(K, pi, f, n_terms=200):
     return acc
 
 
+def reprojection_events(psi_path):
+    """The steps n at which a run reprojected: those where psi rises."""
+    return tuple((np.flatnonzero(np.diff(psi_path) > 0) + 1).tolist())
+
+
 def validate_containment(traj, family):
     """Check, on a run record, theta_n in K_{psi_n} for every chain (column)
     and n, that psi increments exactly at the recorded reprojection events,
@@ -77,7 +82,7 @@ def validate_containment(traj, family):
     if np.any(np.abs(traj.theta_path) > bounds[:, None]):
         raise NumericalError("containment violated: a parameter left its constraint set")
     jumps = np.flatnonzero(np.diff(traj.psi_path) != 0) + 1
-    if not np.array_equal(jumps, np.asarray(traj.reprojection_events, dtype=jumps.dtype)):
+    if tuple(jumps.tolist()) != reprojection_events(traj.psi_path):
         raise NumericalError("psi jumps do not match recorded reprojection events")
     if np.any(np.diff(traj.psi_path) < 0):
         raise NumericalError("psi must be nondecreasing")

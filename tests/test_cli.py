@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlmsa import cli
+from mlmsa import cli, core
 from mlmsa.core import NumericalError, ParameterError, ReprojectionFamily, make_step_schedule
 from mlmsa.engine import Trajectory
 from mlmsa.model import build_model
@@ -548,26 +548,47 @@ def test_trace_flag_writes_trajectory(tmp_path):
     assert not (out2 / "trace_msa.csv").exists()
 
 
-@pytest.mark.parametrize("extra, resets", [
-    ((), False),
-    (("--reprojection.r0=0.05", "--reprojection.growth=0.01"), True),
-    (("--experiment.x0=3", "--experiment.n_steps=777"), False),
-], ids=["defaults", "tight", "x0-777-steps"])
-def test_untraced_run_msa_writes_the_traced_row(tmp_path, extra, resets):
-    # untraced, run-msa steps the lane loop and reads its final state;
-    # traced, it records the run through msa_run: the rows must be the same
-    rows = []
+TIGHT_FAMILY = ("--reprojection.r0=0.05", "--reprojection.growth=0.01")
+
+
+@pytest.mark.parametrize("command, extra, resets", [
+    ("run-msa", (), False),
+    ("run-msa", TIGHT_FAMILY, True),
+    ("run-msa", ("--experiment.x0=3", "--experiment.n_steps=777"), False),
+    ("run-coupled", (), False),
+    ("run-coupled", TIGHT_FAMILY, True),
+    ("run-coupled", ("--model.coupling=independent", "--experiment.x0=1",
+                     "--experiment.x0_bar=5", *TIGHT_FAMILY), True),
+], ids=["defaults", "tight", "x0-777-steps", "coupled-defaults", "coupled-tight",
+        "coupled-independent-x0-1-5"])
+def test_untraced_run_msa_writes_the_traced_row(tmp_path, command, extra, resets):
+    # untraced, a run command steps the lane loop and reads its final state;
+    # traced, it records the run through msa_run or coupled_msa_run: the
+    # rows must be the same
+    rows, name = [], command.replace("-", "_") + ".csv"
     for trace in ((), ("--trace",)):
         out = tmp_path / ("traced" if trace else "untraced")
-        assert run_cli("run-msa", "--output", str(out), *extra, *trace) == 0
-        rows.append((out / "run_msa.csv").read_bytes())
+        assert run_cli(command, "--output", str(out), *extra, *trace) == 0
+        rows.append((out / name).read_bytes())
     assert rows[0] == rows[1]
     header, row = rows[0].decode().splitlines()
     assert (int(dict(zip(header.split(","), row.split(",")))["n_reprojections"]) > 0) == resets
 
 
-@pytest.mark.parametrize("family", [(), ("--reprojection.r0=0.05", "--reprojection.growth=0.01")],
-                         ids=["default", "tight"])
+def test_untraced_run_coupled_records_no_paths(tmp_path, monkeypatch, capsys):
+    # 30,000 steps need about 0.45 MB untraced and 1.4 MB with the paths
+    # (theta and x per chain, psi): under a 1 MiB budget only --trace is refused
+    monkeypatch.setattr(core, "_BYTE_BUDGET", 2 ** 20)
+    argv = ("run-coupled", "--experiment.n_steps=30000")
+    assert run_cli(*argv, "--output", str(tmp_path / "untraced")) == 0
+    out = tmp_path / "traced"
+    assert run_cli(*argv, "--output", str(out), "--trace") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error") and "needs 1,441,237 bytes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [(), TIGHT_FAMILY], ids=["default", "tight"])
 @pytest.mark.parametrize("command, run, name", [("run-msa", "msa_run", "trace_msa.csv"),
                                                ("run-coupled", "coupled_msa_run",
                                                 "trace_coupled.csv")])
@@ -824,6 +845,30 @@ def test_certificate_whose_rate_is_not_below_one_is_a_numerical_failure(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("mlmsa: numerical failure")
     assert "is not below 1 at (theta=15.0, l=" in err and "within 2000 powers" in err
+    assert not out.exists()
+
+
+def test_certify_without_a_level_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("certify", "--experiment.levels=[]", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: validation error")
+    assert "need at least one level and one theta" in err
+    assert not out.exists()
+
+
+def test_variance_empirical_that_keeps_too_few_replicates_is_a_numerical_failure(tmp_path,
+                                                                                  capsys):
+    # a family this tight resets nearly every replicate in the run's second
+    # half, and the settling rule keeps one of 100
+    out = tmp_path / "never"
+    with pytest.warns(UserWarning, match="reprojected late"):
+        assert run_cli("variance-empirical", "--model.m=8", "--experiment.n_steps=2000",
+                       "--experiment.replicates=100", "--reprojection.r0=0.01",
+                       "--reprojection.growth=0.001", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: numerical failure")
+    assert "only 1 replicates survived the settling rule" in err
     assert not out.exists()
 
 

@@ -39,7 +39,13 @@ from mlmsa.model import (
     target_density,
 )
 
-from reference import coupled_sample_step, drift_term, sample_step, validate_containment
+from reference import (
+    coupled_sample_step,
+    drift_term,
+    reprojection_events,
+    sample_step,
+    validate_containment,
+)
 
 FAMILY = ReprojectionFamily(2.0, 1.0)
 # resets a few times in 50 steps at m = 32; at m = 3 every |statistic| is
@@ -56,7 +62,7 @@ class TestMsaRun:
         frozen = make_step_schedule("constant", 0.0)
         traj = msa_run(default_model, 2, frozen, FAMILY, 500, 0.3, 4, seed=1)
         assert np.all(traj.theta_path == 0.3)
-        assert len(traj.reprojection_events) == 0
+        assert len(reprojection_events(traj.psi_path)) == 0
 
     def test_zero_drift_keeps_theta_constant(self):
         # constant (zero) statistic and theta0 at its value: H identically 0
@@ -75,14 +81,14 @@ class TestMsaRun:
         traj = msa_run(default_model, 4, poly(gamma0=0.1), FAMILY,
                        100000, 0.0, None, seed=12345)
         assert abs(traj.theta_path[-1, 0] - level_root(default_model, 4)) <= 0.05
-        assert len(traj.reprojection_events) == 0  # r0 = 2 is ample
+        assert len(reprojection_events(traj.psi_path)) == 0  # r0 = 2 is ample
 
     def test_reprojection_resets_and_counts(self, default_model):
         tight = ReprojectionFamily(0.001, 0.001)
         traj = msa_run(default_model, 1, poly(), tight, 3000, 0.0, None, seed=2)
-        assert len(traj.reprojection_events) > 0
+        assert len(reprojection_events(traj.psi_path)) > 0
         validate_containment(traj, tight)
-        k = traj.reprojection_events[0]
+        k = reprojection_events(traj.psi_path)[0]
         assert traj.theta_path[k, 0] == 0.0  # theta0
         assert traj.x_path[k, 0] == traj.x_path[0, 0]  # state resets too, by design
         assert traj.psi_path[k] == traj.psi_path[k - 1] + 1
@@ -125,13 +131,13 @@ class TestMsaRun:
             assert traj.x_path[k, 0] == x
             assert traj.psi_path[k] == psi
         assert psi > 0 or m == 3  # the reset path is replayed too
-        assert traj.reprojection_events == tuple(events)
+        assert reprojection_events(traj.psi_path) == tuple(events)
 
     def test_long_run_is_stable_without_reprojection(self, default_model):
         roomy = ReprojectionFamily(10.0, 1.0)
         traj = msa_run(default_model, 3, poly(), roomy, 1000000, 0.0,
                        None, seed=77)
-        assert len(traj.reprojection_events) == 0
+        assert len(reprojection_events(traj.psi_path)) == 0
         assert np.all(traj.psi_path == 0)
 
 
@@ -163,9 +169,9 @@ class TestCoupledMsaRun:
     def test_joint_reprojection_resets_both(self, default_model):
         tight = ReprojectionFamily(0.001, 0.001)
         traj = coupled_msa_run(default_model, 1, poly(), tight, 2000, seed=6)
-        assert len(traj.reprojection_events) > 0
+        assert len(reprojection_events(traj.psi_path)) > 0
         validate_containment(traj, tight)
-        k = traj.reprojection_events[0]
+        k = reprojection_events(traj.psi_path)[0]
         # both chains back at their starts: theta0 = theta0_bar = 0, x0, x0_bar
         np.testing.assert_array_equal(traj.theta_path[k], [0.0, 0.0])
         np.testing.assert_array_equal(traj.x_path[k], traj.x_path[0])
@@ -234,7 +240,7 @@ class TestCoupledMsaRun:
             assert tuple(traj.x_path[k]) == (x, xb)
             assert traj.psi_path[k] == psi
         assert psi > 0 or m == 3  # the reset path is replayed too
-        assert traj.reprojection_events == tuple(events)
+        assert reprojection_events(traj.psi_path) == tuple(events)
 
 
 class TestSkippedSetTest:
@@ -496,7 +502,7 @@ class TestRunEnsemble:
             assert tuple(ens.theta[:, i]) == tuple(traj.theta_path[-1])
             assert tuple(ens.x[:, i]) == tuple(traj.x_path[-1])
             assert ens.psi[i] == traj.psi_path[-1]
-            assert ens.last_reproj[i] == (traj.reprojection_events or (0,))[-1]
+            assert ens.last_reproj[i] == (reprojection_events(traj.psi_path) or (0,))[-1]
 
 
 class TestRunLanes:

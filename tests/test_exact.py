@@ -24,6 +24,7 @@ from mlmsa.exact import (
     stationary_distribution,
 )
 from mlmsa.model import (
+    FiniteLevelModel,
     build_model,
     coupled_kernel_blocks,
     coupled_kernel_matrix,
@@ -77,6 +78,12 @@ def coupled_law(model, rep):
     K = coupled_kernel_matrix(model, rep.level, rep.theta_star_l, rep.theta_star_lm1,
                               rep.coupling)
     return stationary_distribution(K).reshape(model.m, model.m)
+
+
+def unscaled_model(phi):
+    """An m = 8 model with statistic phi at every level, built without
+    build_model's checks, which keep |phi| <= 1."""
+    return FiniteLevelModel(8, 1.0, 0.5, "sine", "zero", np.asarray(phi, float), np.zeros(8))
 
 
 def structural_verdict(K):
@@ -370,6 +377,11 @@ class TestLevelRoot:
         slope = np.polyfit(list(levels), np.log2(gaps), 1)[0]
         assert abs(slope - (-default_model.beta0)) <= 0.2
 
+    def test_bracket_without_sign_change_is_a_numerical_error(self):
+        # phi = 3 puts the root at 3, outside [-2, 2]: h(2) = 1 > 0
+        with pytest.raises(NumericalError, match=r"no sign change on bracket \[-2.0, 2.0\]"):
+            level_root(unscaled_model(np.full(8, 3.0)), 1)
+
 
 class TestAsymptoticVariance:
     def test_terms_add_up_exactly(self, default_model):
@@ -377,6 +389,13 @@ class TestAsymptoticVariance:
         assert rep.sigma == pytest.approx(rep.t1 + rep.t2, abs=1e-10)
         assert rep.sigma >= -1e-10
         assert rep.dh_l < 0 and rep.dh_lm1 < 0
+
+    def test_nonnegative_mean_field_derivative_is_a_numerical_error(self):
+        # phi = +-1.9 alternating has its root at 0, where Var(phi) = 3.61
+        # and dh/dtheta = 2.61 at both levels
+        with pytest.raises(NumericalError,
+                           match="mean-field derivatives must be negative, got 2.61, 2.61"):
+            asymptotic_variance(unscaled_model(np.tile([1.9, -1.9], 4)), 2)
 
     def test_degenerate_equal_levels_gives_zero(self, bias_off_model):
         rep = asymptotic_variance(bias_off_model, 3)
