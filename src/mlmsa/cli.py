@@ -1,7 +1,10 @@
 """Deterministic command-line front end.
 
 One config file (JSON, strict schema) plus flat ``--key.path=value``
-overrides, each overlaid like a config file, drive every subcommand.  A
+overrides, each overlaid like a config file in argv order (the last value
+wins), drive every subcommand.  ``--seed N``, ``--output DIR`` (text in both
+spellings) and ``--trace`` spell ``--seed=N``, ``--output=DIR`` and
+``--experiment.trace=true``; an abbreviated option is unknown.  A
 subcommand accepts, checks and echoes exactly the settings its run reads:
 its own ``experiment`` table, ``output``, and the keys below, where
 ``model.lyap_exponent`` is read by rate-check, lemma-check and certify only:
@@ -30,7 +33,6 @@ failure.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import os
@@ -194,6 +196,8 @@ def _parse_override(text: str):
     key, eq, raw = text.partition("=")
     if not (key.startswith("--") and eq):
         raise ConfigError(f"argument {text!r} is not an override --key.path=value")
+    if key == "--output":  # a directory path, whatever it looks like
+        return "output", raw
     try:
         return key[2:], json.loads(raw)
     except ValueError:  # not JSON, or an integer beyond the parser's digit limit
@@ -468,34 +472,29 @@ def run(subcommand: str, config_path: str | None, overrides=()) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 1 on bad usage, per the contract
-        raise ConfigError(message)
-
-
 def main(argv=None) -> int:
-    parser = _Parser(prog="mlmsa", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("config", nargs="?", default=None,
-                        help="JSON config file (defaults used when omitted)")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--output", default=None, help="override output directory")
-    parser.add_argument("--trace", action="store_true",
-                        help="same as --experiment.trace=true (run-msa / run-coupled)")
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes an override whose value holds a space for the config path
-    given = [item for item in argv if item.startswith("--") and "=" in item]
+    words, overrides = [], []  # the subcommand and config file; the options in order
+    items = iter(sys.argv[1:] if argv is None else argv)
     try:
-        args, unknown = parser.parse_known_args([item for item in argv if item not in given])
-        overrides = [_parse_override(item) for item in given + unknown]
-        if args.seed is not None:
-            overrides.append(("seed", args.seed))
-        if args.output is not None:
-            overrides.append(("output", args.output))
-        if args.trace:
-            overrides.append(("experiment.trace", True))
-        return run(args.subcommand, args.config, overrides)
+        for item in items:
+            if item in ("-h", "--help"):
+                print("usage: mlmsa <subcommand> [config.json] [--seed N] [--output DIR] "
+                      f"[--trace] [--key.path=value ...]\n\n{__doc__}")
+                return 0
+            if item in ("--seed", "--output"):
+                value = next(items, None)
+                if value is None or value.startswith("-"):
+                    raise ConfigError(f"option {item} needs a value")
+                item = f"{item}={value}"
+            if item == "--trace":
+                overrides.append(("experiment.trace", True))
+            elif item.startswith("-"):
+                overrides.append(_parse_override(item))
+            else:
+                words.append(item)
+        if not 1 <= len(words) <= 2:
+            raise ConfigError(f"expected a subcommand and at most one config file, got {words}")
+        return run(words[0], words[1] if len(words) == 2 else None, overrides)
     except ConfigError as exc:
         print(f"mlmsa: configuration error: {exc}", file=sys.stderr)
         return 1

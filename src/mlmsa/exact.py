@@ -482,23 +482,24 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
 
     The grid's kernels K, Lyapunov vectors V and stationary laws pi are
     stacked once, levels outer and theta inner, and every step below is one
-    array expression over the stack.
+    array expression over the stack.  The small set starts as the union
+    over the grid of the smallest top-mass state sets holding half the
+    stationary mass; states whose worst-case drift ratio max K(V)/V is not
+    below 1 are then moved into the set by falling ratio (reflecting walls
+    are the usual culprits).
+    lambda_drift is the worst ratio outside the set plus _DRIFT_MARGIN, at
+    most 1 - 1e-6, or halfway to 1 where that cap is not above the ratio,
+    and b_drift 1.05 times the largest KV - lambda V on the set plus 1e-9, so
+    the drift check fails on rounding only.  A flat target (theta = 0 makes
+    V and K(V)/V identically 1) puts every state in the set: still a valid
+    certificate for a finite chain, with the b-term everywhere.
 
-    The small set starts as the union over the grid of the smallest
-    top-mass state sets holding half the stationary mass; states whose
-    worst-case drift ratio max K(V)/V is not below 1 are then moved into
-    the set by falling ratio (reflecting walls are the usual culprits).
-    lambda_drift is the worst ratio outside the set plus _DRIFT_MARGIN, and
     n0 doubles from m until every kernel's column-minimum mass of K^n0
-    reaches _MINOR_TARGET or n0 reaches _MINOR_N0_CAP.
-
-    When the scan includes a flat target (theta = 0 makes V identically 1,
-    so K(V)/V is 1 at every state) no proper small set can carry a
-    lambda < 1 drift bound, and the certificate degenerates to the whole
-    state space as its small set.  That is still a valid certificate for a
-    finite chain: the inequality holds with the b-term everywhere, and the
-    uniform-ergodicity content moves entirely into the multi-step
-    minorization.
+    reaches _MINOR_TARGET or n0 reaches _MINOR_N0_CAP.  That mass lies in
+    (0, 1) but for rounding: K is irreducible with K[0, 0] >= 1/2, so
+    K^n > 0 from n = 2(m - 1), under the cap at every m the byte budget
+    admits; and column minima sum to 1 only over equal rows, which no power
+    of a reversible K of rank above one has.
     """
     levels = [int(l) for l in levels]
     n_kernels, m = len(levels) * len(theta_grid), model.m
@@ -564,7 +565,6 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
                              f"l={grid[k][0]}): the chain does not decay within "
                              f"{_RATE_MAX_POWERS} powers")
 
-    # defensive: the reported inequality must hold entrywise on the grid
     gap = KV - (lam * V + b * core)
     if np.max(gap) > 1e-12:
         k, x = np.unravel_index(np.argmax(gap), gap.shape)

@@ -304,8 +304,8 @@ def test_config_file_that_is_missing_or_not_an_object_is_a_configuration_error(
 
 
 def test_unknown_subcommand_is_a_configuration_error(tmp_path):
-    # main's argument parser refuses it first; run, below it, refuses it as
-    # the ConfigError that main reports with exit code 1
+    # resolve_config, under run, is the one subcommand check: it raises the
+    # ConfigError that main reports with exit code 1
     out = tmp_path / "never"
     with pytest.raises(cli.ConfigError, match="unknown subcommand 'bogus'; choose from"):
         cli.run("bogus", None, [("output", str(out))])
@@ -469,6 +469,16 @@ def test_replicate_count_beyond_the_index_range_is_a_validation_error(tmp_path, 
 
 def test_schedule_allocates_nothing_its_budgets_size(tmp_path):
     assert run_cli("schedule", "--experiment.c_n=1e12", "--output", str(tmp_path / "p")) == 0
+
+
+@pytest.mark.parametrize("n_min", [0, -3])
+def test_level_budget_floor_below_one_is_a_configuration_error(tmp_path, capsys, n_min):
+    out = tmp_path / "never"
+    assert run_cli("ml-run", f"--experiment.n_min={n_min}", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error: config block 'experiment': ")
+    assert f"n_min must be a positive integer, got {n_min}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -872,6 +882,17 @@ def test_variance_empirical_that_keeps_too_few_replicates_is_a_numerical_failure
     assert not out.exists()
 
 
+def test_certificate_at_a_nearly_flat_target_takes_the_fallback_lambda(tmp_path):
+    # at theta = 1e-6 the worst drift ratio outside the small set lies above
+    # 1 - 1e-6, the cap of the margin rule, so lambda is halfway to 1
+    out = tmp_path / "cert"
+    assert run_cli("certify", "--experiment.theta_min=1e-6", "--experiment.theta_max=1e-6",
+                   "--experiment.n_theta=1", "--output", str(out)) == 0
+    text = (out / "certificate.json").read_text()
+    assert '"lambda_drift": 0.99999999919585481,' in text
+    assert json.loads(text)["lambda_drift"] > 1.0 - 1e-6
+
+
 def test_certificate_whose_lyapunov_vector_overflows_is_a_numerical_failure(tmp_path, capsys):
     # at theta = 1000 the stationary law underflows to 0 and V = (pi/max pi)**-a to inf
     out = tmp_path / "never"
@@ -981,6 +1002,75 @@ def test_seed_and_workers_flags(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("schedule", "--output", str(out), *flag) == 1
         assert "mlmsa: configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["2026", "true", "null"])
+def test_output_is_a_directory_path_in_both_spellings(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    for flag in (("--output", name), (f"--output={name}",)):
+        assert run_cli("schedule", *flag) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_bytes())
+        assert manifest["config"]["output"] == name
+    assert not (tmp_path / "mlmsa-out").exists()
+
+
+@pytest.mark.parametrize("flags, seed", [(("--seed", "5", "--seed=6"), 6),
+                                         (("--seed=6", "--seed", "5"), 5)])
+def test_the_last_seed_in_argv_wins_whatever_its_spelling(tmp_path, flags, seed):
+    out = tmp_path / "out"
+    assert run_cli("run-msa", "--experiment.n_steps=10", *flags, "--output", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_bytes())["seed"] == seed
+
+
+def test_the_last_output_in_argv_wins_whatever_its_spelling(tmp_path):
+    first, last = tmp_path / "A", tmp_path / "B"
+    assert run_cli("schedule", "--output", str(first), f"--output={last}") == 0
+    assert not first.exists()
+    assert json.loads((last / "manifest.json").read_bytes())["config"]["output"] == str(last)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_the_module_docstring(capsys, flag):
+    assert run_cli(flag) == 0  # no SystemExit
+    out = capsys.readouterr().out
+    assert out.startswith("usage: mlmsa <subcommand> [config.json] [--seed N] [--output DIR] ")
+    assert cli.__doc__ in out
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    ((), "expected a subcommand"),
+    (("ml-run", "--seed"), "option --seed needs a value"),
+    (("ml-run", "--output"), "option --output needs a value"),
+    (("ml-run", "--seed", "--trace"), "option --seed needs a value"),
+    (("schedule", "--out", "never"), "'--out' is not an override"),
+    (("ml-run", "--se", "5"), "'--se' is not an override"),
+    (("ml-run", "cfg.json", "extra"), "expected a subcommand and at most one config file"),
+    (("ml-run", "--seed", "007"), "config key 'seed': must be an integer"),
+    (("ml-run", "--seed=007"), "config key 'seed': must be an integer"),
+], ids=["no-subcommand", "seed-without-value", "output-without-value", "seed-before-option",
+        "abbreviated-output", "abbreviated-seed", "third-word", "seed-007", "seed=007"])
+def test_command_line_that_names_no_run_is_a_configuration_error(tmp_path, monkeypatch, capsys,
+                                                                  argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    (tmp_path / "cfg.json").write_text("{}")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and fragment in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # no output directory
+
+
+def test_a_command_imports_neither_argparse_nor_gettext_nor_numpy_ma(tmp_path):
+    # numpy.ma alone costs about 20 ms of start-up (np.unique imports it)
+    code = ("import sys\nfrom mlmsa import cli\n"
+            "assert cli.main(['variance-exact', '--model.m=8', '--experiment.levels=[1]',"
+            f" '--output={tmp_path / 'out'}']) == 0\n"
+            "print([name for name in ('argparse', 'gettext', 'numpy.ma') if name in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
 
 
 def test_floats_printed_with_17_significant_digits(tmp_path):
