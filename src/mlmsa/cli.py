@@ -272,7 +272,9 @@ def _validate_types(cfg: dict, defaults: dict) -> dict:
                  "must be 'crn' or 'independent'")
     if "seed" in cfg:
         _require(cfg["seed"] >= 0, "seed", "must be a non-negative integer")
-    _require(isinstance(cfg["output"], str), "output", "must be a directory path")
+    # Path("") is the current directory, so an empty path would write there
+    _require(isinstance(cfg["output"], str) and cfg["output"] != "", "output",
+             "must be a non-empty directory path")
     return cfg
 
 

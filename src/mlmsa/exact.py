@@ -86,22 +86,27 @@ def _check_stochastic(*blocks: np.ndarray) -> None:
 
 def _distances(n: int, src: np.ndarray, dst: np.ndarray, start: int) -> np.ndarray:
     """Breadth-first path length from start to every state along the edges
-    src -> dst; -1 where unreachable.  Each distance is one array pass over
-    the edges that leave the states at the distance before."""
-    order = np.argsort(src)
-    src, dst = src[order], dst[order]
-    first = np.searchsorted(src, np.arange(n + 1))  # state v's edges: first[v] to first[v+1]
-    dist = np.full(n, -1)
-    dist[start] = 0
+    src -> dst; -1 where unreachable.
+
+    The edges are held as a padded adjacency table: row v lists the states
+    v reaches, padded to the largest out-degree with a sink state n that
+    counts as reached.  Each distance is then one gather of the frontier's
+    rows, one filter, one scatter and one scan for the next frontier:
+    O(edges + n * (largest out-degree + depth)) in all."""
+    order = np.argsort(src, kind="stable")
+    count = np.bincount(src, minlength=n)
+    table = np.full((n, count.max()), n)
+    src = src[order]
+    table[src, np.arange(src.size) - (np.cumsum(count) - count)[src]] = dst[order]
+    dist = np.full(n + 1, -1)
+    dist[[start, n]] = 0
     frontier, d = np.array([start]), 0
     while frontier.size:
         d += 1
-        lo, count = first[frontier], first[frontier + 1] - first[frontier]
-        # the ranges lo[i] + k, k < count[i], of every frontier state i, end to end
-        reached = dst[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+        reached = table[frontier].ravel()
         dist[reached[dist[reached] < 0]] = d
         frontier = np.flatnonzero(dist == d)
-    return dist
+    return dist[:n]
 
 
 def _check_support(n: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -476,13 +481,37 @@ class ErgodicityCertificate:
     extended_states: tuple[int, ...]  # states added to the top-mass core
 
 
+def _distinct_grid(model: FiniteLevelModel, levels: list[int], thetas: list[float]):
+    """The grid points, levels outer and theta inner, each kept only if no
+    earlier kept point has the same (K, V, pi), and the (B, m, m), (B, m)
+    and (B, m) stacks of the kept points' K, V and pi, in grid order.  A
+    hash of the three arrays' bytes picks the candidates, np.array_equal
+    confirms a match.  The per-point rows go on return, before the
+    certificate's larger temporaries."""
+    points, rows, seen = [], [], {}
+    for l in levels:
+        for th in thetas:
+            row = (kernel_matrix(model, l, th), lyapunov_vector(model, l, th),
+                   target_density(model, l, th))
+            same = seen.setdefault(hash(tuple(a.tobytes() for a in row)), [])
+            if not any(all(map(np.array_equal, row, rows[i])) for i in same):
+                same.append(len(rows))
+                rows.append(row)
+                points.append((l, th))
+    return (points, *(np.stack(stack) for stack in zip(*rows)))
+
+
 def certify_drift_minorization(model: FiniteLevelModel, levels,
                                theta_grid) -> ErgodicityCertificate:
     """Search a uniform drift/minorization certificate over the grid.
 
     The grid's kernels K, Lyapunov vectors V and stationary laws pi are
     stacked once, levels outer and theta inner, and every step below is one
-    array expression over the stack.  The small set starts as the union
+    array expression over the stack.  The stack holds each distinct
+    (K, V, pi) once, at its first grid point (theta = 0 gives the same flat
+    walk at every level): each step reduces its rows by max, min or union,
+    so a repeated row would change nothing, and a failing row is named by
+    its first grid point.  The small set starts as the union
     over the grid of the smallest top-mass state sets holding half the
     stationary mass; states whose worst-case drift ratio max K(V)/V is not
     below 1 are then moved into the set by falling ratio (reflecting walls
@@ -505,7 +534,8 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     n_kernels, m = len(levels) * len(theta_grid), model.m
     if not n_kernels:
         raise ParameterError("need at least one level and one theta")
-    # per kernel: the kernel stack and the state vectors, then the larger of
+    # per grid point, though only the distinct points' rows are held: the
+    # kernel stack and the state vectors, then the larger of
     # matrix_power's temporaries (up to three more kernel stacks) and the rate
     # loop's sup history, chunk buffer and five more probe stacks (the probe
     # list, the stack, its copy, the means and the weights)
@@ -515,10 +545,7 @@ def certify_drift_minorization(model: FiniteLevelModel, levels,
     _check_bytes(f"a certificate over {len(levels)} levels x {len(theta_grid)} thetas at m={m}",
                  _CERT_CALL_BYTES + n_kernels * per_kernel)
     thetas = [float(t) for t in theta_grid]
-    grid = [(l, th) for l in levels for th in thetas]
-    K = np.stack([kernel_matrix(model, l, th) for l, th in grid])
-    V = np.stack([lyapunov_vector(model, l, th) for l, th in grid])
-    pi = np.stack([target_density(model, l, th) for l, th in grid])
+    grid, K, V, pi = _distinct_grid(model, levels, thetas)
     order = np.argsort(-pi, axis=1)
     take = (np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1) < 0.5).sum(axis=1) + 1
     core = np.zeros(m, dtype=bool)

@@ -3,9 +3,12 @@
 Each is written without the package's move table, fundamental matrix or
 stepping loop: the scalar Metropolis samplers restate the move rule one
 state at a time, the Poisson series sums powers of the kernel, the
-containment check reads only a run's recorded paths, and the rate fit
-reduces each power on its own.
+containment check reads only a run's recorded paths, the rate fit
+reduces each power on its own, and the support-graph search visits one
+state at a time.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -118,3 +121,21 @@ def reference_geometric_rate(K, pi, V):
             rho = float(np.exp(np.polyfit(ns, np.log(row[start:][usable]), 1)[0]))
         rates.append(GeometricRate(rho_hat=rho, n_powers=n_powers))
     return tuple(rates)
+
+
+def reference_distances(n, src, dst, start):
+    """Breadth-first path length from start to every state along the edges
+    src -> dst, -1 where unreachable: a deque search over adjacency lists."""
+    out = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        out[u].append(v)
+    dist = [-1] * n
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in out[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist

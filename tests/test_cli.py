@@ -858,6 +858,18 @@ def test_certificate_whose_rate_is_not_below_one_is_a_numerical_failure(tmp_path
     assert not out.exists()
 
 
+def test_certificate_over_a_repeated_failing_point_names_it_once(tmp_path, capsys):
+    # both grid points of each level are one kernel, held once; the first
+    # level whose fit reaches 1 is named, as over the full grid
+    out = tmp_path / "never"
+    assert run_cli("certify", "--experiment.theta_min=15", "--experiment.theta_max=15",
+                   "--experiment.n_theta=2", "--output", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "mlmsa: numerical failure: fitted rate 1.0000003217381488 is not below 1 at "
+        "(theta=15.0, l=1): the chain does not decay within 2000 powers\n")
+    assert not out.exists()
+
+
 def test_certify_without_a_level_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "never"
     assert run_cli("certify", "--experiment.levels=[]", "--output", str(out)) == 1
@@ -1013,6 +1025,20 @@ def test_output_is_a_directory_path_in_both_spellings(tmp_path, monkeypatch, nam
         manifest = json.loads((tmp_path / name / "manifest.json").read_bytes())
         assert manifest["config"]["output"] == name
     assert not (tmp_path / "mlmsa-out").exists()
+
+
+@pytest.mark.parametrize("argv, env", [(("--output=",), None), (("--output", ""), None),
+                                       ((), "")], ids=["equals", "space", "env"])
+def test_empty_output_path_is_a_configuration_error(tmp_path, monkeypatch, capsys, argv, env):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.OUTPUT_ENV, env)
+    assert run_cli("schedule", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mlmsa: configuration error") and "'output'" in err
+    assert not any(tmp_path.iterdir())  # Path("") is the current directory
 
 
 @pytest.mark.parametrize("flags, seed", [(("--seed", "5", "--seed=6"), 6),

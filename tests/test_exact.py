@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -35,7 +36,7 @@ from mlmsa.model import (
     target_density,
 )
 
-from reference import poisson_series, reference_geometric_rate
+from reference import poisson_series, reference_distances, reference_geometric_rate
 
 
 def random_reversible_chain(n, seed):
@@ -118,6 +119,21 @@ def sparse_stochastic(draw):
     support[empty, empty.nonzero()[0]] = True  # a row with no edge becomes absorbing
     W = np.where(support, rng.uniform(1.0, 20.0, size=(n, n)), 0.0)
     return W / W.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def edge_lists(draw):
+    """n in [1, 40] states and an edge list (src, dst) over them, with
+    self-loops and repeated edges; states without out-edges and states no
+    edge enters are common, as the list holds at most 2n edges."""
+    n = draw(st.integers(1, 40))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=2 * n))
+    edges += [(v, v) for v in draw(st.lists(state, max_size=3))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return n, src, dst
 
 
 def forward_shortcut_path(n):
@@ -204,6 +220,25 @@ class TestStationary:
     @example(K=np.eye(30, k=1) + np.eye(30) * np.r_[np.zeros(29), 1.0])  # plain path
     def test_support_check_agrees_with_spectrum(self, K):
         assert structural_verdict(K) == spectral_verdict(K)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=edge_lists())
+    def test_distances_match_a_deque_search(self, graph):
+        n, src, dst = graph
+        for a, b in ((src, dst), (dst, src)):
+            for start in range(n):
+                assert exact._distances(n, a, b, start).tolist() == \
+                    reference_distances(n, a, b, start)
+
+    def test_distances_on_the_coupled_support_graph_at_m160(self):
+        # the edges of the CRN coupled kernel, as _block_stationary builds them
+        m = 160
+        lower, diag, upper = coupled_kernel_blocks(build_model(m=m), 3, 0.6, -0.4, "crn")
+        xs, ys, shift, yn = np.nonzero(np.stack([lower > 0.0, diag > 0.0, upper > 0.0], axis=2))
+        src, dst = xs * m + ys, (xs + shift - 1) * m + yn
+        for a, b in ((src, dst), (dst, src)):
+            assert exact._distances(m * m, a, b, 0).tolist() == \
+                reference_distances(m * m, a, b, 0)
 
     @pytest.mark.parametrize("coupling", ["crn", "independent"])
     def test_coupled_kernels_pass_both_checks(self, small_model, coupling):
@@ -609,6 +644,29 @@ class TestCertificate:
         assert len(cert.small_set) == 8  # V constant: b-term needed everywhere
         assert cert.lambda_drift < 1.0
         assert cert.nu_mass == pytest.approx(1.0)
+
+    def test_repeated_grid_points_change_no_field(self):
+        # theta = 0 is the same flat walk at every level, and 0.5 and 0.0 repeat
+        model = build_model(m=8)
+        thetas = [0.5, 0.0, -1.0, 0.5, 0.0]
+        repeated = dataclasses.asdict(certify_drift_minorization(model, [0, 1, 2], thetas))
+        once = dataclasses.asdict(certify_drift_minorization(model, [0, 1, 2], thetas[:3]))
+        assert repeated.pop("thetas") == tuple(thetas)
+        assert once.pop("thetas") == tuple(thetas[:3])
+        assert repeated == once
+
+    def test_rate_loop_holds_each_distinct_kernel_once(self, monkeypatch, default_model):
+        rows = []
+        rate = exact.estimate_geometric_rate
+
+        def spy(K, pi, V):
+            rows.append(len(K))
+            return rate(K, pi, V)
+
+        monkeypatch.setattr(exact, "estimate_geometric_rate", spy)
+        # the certify defaults: 7 levels x 9 thetas, theta = 0 the same at every level
+        certify_drift_minorization(default_model, range(7), np.linspace(-2, 2, 9))
+        assert rows == [63 - 6]
 
     # m = 8: the rate loop's sup history dominates; m = 40: matrix_power's
     # temporaries at an n0 that is not a power of two
