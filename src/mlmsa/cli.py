@@ -49,9 +49,9 @@ from .core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    StepSchedule,
     _check_bytes,
     level_delta,
-    make_step_schedule,
 )
 from .engine import _run_ensemble, _Streams, coupled_msa_run, empirical_clt_variance, msa_run
 from .exact import (
@@ -72,7 +72,7 @@ _BLOCKS = {
     "model": ({"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
                "bias_choice": "cosine", "coupling": "crn"},
               lambda coupling, **kw: build_model(**kw)),
-    "schedule": ({"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}, make_step_schedule),
+    "schedule": ({"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}, StepSchedule),
     "reprojection": (asdict(ReprojectionFamily()), ReprojectionFamily),
     "rates": ({"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5}, RateParameters),
 }

@@ -21,7 +21,6 @@ __all__ = [
     "ParameterError",
     "NumericalError",
     "StepSchedule",
-    "make_step_schedule",
     "ReprojectionFamily",
     "RateParameters",
 ]
@@ -57,19 +56,53 @@ def level_delta(l) -> float:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size sequence gamma_n, either gamma0 * n**-rho or constant gamma0.
+    """Validated step-size sequence gamma_n: gamma0 * n**-rho or constant gamma0.
 
     Polynomial schedules are only admissible for rho in (1/2, 1), which
     guarantees the three conditions needed for almost-sure convergence and
     the CLT: divergent step sum, square-summable steps, and
-    log(gamma_n/gamma_{n-1}) = o(gamma_n).  Constant schedules are used by
-    the multilevel driver, where the step is tied to the iteration budget
-    of each level; they deliberately do not satisfy the decay conditions.
+    log(gamma_n/gamma_{n-1}) = o(gamma_n).  An exponent outside (1/2, 1) is
+    refused with a diagnostic naming the condition that fails:
+
+    - rho <= 1/2 breaks square summability (sum of gamma_n**2 diverges),
+    - rho == 1 breaks the ratio condition (log(gamma_n/gamma_{n-1}) is of
+      exact order gamma_n, not smaller),
+    - rho > 1 breaks divergence of the step sum.
+
+    Constant schedules are used by the multilevel driver, where the step is
+    tied to the iteration budget of each level; they deliberately do not
+    satisfy the decay conditions, ignore rho (stored as None) and allow
+    gamma0 == 0 so that frozen-parameter runs can reuse the simulation
+    engines as plain Markov-chain samplers.
     """
 
     kind: str  # "polynomial" | "constant"
     gamma0: float
-    rho: float | None
+    rho: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("polynomial", "constant"):
+            raise ParameterError(
+                f"schedule kind must be 'polynomial' or 'constant', got {self.kind!r}")
+        if self.kind == "constant":
+            if self.gamma0 < 0:
+                raise ParameterError(f"constant schedule needs gamma0 >= 0, got {self.gamma0}")
+        elif self.gamma0 <= 0:
+            raise ParameterError(f"polynomial schedule needs gamma0 > 0, got {self.gamma0}")
+        elif self.rho is None:
+            raise ParameterError("polynomial schedule needs an exponent rho")
+        elif self.rho <= 0.5:
+            raise ParameterError(f"rho={self.rho} violates square summability: "
+                                 "sum of gamma_n**2 is infinite for rho <= 1/2")
+        elif self.rho == 1.0:
+            raise ParameterError(
+                "rho=1 violates the ratio condition: log(gamma_n/gamma_{n-1})/gamma_n "
+                "tends to -1/gamma0, not 0")
+        elif self.rho > 1.0:
+            raise ParameterError(
+                f"rho={self.rho} violates divergence: sum of gamma_n is finite for rho > 1")
+        object.__setattr__(self, "gamma0", float(self.gamma0))
+        object.__setattr__(self, "rho", float(self.rho) if self.kind == "polynomial" else None)
 
     def step_sizes(self, n_steps: int) -> np.ndarray:
         """Vector (gamma_1, ..., gamma_n_steps)."""
@@ -79,43 +112,6 @@ class StepSchedule:
         g **= -self.rho
         g *= self.gamma0
         return g
-
-
-def make_step_schedule(kind: str, gamma0: float, rho: float | None = None) -> StepSchedule:
-    """Validated step-size schedule.
-
-    Rejects polynomial exponents outside (1/2, 1) with a diagnostic naming
-    the admissibility condition that fails:
-
-    - rho <= 1/2 breaks square summability (sum of gamma_n**2 diverges),
-    - rho == 1 breaks the ratio condition (log(gamma_n/gamma_{n-1}) is of
-      exact order gamma_n, not smaller),
-    - rho > 1 breaks divergence of the step sum.
-
-    Constant schedules allow gamma0 == 0 so that frozen-parameter runs can
-    reuse the simulation engines as plain Markov-chain samplers.
-    """
-    if kind not in ("polynomial", "constant"):
-        raise ParameterError(f"schedule kind must be 'polynomial' or 'constant', got {kind!r}")
-    if kind == "constant":
-        if gamma0 < 0:
-            raise ParameterError(f"constant schedule needs gamma0 >= 0, got {gamma0}")
-        return StepSchedule("constant", float(gamma0), None)
-    if gamma0 <= 0:
-        raise ParameterError(f"polynomial schedule needs gamma0 > 0, got {gamma0}")
-    if rho is None:
-        raise ParameterError("polynomial schedule needs an exponent rho")
-    if rho <= 0.5:
-        raise ParameterError(
-            f"rho={rho} violates square summability: sum of gamma_n**2 is infinite for rho <= 1/2")
-    if rho == 1.0:
-        raise ParameterError(
-            "rho=1 violates the ratio condition: log(gamma_n/gamma_{n-1})/gamma_n "
-            "tends to -1/gamma0, not 0")
-    if rho > 1.0:
-        raise ParameterError(
-            f"rho={rho} violates divergence: sum of gamma_n is finite for rho > 1")
-    return StepSchedule("polynomial", float(gamma0), float(rho))
 
 
 @dataclass(frozen=True)

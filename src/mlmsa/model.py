@@ -26,8 +26,9 @@ m**2 x m**2 matrix, which only tests use.
 
 The update statistic is H_l(theta, x) = phi_l(u_x) - theta, so the mean
 field h_l(theta) = pi_{theta,l}(phi_l) - theta has derivative
-Var_{pi_{theta,l}}(phi_l) - 1, which the scaling |phi_l| <= 1 keeps
-strictly negative: each level has a unique root.
+Var_{pi_{theta,l}}(phi_l) - 1 <= 0.96**2 - 1, since every choice pair keeps
+|phi_l| <= |phi| + |c| <= 0.9596 at every level: each level has a unique
+root, inside [-2, 2] as h_l(-2) >= 1.04 > 0 > -1.04 >= h_l(2).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,15 +66,47 @@ _MAX_STATES = 2 ** 20  # keeps each O(m) array of the model and its move tables 
 
 @dataclass(frozen=True, eq=False)
 class FiniteLevelModel:
-    """Immutable model instance; arrays are read-only views."""
+    """Validated, immutable model: five settings and the arrays they derive.
 
-    m: int
-    beta0: float
-    lyap_exponent: float
-    phi_choice: str
-    bias_choice: str
-    phi: np.ndarray   # base statistic phi(u_x), |phi| <= 1
-    bias: np.ndarray  # bias shape c(u_x), |c| <= 1
+    m >= 3 keeps the nearest-neighbour proposal meaningful and m <= 2**20
+    bounds the grid's arrays; beta0 > 0 is the synthetic bias rate;
+    lyap_exponent in (0, 1) shapes the Lyapunov function pi**-lyap_exponent.
+    """
+
+    m: int = 32
+    beta0: float = 1.0
+    lyap_exponent: float = 0.5
+    phi_choice: str = "sine"
+    bias_choice: str = "cosine"
+    phi: np.ndarray = field(init=False)   # base statistic phi(u_x)
+    bias: np.ndarray = field(init=False)  # bias shape c(u_x)
+
+    def __post_init__(self):
+        m, phi_choice, bias_choice = self.m, self.phi_choice, self.bias_choice
+        if not isinstance(m, int) or not 3 <= m <= _MAX_STATES:
+            raise ParameterError(f"m must be an integer in [3, {_MAX_STATES}], got {m!r}")
+        if not self.beta0 > 0:  # refuses nan, which would void |phi_l| <= 0.96
+            raise ParameterError(f"beta0 must be positive, got {self.beta0}")
+        if not (0.0 < self.lyap_exponent < 1.0):
+            raise ParameterError(f"lyap_exponent must lie in (0, 1), got {self.lyap_exponent}")
+        if phi_choice not in _PHI_CHOICES:
+            raise ParameterError(f"phi_choice must be one of {_PHI_CHOICES}, got {phi_choice!r}")
+        if bias_choice not in _BIAS_CHOICES:
+            raise ParameterError(
+                f"bias_choice must be one of {_BIAS_CHOICES}, got {bias_choice!r}")
+        u = self.positions
+        phi = 0.5 * np.sin(2 * np.pi * u) if phi_choice == "sine" else np.zeros(m)
+        if bias_choice == "cosine":
+            bias = 0.5 * np.cos(2 * np.pi * u)
+        elif bias_choice == "shifted-cosine":
+            bias = 0.5 * np.cos(2 * np.pi * u + 1.0)
+        else:
+            bias = np.zeros(m)
+        phi.setflags(write=False)
+        bias.setflags(write=False)
+        for name, value in (("beta0", float(self.beta0)), ("phi", phi), ("bias", bias),
+                            ("lyap_exponent", float(self.lyap_exponent))):
+            object.__setattr__(self, name, value)
 
     @property
     def positions(self) -> np.ndarray:
@@ -82,36 +115,8 @@ class FiniteLevelModel:
 
 def build_model(m: int = 32, beta0: float = 1.0, lyap_exponent: float = 0.5,
                 phi_choice: str = "sine", bias_choice: str = "cosine") -> FiniteLevelModel:
-    """Construct a validated model.
-
-    m >= 3 keeps the nearest-neighbour proposal meaningful and m <= 2**20
-    bounds the grid's arrays; beta0 > 0 is the synthetic bias rate;
-    lyap_exponent in (0, 1) shapes the Lyapunov function pi**-lyap_exponent.
-    """
-    if not isinstance(m, int) or not 3 <= m <= _MAX_STATES:
-        raise ParameterError(f"m must be an integer in [3, {_MAX_STATES}], got {m!r}")
-    if beta0 <= 0:
-        raise ParameterError(f"beta0 must be positive, got {beta0}")
-    if not (0.0 < lyap_exponent < 1.0):
-        raise ParameterError(f"lyap_exponent must lie in (0, 1), got {lyap_exponent}")
-    if phi_choice not in _PHI_CHOICES:
-        raise ParameterError(f"phi_choice must be one of {_PHI_CHOICES}, got {phi_choice!r}")
-    if bias_choice not in _BIAS_CHOICES:
-        raise ParameterError(f"bias_choice must be one of {_BIAS_CHOICES}, got {bias_choice!r}")
-    u = np.arange(m) / (m - 1)
-    phi = 0.5 * np.sin(2 * np.pi * u) if phi_choice == "sine" else np.zeros(m)
-    if bias_choice == "cosine":
-        bias = 0.5 * np.cos(2 * np.pi * u)
-    elif bias_choice == "shifted-cosine":
-        bias = 0.5 * np.cos(2 * np.pi * u + 1.0)
-    else:
-        bias = np.zeros(m)
-    # |phi_l| <= 1 for every level keeps Var(phi_l) < 1, hence dh_l/dtheta < 0.
-    assert np.max(np.abs(phi)) <= 1.0 and np.max(np.abs(bias)) <= 1.0
-    phi.setflags(write=False)
-    bias.setflags(write=False)
-    return FiniteLevelModel(m, float(beta0), float(lyap_exponent),
-                            phi_choice, bias_choice, phi, bias)
+    """FiniteLevelModel of these settings; a function, so wrapping it leaves the class alone."""
+    return FiniteLevelModel(m, beta0, lyap_exponent, phi_choice, bias_choice)
 
 
 def _check_level(l, minimum: int = 0) -> None:

@@ -32,8 +32,8 @@ from .core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    StepSchedule,
     level_delta,
-    make_step_schedule,
 )
 from .engine import _Lane, _run_lanes, _Streams
 from .exact import level_root
@@ -150,7 +150,7 @@ def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
     root seeds draw identical uniforms and start states at level l.  Returns
     per plan (per-level estimates (L+1, R), assembled theta_hat (R,) and the
     realized cost of a single replicate)."""
-    lanes = [_Lane(l, make_step_schedule("constant", plan.gamma_l[l]), plan.n_l[l],
+    lanes = [_Lane(l, StepSchedule("constant", plan.gamma_l[l]), plan.n_l[l],
                    _Streams(root_seeds, (l,)), theta0, None, theta0, None,
                    coupled=l > 0, coupling=coupling)
              for plan in plans for l in range(plan.L + 1)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mlmsa import cli
-from mlmsa.core import ReprojectionFamily, make_step_schedule
+from mlmsa.core import ReprojectionFamily, StepSchedule
 from mlmsa.engine import coupled_msa_run, empirical_clt_variance
 from mlmsa.exact import (
     asymptotic_variance,
@@ -83,7 +83,7 @@ def test_criterion_3_exact_vs_empirical_clt_variance(default_model):
     t0 = time.time()
     n, R = 100000, 400
     exact = asymptotic_variance(default_model, 3).sigma
-    sched = make_step_schedule("polynomial", 1.0, 0.75)
+    sched = StepSchedule("polynomial", 1.0, 0.75)
     est = empirical_clt_variance(default_model, 3, sched, n, R, seed0=1000)
     z = (est.estimate - exact) / est.stderr
     assert abs(est.estimate - exact) <= 3 * est.stderr
@@ -98,7 +98,7 @@ def test_criterion_4_perfect_coupling_zero(bias_off_model):
     t0 = time.time()
     rep = asymptotic_variance(bias_off_model, 3)
     assert abs(rep.sigma) <= 1e-8
-    sched = make_step_schedule("polynomial", 1.0, 0.75)
+    sched = StepSchedule("polynomial", 1.0, 0.75)
     traj = coupled_msa_run(bias_off_model, 3, sched, ReprojectionFamily(2.0, 1.0),
                            20000, seed=5, theta0=0.4, theta0_bar=0.4)
     np.testing.assert_array_equal(traj.theta_path[:, 0], traj.theta_path[:, 1])

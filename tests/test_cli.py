@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlmsa import cli, core
-from mlmsa.core import NumericalError, ParameterError, ReprojectionFamily, make_step_schedule
+from mlmsa.core import NumericalError, ParameterError, ReprojectionFamily, StepSchedule
 from mlmsa.engine import Trajectory
 from mlmsa.model import build_model
 
@@ -634,7 +634,7 @@ def test_acceptance_that_overflows_replays_the_clamped_procedure(tmp_path):
     starts = (9000.0, -9000.0, 3, 3)
     th, tb, x, xb, psi = *starts, 0
     rows = [(0, th, tb, x, xb, psi)]
-    for k, g in enumerate(make_step_schedule("polynomial", 1.0, 0.75).step_sizes(10_000), 1):
+    for k, g in enumerate(StepSchedule("polynomial", 1.0, 0.75).step_sizes(10_000), 1):
         xn, xbn = coupled_sample_step(model, l, th, tb, x, xb, rng)
         half = th + g * drift_term(model, l, th, xn)
         half_bar = tb + g * drift_term(model, l - 1, tb, xbn)

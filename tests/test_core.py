@@ -8,8 +8,8 @@ from mlmsa.core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
+    StepSchedule,
     level_delta,
-    make_step_schedule,
 )
 from mlmsa.model import build_model, target_density
 
@@ -29,7 +29,7 @@ class TestLevel:
 
 class TestStepSchedule:
     def test_polynomial_value(self):
-        sched = make_step_schedule("polynomial", 1.0, 0.75)
+        sched = StepSchedule("polynomial", 1.0, 0.75)
         # direct evaluation of gamma0 * n**-rho at n = 3
         assert sched.step_sizes(3)[-1] == pytest.approx(0.4386913376508308, rel=1e-15)
         assert sched.step_sizes(1)[-1] == 1.0
@@ -37,7 +37,7 @@ class TestStepSchedule:
     def test_polynomial_vector_is_built_in_place(self):
         # gamma0 * arange ** -rho as one expression holds two vectors at its peak
         n = 10 ** 6
-        sched = make_step_schedule("polynomial", 0.7, 0.6)
+        sched = StepSchedule("polynomial", 0.7, 0.6)
         tracemalloc.start()
         try:
             steps = sched.step_sizes(n)
@@ -48,34 +48,46 @@ class TestStepSchedule:
         assert (steps == 0.7 * np.arange(1, n + 1, dtype=float) ** -0.6).all()
 
     def test_constant_value(self):
-        sched = make_step_schedule("constant", 0.1)
+        sched = StepSchedule("constant", 0.1)
         assert all(sched.step_sizes(n)[-1] == 0.1 for n in (1, 50, 100))
 
     def test_constant_allows_zero_for_frozen_runs(self):
-        sched = make_step_schedule("constant", 0.0)
+        sched = StepSchedule("constant", 0.0)
         assert sched.step_sizes(5)[-1] == 0.0
 
     def test_rho_one_rejected_naming_ratio_condition(self):
         # log(gamma_n/gamma_{n-1}) ~ -1/n is of exact order gamma_n = 1/n
         with pytest.raises(ParameterError, match="ratio condition"):
-            make_step_schedule("polynomial", 1.0, 1.0)
+            StepSchedule("polynomial", 1.0, 1.0)
 
     def test_rho_half_rejected_naming_square_summability(self):
         with pytest.raises(ParameterError, match="square summability"):
-            make_step_schedule("polynomial", 1.0, 0.5)
+            StepSchedule("polynomial", 1.0, 0.5)
 
     def test_rho_above_one_rejected_naming_divergence(self):
         with pytest.raises(ParameterError, match="divergence"):
-            make_step_schedule("polynomial", 1.0, 1.2)
+            StepSchedule("polynomial", 1.0, 1.2)
 
     def test_gamma0_validation(self):
         with pytest.raises(ParameterError):
-            make_step_schedule("polynomial", 0.0, 0.75)
+            StepSchedule("polynomial", 0.0, 0.75)
         with pytest.raises(ParameterError):
-            make_step_schedule("constant", -0.1)
+            StepSchedule("constant", -0.1)
+
+    def test_unknown_kind_and_missing_rho_rejected(self):
+        with pytest.raises(ParameterError, match="schedule kind must be 'polynomial' or "
+                                                 "'constant', got 'linear'"):
+            StepSchedule("linear", 1.0, 0.75)
+        with pytest.raises(ParameterError, match="polynomial schedule needs an exponent rho"):
+            StepSchedule("polynomial", 1.0)
+
+    def test_settings_stored_as_floats(self):
+        assert StepSchedule("polynomial", 1, 3 / 4) == StepSchedule("polynomial", 1.0, 0.75)
+        assert type(StepSchedule("polynomial", 1, 0.75).gamma0) is float
+        assert StepSchedule("constant", 1, 0.75).rho is None
 
     def test_step_sum_diverges_numerically(self):
-        g = make_step_schedule("polynomial", 1.0, 0.75).step_sizes(200000)
+        g = StepSchedule("polynomial", 1.0, 0.75).step_sizes(200000)
         partial = np.cumsum(g)
         # increments over successive doublings grow: the sum diverges
         inc_late = partial[-1] - partial[len(g) // 2]
@@ -83,14 +95,14 @@ class TestStepSchedule:
         assert inc_late > inc_early > 0
 
     def test_squared_sum_converges_numerically(self):
-        g = make_step_schedule("polynomial", 1.0, 0.75).step_sizes(200000)
+        g = StepSchedule("polynomial", 1.0, 0.75).step_sizes(200000)
         sq = np.cumsum(g ** 2)
         # the tail contributes a vanishing fraction
         assert sq[-1] - sq[len(g) // 2] < 0.01 * sq[-1]
 
     def test_ratio_diagnostic_decreases_to_zero(self):
         # |log(gamma_n/gamma_{n-1})| / gamma_n for n = 2..5000
-        g = make_step_schedule("polynomial", 1.0, 0.75).step_sizes(5000)
+        g = StepSchedule("polynomial", 1.0, 0.75).step_sizes(5000)
         d = np.abs(np.log(g[1:] / g[:-1])) / g[1:]
         assert np.all(np.diff(d) < 0)
         assert d[-1] < 0.2 * d[0]

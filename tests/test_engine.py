@@ -15,7 +15,6 @@ from mlmsa.core import (
     ParameterError,
     ReprojectionFamily,
     StepSchedule,
-    make_step_schedule,
 )
 from mlmsa.engine import (
     _CHUNK,
@@ -54,12 +53,12 @@ TIGHT = ReprojectionFamily(0.25, 0.05)
 
 
 def poly(gamma0=1.0, rho=0.75):
-    return make_step_schedule("polynomial", gamma0, rho)
+    return StepSchedule("polynomial", gamma0, rho)
 
 
 class TestMsaRun:
     def test_zero_steps_freeze_theta(self, default_model):
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         traj = msa_run(default_model, 2, frozen, FAMILY, 500, 0.3, 4, seed=1)
         assert np.all(traj.theta_path == 0.3)
         assert len(reprojection_events(traj.psi_path)) == 0
@@ -187,7 +186,7 @@ class TestCoupledMsaRun:
         # the coupling's marginal property in action: the fine chain of a
         # frozen coupled run is a plain chain for its own target
         m8 = build_model(m=8)
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         n = 100000
         traj = coupled_msa_run(m8, 2, frozen, FAMILY, n, seed=99,
                                theta0=0.7, theta0_bar=0.7)
@@ -250,7 +249,7 @@ class TestSkippedSetTest:
     # constant step above 1; r0 < 2S guards chunks until resets grow the sets
     RUNS = [(False, "crn"), (True, "crn"), (True, "independent")]
     SCHEDULES = [poly(gamma0) for gamma0 in (0.5, 1.0, 1.5, 4.0)] + [
-        make_step_schedule("constant", gamma) for gamma in (1.0, 1.5)]
+        StepSchedule("constant", gamma) for gamma in (1.0, 1.5)]
 
     @staticmethod
     def replay(model, l, coupled, coupling, gammas, family, theta0s, seed):
@@ -383,7 +382,7 @@ class TestEmpiricalCltVariance:
         # the gamma_n**-1 scaling removes the schedule: any admissible
         # exponent must estimate the same asymptotic variance
         exact = asymptotic_variance(default_model, 2).sigma
-        sched = make_step_schedule("polynomial", 1.0, rho)
+        sched = StepSchedule("polynomial", 1.0, rho)
         est = empirical_clt_variance(default_model, 2, sched, 40000, 250,
                                      seed0=7000)
         assert abs(est.estimate - exact) <= 3 * est.stderr
@@ -396,7 +395,7 @@ class TestEmpiricalCltVariance:
         assert ind.estimate > crn.estimate
 
     def test_requires_polynomial_schedule(self, default_model):
-        const = make_step_schedule("constant", 0.01)
+        const = StepSchedule("constant", 0.01)
         with pytest.raises(ParameterError):
             empirical_clt_variance(default_model, 2, const, 100, 100, 0)
 
@@ -685,7 +684,7 @@ class TestFrozenLaw:
         # CRN); after n steps its state has the law uniform @ K^n of its own
         # level's kernel, the coarse chain's at level l - 1
         model = build_model(m=m)
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         state, _ = _run_ensemble(model, l, frozen, FAMILY, n, _Streams(range(seed0, seed0 + R)),
                                  theta, None, theta, None, coupled=coupled)
         assert (state.theta == theta).all() and state.x.shape == (1 + coupled, R)
@@ -710,7 +709,7 @@ class TestFrozenLaw:
         # and is refused above its 1 - 1e-5 quantile; a pair of zero mass
         # must not occur at all
         model = build_model(m=m)
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         starts = (0, m - 1) if apart else (None, None)
         state, _ = _run_ensemble(model, l, frozen, FAMILY, n, _Streams(range(seed0, seed0 + R)),
                                  theta, starts[0], theta_bar, starts[1], coupled=True,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlmsa.core import NumericalError, ParameterError, make_step_schedule, ReprojectionFamily
+from mlmsa.core import NumericalError, ParameterError, ReprojectionFamily, StepSchedule
 from mlmsa import exact
 from mlmsa.engine import coupled_msa_run, msa_run
 from mlmsa.exact import (
@@ -25,7 +25,6 @@ from mlmsa.exact import (
     stationary_distribution,
 )
 from mlmsa.model import (
-    FiniteLevelModel,
     build_model,
     coupled_kernel_blocks,
     coupled_kernel_matrix,
@@ -79,12 +78,6 @@ def coupled_law(model, rep):
     K = coupled_kernel_matrix(model, rep.level, rep.theta_star_l, rep.theta_star_lm1,
                               rep.coupling)
     return stationary_distribution(K).reshape(model.m, model.m)
-
-
-def unscaled_model(phi):
-    """An m = 8 model with statistic phi at every level, built without
-    build_model's checks, which keep |phi| <= 1."""
-    return FiniteLevelModel(8, 1.0, 0.5, "sine", "zero", np.asarray(phi, float), np.zeros(8))
 
 
 def structural_verdict(K):
@@ -239,6 +232,24 @@ class TestStationary:
         for a, b in ((src, dst), (dst, src)):
             assert exact._distances(m * m, a, b, 0).tolist() == \
                 reference_distances(m * m, a, b, 0)
+
+    def test_walk_on_wrong_distances_stops_after_n_moves(self, monkeypatch):
+        # every state reached from r and none reaching back moves r between
+        # states 0 and 1 for ever; the fake stops a walk that has no bound
+        n, calls = 4, []
+
+        def wrong(n, src, dst, start):
+            calls.append(start)
+            if len(calls) > 2 * (n + 1):
+                raise AssertionError("support walk did not stop")
+            dist = np.full(n, -1 if len(calls) % 2 == 0 else 1)
+            dist[start] = 0
+            return dist
+
+        monkeypatch.setattr(exact, "_distances", wrong)
+        with pytest.raises(NumericalError, match="no closed class found in 4 moves"):
+            exact._check_support(n, np.arange(n), np.roll(np.arange(n), 1))
+        assert calls == [0, 0, 1, 1] * 2
 
     @pytest.mark.parametrize("coupling", ["crn", "independent"])
     def test_coupled_kernels_pass_both_checks(self, small_model, coupling):
@@ -412,11 +423,6 @@ class TestLevelRoot:
         slope = np.polyfit(list(levels), np.log2(gaps), 1)[0]
         assert abs(slope - (-default_model.beta0)) <= 0.2
 
-    def test_bracket_without_sign_change_is_a_numerical_error(self):
-        # phi = 3 puts the root at 3, outside [-2, 2]: h(2) = 1 > 0
-        with pytest.raises(NumericalError, match=r"no sign change on bracket \[-2.0, 2.0\]"):
-            level_root(unscaled_model(np.full(8, 3.0)), 1)
-
 
 class TestAsymptoticVariance:
     def test_terms_add_up_exactly(self, default_model):
@@ -424,13 +430,6 @@ class TestAsymptoticVariance:
         assert rep.sigma == pytest.approx(rep.t1 + rep.t2, abs=1e-10)
         assert rep.sigma >= -1e-10
         assert rep.dh_l < 0 and rep.dh_lm1 < 0
-
-    def test_nonnegative_mean_field_derivative_is_a_numerical_error(self):
-        # phi = +-1.9 alternating has its root at 0, where Var(phi) = 3.61
-        # and dh/dtheta = 2.61 at both levels
-        with pytest.raises(NumericalError,
-                           match="mean-field derivatives must be negative, got 2.61, 2.61"):
-            asymptotic_variance(unscaled_model(np.tile([1.9, -1.9], 4)), 2)
 
     def test_degenerate_equal_levels_gives_zero(self, bias_off_model):
         rep = asymptotic_variance(bias_off_model, 3)
@@ -464,7 +463,7 @@ class TestAsymptoticVariance:
         sol = poisson_solve(K, pi, H)
         exact_av = pi @ (sol.g_hat ** 2) - pi @ (sol.Kg_hat ** 2)
         # frozen-theta run: the chain path is a plain Metropolis trajectory
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         traj = msa_run(default_model, l, frozen, ReprojectionFamily(5.0, 1.0),
                        400000, theta0=rep.theta_star_l, x0=None, seed=314)
         vals = H[traj.x_path[1:, 0]]
@@ -479,7 +478,7 @@ class TestAsymptoticVariance:
         # two update statistics along the frozen coupled chain, which a
         # batch-means covariance estimates without any Poisson solve
         rep = asymptotic_variance(default_model, 2)
-        frozen = make_step_schedule("constant", 0.0)
+        frozen = StepSchedule("constant", 0.0)
         n, b = 400000, 2000
         traj = coupled_msa_run(default_model, 2, frozen, ReprojectionFamily(5.0, 1.0),
                                n, seed=2718, theta0=rep.theta_star_l,

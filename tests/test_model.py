@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmsa.core import ParameterError
+from mlmsa.exact import level_root, mean_field_derivative
 from mlmsa.model import (
+    _BIAS_CHOICES,
+    _PHI_CHOICES,
+    FiniteLevelModel,
     build_model,
     coupled_kernel_blocks,
     coupled_kernel_matrix,
@@ -31,23 +35,53 @@ class TestBuildModel:
     def test_minimal_grid_is_valid(self):
         assert build_model(m=3).m == 3
 
+    # each refusal runs through the factory and the class itself, so that no
+    # way to build a model skips a check
     def test_rejects_degenerate_grid(self):
-        with pytest.raises(ParameterError):
-            build_model(m=2)
+        for build in (build_model, FiniteLevelModel):
+            with pytest.raises(ParameterError, match="m must be an integer"):
+                build(m=2)
 
     def test_grid_size_is_bounded(self):
         assert build_model(m=2 ** 20).m == 2 ** 20
-        for m in (2 ** 20 + 1, 2 ** 70):  # 2**70 overflows numpy's index type
-            with pytest.raises(ParameterError, match=r"m must be an integer in \[3, 1048576\]"):
-                build_model(m=m)
+        for build in (build_model, FiniteLevelModel):
+            for m in (2 ** 20 + 1, 2 ** 70):  # 2**70 overflows numpy's index type
+                with pytest.raises(ParameterError,
+                                   match=r"m must be an integer in \[3, 1048576\]"):
+                    build(m=m)
 
     @pytest.mark.parametrize("kwargs", [
         dict(beta0=0.0), dict(lyap_exponent=0.0), dict(lyap_exponent=1.0),
         dict(phi_choice="triangle"), dict(bias_choice="sawtooth"),
+        dict(beta0=math.nan),
     ])
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ParameterError):
-            build_model(**kwargs)
+        for build in (build_model, FiniteLevelModel):
+            with pytest.raises(ParameterError, match=next(iter(kwargs))):
+                build(**kwargs)
+
+    def test_class_takes_only_the_settings(self):
+        model = FiniteLevelModel(8, 1, 0.5, "zero", "zero")
+        assert (model.beta0, model.lyap_exponent) == (1.0, 0.5)
+        assert type(model.beta0) is float
+        assert not model.phi.flags.writeable and not model.bias.flags.writeable
+        with pytest.raises(TypeError):
+            FiniteLevelModel(8, 1.0, 0.5, "sine", "zero", np.zeros(8), np.zeros(8))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 33, 1001, 2 ** 20])
+    def test_statistics_bound_proves_the_exact_layer_guards(self, m):
+        # level_root's bracket [-2, 2] and asymptotic_variance's negative
+        # derivatives both follow from |phi_l| <= 0.96 at every level
+        for phi_choice in _PHI_CHOICES:
+            for bias_choice in _BIAS_CHOICES:
+                model = build_model(m=m, phi_choice=phi_choice, bias_choice=bias_choice)
+                assert np.max(np.abs(model.phi) + np.abs(model.bias)) <= 0.96
+
+    @pytest.mark.parametrize("bias_choice", ["cosine", "shifted-cosine"])
+    def test_mean_field_derivative_bounded_at_level_roots(self, bias_choice):
+        model = build_model(bias_choice=bias_choice)
+        for l in (*range(9), math.inf):
+            assert mean_field_derivative(model, l, level_root(model, l)) <= -0.079
 
 
 class TestLevelStatistic:

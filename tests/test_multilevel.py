@@ -8,7 +8,7 @@ from mlmsa.core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
-    make_step_schedule,
+    StepSchedule,
 )
 from mlmsa.engine import _run_ensemble
 from mlmsa.exact import level_root
@@ -67,6 +67,14 @@ class TestScheduleLevels:
             LevelPlan(epsilon=0.1, L=0, n_l=(10,), gamma_l=(0.1,),
                       predicted_cost=1.0, rates=RATES, c_n=1.0, n_min=1,
                       cost_note="")
+        plan = schedule_levels(0.2, RATES, n_min=10)
+        for change, message in [
+                (dict(L=0), "plan must have L >= 1"),
+                (dict(n_l=plan.n_l[:-1]), "n_l must have one entry per level"),
+                (dict(n_l=(9, *plan.n_l[1:])), "every level budget must be >= n_min"),
+                (dict(predicted_cost=math.inf), "predicted cost must be finite")]:
+            with pytest.raises(ParameterError, match=message):
+                dataclasses.replace(plan, **change)
 
     def test_serializable(self):
         d = dataclasses.asdict(schedule_levels(0.2, RATES))
@@ -115,7 +123,7 @@ class TestMlEstimate:
         for l in reversed(range(plan.L + 1)):
             rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(plan.L + 1)[l])
             n = plan.n_l[l]
-            sched = make_step_schedule("constant", plan.gamma_l[l])
+            sched = StepSchedule("constant", plan.gamma_l[l])
             st, _ = _run_ensemble(default_model, l, sched, fam, n, [rng],
                                   0.0, None, 0.0, None, coupled=l > 0)
             # rows: the fine chain, then (l >= 1) the coarse chain

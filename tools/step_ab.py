@@ -57,7 +57,7 @@ def _timed(side, case, seed: int) -> float:
     """ns per replicate-step of one call."""
     engine, core, model = side
     _, R, coupled, coupling, n = case
-    args = (model.build_model(m=32), 3, core.make_step_schedule("polynomial", 1.0, 0.75),
+    args = (model.build_model(m=32), 3, core.StepSchedule("polynomial", 1.0, 0.75),
             core.ReprojectionFamily(2.0, 1.0), n)
     rngs = [np.random.default_rng(seed + i) for i in range(R)]
     start = time.perf_counter_ns()
