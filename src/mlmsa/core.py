@@ -85,12 +85,14 @@ class StepSchedule:
             raise ParameterError(
                 f"schedule kind must be 'polynomial' or 'constant', got {self.kind!r}")
         if self.kind == "constant":
-            if self.gamma0 < 0:
+            if not self.gamma0 >= 0:
                 raise ParameterError(f"constant schedule needs gamma0 >= 0, got {self.gamma0}")
-        elif self.gamma0 <= 0:
+        elif not self.gamma0 > 0:
             raise ParameterError(f"polynomial schedule needs gamma0 > 0, got {self.gamma0}")
         elif self.rho is None:
             raise ParameterError("polynomial schedule needs an exponent rho")
+        elif math.isnan(self.rho):
+            raise ParameterError(f"rho must be a number, got {self.rho}")
         elif self.rho <= 0.5:
             raise ParameterError(f"rho={self.rho} violates square summability: "
                                  "sum of gamma_n**2 is infinite for rho <= 1/2")
@@ -127,9 +129,9 @@ class ReprojectionFamily:
     growth: float = 1.0
 
     def __post_init__(self):
-        if self.r0 <= 0:
+        if not self.r0 > 0:
             raise ParameterError(f"r0 must be positive, got {self.r0}")
-        if self.growth <= 0:
+        if not self.growth > 0:
             raise ParameterError(f"growth must be positive, got {self.growth}")
 
     def radius(self, k):
@@ -159,13 +161,13 @@ class RateParameters:
     kappa: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if not (0.5 < self.zeta <= 1.0):
             raise ParameterError(f"zeta must lie in (1/2, 1], got {self.zeta}")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
 
     @property

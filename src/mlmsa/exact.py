@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import NumericalError, ParameterError, _check_bytes
 from .model import (
     FiniteLevelModel,
+    _per_model,
     coupled_kernel_blocks,
     kernel_matrix,
     level_statistic,
@@ -256,7 +256,7 @@ def mean_field_derivative(model: FiniteLevelModel, l, theta: float) -> float:
     return float(pi @ (s * s) - mu * mu - 1.0)
 
 
-@lru_cache(maxsize=1024)
+@_per_model
 def level_root(model: FiniteLevelModel, l) -> float:
     """Unique root theta*_l of h_l, by bisection to |h| < 1e-12.
 
@@ -277,7 +277,7 @@ def level_root(model: FiniteLevelModel, l) -> float:
     raise NumericalError(f"bisection did not reach |h| < {_ROOT_TOL} (level {l})")
 
 
-@lru_cache(maxsize=128)
+@_per_model
 def _coupled_stationary(model: FiniteLevelModel, l, theta: float, theta_bar: float,
                         coupling: str) -> np.ndarray:
     """Stationary law of the coupled kernel, flat over pairs x*m + xbar.
@@ -287,7 +287,8 @@ def _coupled_stationary(model: FiniteLevelModel, l, theta: float, theta_bar: flo
     it from coupled_kernel_blocks, never as a dense m**2 x m**2 matrix:
     O(m**4) time, and 32 m**3 bytes for the blocks and U, which the byte
     budget allows up to m = 203.  At the defaults the result's bytes do
-    not change with the BLAS thread count.
+    not change with the BLAS thread count.  Kept with the model, though no
+    command solves one law twice: perfbench reads its cache_info().
     """
     m = model.m
     _check_bytes(f"coupled stationary law for m={m}", 4 * 8 * m ** 3)  # blocks and U
@@ -691,9 +692,10 @@ def rate_diagnostics(model: FiniteLevelModel, levels, theta: float,
     return LevelDiagnostics(tuple(levels), quantities, slopes)
 
 
-@lru_cache(maxsize=4096)
+@_per_model
 def _poisson_for(model: FiniteLevelModel, l, theta: float) -> PoissonSolution:
-    """Poisson solution for the update statistic H_l(theta, .) (cached)."""
+    """Poisson solution for the update statistic H_l(theta, .), kept with
+    the model; its arrays are read-only."""
     K = kernel_matrix(model, l, theta)
     pi = target_density(model, l, theta)
     H = level_statistic(model, l) - theta

@@ -24,6 +24,10 @@ coupled kernel as the (lower, diagonal, upper) blocks of its tridiagonal
 form in the fine state; coupled_kernel_matrix scatters them into the dense
 m**2 x m**2 matrix, which only tests use.
 
+What is derived from a model (level statistics; the roots, Poisson
+solutions and coupled stationary laws of mlmsa.exact) is kept by _per_model
+in a dict the model holds, so it lives and goes with the model.
+
 The update statistic is H_l(theta, x) = phi_l(u_x) - theta, so the mean
 field h_l(theta) = pi_{theta,l}(phi_l) - theta has derivative
 Var_{pi_{theta,l}}(phi_l) - 1 <= 0.96**2 - 1, since every choice pair keeps
@@ -33,10 +37,11 @@ root, inside [-2, 2] as h_l(-2) >= 1.04 > 0 > -1.04 >= h_l(2).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +85,7 @@ class FiniteLevelModel:
     bias_choice: str = "cosine"
     phi: np.ndarray = field(init=False)   # base statistic phi(u_x)
     bias: np.ndarray = field(init=False)  # bias shape c(u_x)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)  # kept by _per_model
 
     def __post_init__(self):
         m, phi_choice, bias_choice = self.m, self.phi_choice, self.bias_choice
@@ -130,22 +136,35 @@ def _check_level(l, minimum: int = 0) -> None:
                              f"{sys.float_info.max:.17g}] or math.inf, got {l!r}")
 
 
-# model -> {level: phi_l}; a model that nothing else holds takes its levels'
-# statistics with it.  The exact layer's lru_caches are keyed by the model and
-# hold it, so a model an exact solve has seen keeps them until those evict it
-_STATISTICS = weakref.WeakKeyDictionary()
+def _per_model(fn):
+    """fn(model, *args), computed once per model and typed positional
+    arguments and kept in model._derived, so the results go with the model.
+    The key holds each argument's type: True and 1 are different levels.
+    cache_info() counts hits and misses over all models, as functools does."""
+    counts = SimpleNamespace(hits=0, misses=0)
+
+    @functools.wraps(fn)
+    def memo(model, *args):
+        kept, key = model._derived, (fn, *args, *map(type, args))
+        if key in kept:
+            counts.hits += 1
+        else:
+            counts.misses += 1  # before the call, as in functools
+            kept[key] = fn(model, *args)
+        return kept[key]
+
+    memo.cache_info = lambda: SimpleNamespace(**vars(counts))
+    return memo
 
 
+@_per_model
 def level_statistic(model: FiniteLevelModel, l) -> np.ndarray:
-    """phi_l = phi + delta_l**beta0 * c; phi itself at l = inf.  Kept per
-    model and level while the model lives."""
+    """phi_l = phi + delta_l**beta0 * c; phi itself at l = inf.  Kept with
+    the model, so a level is checked once."""
     _check_level(l)
-    kept = _STATISTICS.setdefault(model, {})
-    if l not in kept:
-        amp = level_delta(l) ** model.beta0
-        kept[l] = model.phi + amp * model.bias
-        kept[l].setflags(write=False)
-    return kept[l]
+    s = model.phi + level_delta(l) ** model.beta0 * model.bias
+    s.setflags(write=False)
+    return s
 
 
 def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
@@ -153,9 +172,7 @@ def _step_diffs(model: FiniteLevelModel, l) -> tuple[np.ndarray, np.ndarray]:
 
     Entry 2*x + 1 is the +1 proposal from x and entry 2*x the -1 proposal.
     Wall rule: an off-grid proposal lands on x with increment 0, so it
-    leaves the state in place whatever the acceptance draw.  Built on each
-    call: a cache keyed by the model would keep every run's tables, since
-    each command-line call builds a fresh model.
+    leaves the state in place whatever the acceptance draw.
     """
     s = level_statistic(model, l)
     x = np.arange(model.m)
@@ -177,7 +194,6 @@ def _move_probabilities(model: FiniteLevelModel, l, theta: float) -> tuple[np.nd
 def target_density(model: FiniteLevelModel, l, theta: float) -> np.ndarray:
     """Normalized pi_{theta,l}; exponentials are max-shifted before
     normalization so any finite theta is safe."""
-    _check_level(l)
     z = theta * level_statistic(model, l)
     w = np.exp(z - np.max(z))
     return w / w.sum()

@@ -92,7 +92,7 @@ def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if c_n <= 0:
+    if not c_n > 0:
         raise ParameterError(f"c_n must be positive, got {c_n}")
     if not isinstance(n_min, int) or n_min < 1:
         raise ParameterError(f"n_min must be a positive integer, got {n_min!r}")

@@ -5,7 +5,7 @@ from mlmsa.model import build_model
 
 @pytest.fixture(scope="session")
 def default_model():
-    """m=32 sine/cosine model; shared so exact-solve caches carry across tests."""
+    """m=32 sine/cosine model; shared so the exact solves it keeps carry across tests."""
     return build_model()
 
 

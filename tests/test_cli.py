@@ -649,21 +649,29 @@ def test_acceptance_that_overflows_replays_the_clamped_procedure(tmp_path):
 
 
 def test_in_process_calls_hold_no_growing_memory(tmp_path):
-    # each call builds a fresh model; once a call returns, nothing keeps its
-    # model or the statistics of its levels, 4 MB a call at m = 131072
-    argv = ("run-coupled", "--model.m=131072", "--experiment.n_steps=10")
-    assert run_cli(*argv, "--output", str(tmp_path / "warm")) == 0
-    gc.collect()
-    tracemalloc.start()
-    try:
-        held = []
-        for i in range(3):
-            assert run_cli(*argv, "--output", str(tmp_path / str(i))) == 0
-            gc.collect()
-            held.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert max(held) < 2 ** 18
+    # each call builds a fresh model, which holds what was derived from it;
+    # once a call returns, nothing keeps its model
+    for argv in (
+        # level statistics, 4 MB a call at m = 131072
+        ("run-coupled", "--model.m=131072", "--experiment.n_steps=10"),
+        # level roots with their statistics, 9 MB a call at m = 131072
+        ("mse-cost", "--model.m=131072", "--experiment.c_n=0.01", "--experiment.n_min=1"),
+        # Poisson solutions and coupled stationary laws, 0.9 MB a call at m = 120
+        ("variance-exact", "--model.m=120", "--experiment.levels=[1,2,3,4,5,6,7,8]"),
+    ):
+        outdir = tmp_path / argv[0]
+        assert run_cli(*argv, "--output", str(outdir / "warm")) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = []
+            for i in range(3):
+                assert run_cli(*argv, "--output", str(outdir / str(i))) == 0
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert max(held) < 2 ** 18, (argv[0], held)
 
 
 def test_trace_writer_holds_a_block_of_rows_not_the_whole_text(tmp_path):

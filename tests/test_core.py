@@ -22,7 +22,7 @@ class TestLevel:
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True])
     def test_rejects_bad_indices(self, bad):
-        # target_density is uncached: lru_cache would treat True as 1
+        # level_statistic keeps each level under its type, so True is never level 1
         with pytest.raises(ParameterError):
             target_density(build_model(m=3), bad, 0.0)
 
@@ -148,3 +148,23 @@ class TestRateParameters:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ParameterError):
             RateParameters(**kwargs)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StepSchedule("polynomial", NAN, 0.75), "polynomial schedule needs gamma0 > 0"),
+    (lambda: StepSchedule("polynomial", 1.0, NAN), "rho must be a number"),
+    (lambda: StepSchedule("constant", NAN), "constant schedule needs gamma0 >= 0"),
+    (lambda: ReprojectionFamily(NAN, 1.0), "r0 must be positive"),
+    (lambda: ReprojectionFamily(2.0, NAN), "growth must be positive"),
+    (lambda: RateParameters(alpha=NAN, beta=1.0, zeta=1.0, kappa=0.5), "alpha must be positive"),
+    (lambda: RateParameters(alpha=1.0, beta=NAN, zeta=1.0, kappa=0.5), "beta must be positive"),
+    (lambda: RateParameters(alpha=1.0, beta=1.0, zeta=1.0, kappa=NAN), "kappa must be positive"),
+], ids=["schedule-gamma0", "schedule-rho", "constant-gamma0", "r0", "growth",
+        "alpha", "beta", "kappa"])
+def test_settings_refuse_nan(build, message):
+    # every comparison with nan is false, so each check asks for the admissible case
+    with pytest.raises(ParameterError, match=f"{message}, got nan"):
+        build()

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -333,6 +335,19 @@ class TestCoupledChecks:
             _coupled_stationary(build_model(m=3), 1, 0.0, 0.0, "crn")
 
 
+_NOT_SQUARE = np.full((2, 3), 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: stationary_distribution(_NOT_SQUARE),
+    lambda: poisson_solve(_NOT_SQUARE, np.full(2, 0.5), np.zeros(2)),
+    lambda: estimate_geometric_rate(_NOT_SQUARE[None], np.full((1, 2), 0.5), np.ones((1, 2))),
+], ids=["stationary", "poisson", "rate"])
+def test_non_square_kernel_is_refused(solve):
+    with pytest.raises(ParameterError, match=r"kernel must be square, got shape \(2, 3\)"):
+        solve()
+
+
 class TestPoisson:
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(3, 64), l=st.integers(0, 8), theta=st.floats(-2.0, 2.0))
@@ -422,6 +437,37 @@ class TestLevelRoot:
         gaps = [abs(level_root(default_model, l) - truth) for l in levels]
         slope = np.polyfit(list(levels), np.log2(gaps), 1)[0]
         assert abs(slope - (-default_model.beta0)) <= 0.2
+
+
+class TestPerModelMemo:
+    def test_results_go_with_the_model(self):
+        model = build_model(m=8)
+        level_root(model, 2)
+        asymptotic_variance(model, 2)
+        level_statistic(model, 3)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_second_level_reuses_the_shared_root(self):
+        # the counts perfbench reads through cache_info()
+        memos = (level_root, exact._poisson_for, _coupled_stationary)
+        model = build_model(m=8)
+        asymptotic_variance(model, 2)
+        before = [memo.cache_info() for memo in memos]
+        asymptotic_variance(model, 3)
+        after = [memo.cache_info() for memo in memos]
+        assert [(a.hits - b.hits, a.misses - b.misses)
+                for a, b in zip(after, before)] == [(1, 1), (1, 1), (0, 1)]
+
+    def test_a_kept_level_does_not_admit_true(self):
+        model = build_model(m=8)
+        level_statistic(model, 1)
+        with pytest.raises(ParameterError, match="got True"):
+            level_statistic(model, True)
+        with pytest.raises(ParameterError, match="got True"):
+            target_density(model, True, 0.0)
 
 
 class TestAsymptoticVariance:

@@ -62,6 +62,12 @@ class TestScheduleLevels:
         with pytest.raises(ParameterError):
             schedule_levels(eps, RATES)
 
+    @pytest.mark.parametrize("c_n", [0.0, -1.0, math.nan])
+    def test_budget_scale_must_be_positive(self, c_n):
+        # nan fails c_n > 0; it would otherwise reach int() of a nan budget
+        with pytest.raises(ParameterError, match=f"c_n must be positive, got {c_n}"):
+            schedule_levels(0.1, RATES, c_n=c_n)
+
     def test_plan_invariants_enforced(self):
         with pytest.raises(ParameterError):
             LevelPlan(epsilon=0.1, L=0, n_l=(10,), gamma_l=(0.1,),

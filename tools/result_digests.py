@@ -6,8 +6,8 @@ Usage, from any directory:
 
 Each configuration below runs in this process through ``mlmsa.cli.main``,
 into its own directory under one temporary directory, which is removed at
-the end.  Each builds its own model, and the exact caches are keyed by the
-model, so no result carries over between configurations.  One line
+the end.  Each builds its own model, which holds what the exact layer
+derives from it, so no result carries over between configurations.  One line
 ``sha256  path`` is printed per file, the path relative to that temporary
 directory; manifests are skipped, since they echo the output directory.
 Run it against two checkouts and compare the outputs with ``diff``: no
