@@ -49,6 +49,15 @@ def _check_bytes(what: str, need: int) -> None:
                              f"{_BYTE_BUDGET:,}-byte budget")
 
 
+def _check_positive(**settings: float) -> None:
+    """Refuse each named setting that is not a positive finite number."""
+    for name, value in settings.items():
+        if not value > 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+        if value == math.inf:
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def level_delta(l) -> float:
     """Mesh proxy 2**-l; accepts math.inf for the limit model (delta 0)."""
     return 2.0 ** (-l) if l != math.inf else 0.0
@@ -103,6 +112,8 @@ class StepSchedule:
         elif self.rho > 1.0:
             raise ParameterError(
                 f"rho={self.rho} violates divergence: sum of gamma_n is finite for rho > 1")
+        if self.gamma0 == math.inf:
+            raise ParameterError(f"{self.kind} schedule needs a finite gamma0, got {self.gamma0}")
         object.__setattr__(self, "gamma0", float(self.gamma0))
         object.__setattr__(self, "rho", float(self.rho) if self.kind == "polynomial" else None)
 
@@ -129,10 +140,7 @@ class ReprojectionFamily:
     growth: float = 1.0
 
     def __post_init__(self):
-        if not self.r0 > 0:
-            raise ParameterError(f"r0 must be positive, got {self.r0}")
-        if not self.growth > 0:
-            raise ParameterError(f"growth must be positive, got {self.growth}")
+        _check_positive(r0=self.r0, growth=self.growth)
 
     def radius(self, k):
         """r0 + growth*k, elementwise for an array of set indices."""
@@ -161,14 +169,10 @@ class RateParameters:
     kappa: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        _check_positive(alpha=self.alpha, beta=self.beta)
         if not (0.5 < self.zeta <= 1.0):
             raise ParameterError(f"zeta must lie in (1/2, 1], got {self.zeta}")
-        if not self.kappa > 0:
-            raise ParameterError(f"kappa must be positive, got {self.kappa}")
+        _check_positive(kappa=self.kappa)
 
     @property
     def variance_rate(self) -> float:

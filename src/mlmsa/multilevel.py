@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class LevelPlan:
     epsilon: float
     L: int
     n_l: tuple[int, ...]          # iterations per level, indices 0..L
-    gamma_l: tuple[float, ...]    # constant step 1/n_l per level
+    gamma_l: tuple[float, ...] = field(init=False)  # constant step 1/n_l, from n_l
     predicted_cost: float         # sum_l n_l * delta_l**-kappa (fine chain only)
     rates: RateParameters
     c_n: float
@@ -74,10 +74,11 @@ class LevelPlan:
             raise ParameterError(f"plan must have L >= 1, got {self.L}")
         if len(self.n_l) != self.L + 1:
             raise ParameterError("n_l must have one entry per level 0..L")
-        if any(n < self.n_min for n in self.n_l):
-            raise ParameterError("every level budget must be >= n_min")
+        if self.n_min < 1 or any(n < self.n_min for n in self.n_l):
+            raise ParameterError("every level budget must be >= n_min >= 1")
         if not math.isfinite(self.predicted_cost):
             raise ParameterError("predicted cost must be finite")
+        object.__setattr__(self, "gamma_l", tuple(1.0 / n for n in self.n_l))
 
 
 def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
@@ -104,14 +105,13 @@ def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
             "regime (per-level budgets would not sum to O(eps**-2))")
     boundary = abs(v - kappa) <= 1e-12
     expo = 0.5 * (v + kappa)
-    n_l, gamma_l, cost = [], [], 0.0
+    n_l, cost = [], 0.0
     try:
         L = max(1, _ceil_stable(math.log2(1.0 / epsilon) / rates.alpha))
         for l in range(L + 1):
             delta = level_delta(l)
             n = max(n_min, _ceil_stable(c_n * epsilon ** -2 * delta ** expo))
             n_l.append(n)
-            gamma_l.append(1.0 / n)
             cost += n * delta ** -kappa
     except (OverflowError, ZeroDivisionError) as exc:
         # float ** raises instead of returning inf; 2.0**-l is 0.0 past l = 1074
@@ -119,9 +119,8 @@ def schedule_levels(epsilon: float, rates: RateParameters, n_min: int = 100,
             f"epsilon={epsilon} and c_n={c_n} give a level budget or cost that is not "
             f"a finite float under {rates}") from exc
     note = "cost O(eps^-2 log(eps)^2)" if boundary else "cost O(eps^-2)"
-    return LevelPlan(epsilon=float(epsilon), L=L, n_l=tuple(n_l), gamma_l=tuple(gamma_l),
-                     predicted_cost=float(cost), rates=rates, c_n=float(c_n),
-                     n_min=n_min, cost_note=note)
+    return LevelPlan(epsilon=float(epsilon), L=L, n_l=tuple(n_l), predicted_cost=float(cost),
+                     rates=rates, c_n=float(c_n), n_min=n_min, cost_note=note)
 
 
 @dataclass(frozen=True)
@@ -140,20 +139,25 @@ class MLEstimate:
     seeds: tuple[tuple[int, int], ...]
 
 
+def _level_lanes(plan: LevelPlan, root_seeds, theta0: float, coupling: str) -> list[_Lane]:
+    """The lanes of levels 0..L of plan: level 0 is a single chain and
+    level l >= 1 a coupled pair at (l, l - 1), each taking n_l constant
+    steps 1/n_l on child l of every root seed, from theta0 and drawn start
+    states.  A level's estimate is its last iterate, fine minus coarse."""
+    return [_Lane(l, StepSchedule("constant", plan.gamma_l[l]), plan.n_l[l],
+                  _Streams(root_seeds, (l,)), theta0, None, theta0, None,
+                  coupled=l > 0, coupling=coupling)
+            for l in range(plan.L + 1)]
+
+
 def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
                        reproj: ReprojectionFamily, theta0: float,
                        coupling: str) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Run every level of every plan for all replicates in one lane loop of
-    max n_l steps.
-
-    Level l of every plan reads child l of each root seed, so plans sharing
-    root seeds draw identical uniforms and start states at level l.  Returns
-    per plan (per-level estimates (L+1, R), assembled theta_hat (R,) and the
-    realized cost of a single replicate)."""
-    lanes = [_Lane(l, StepSchedule("constant", plan.gamma_l[l]), plan.n_l[l],
-                   _Streams(root_seeds, (l,)), theta0, None, theta0, None,
-                   coupled=l > 0, coupling=coupling)
-             for plan in plans for l in range(plan.L + 1)]
+    """Run the level lanes of every plan, all replicates, in one lane loop of
+    max n_l steps (plans sharing root seeds share each level's draws).
+    Returns per plan the per-level estimates (L+1, R), the assembled
+    theta_hat (R,) and the realized cost of a single replicate."""
+    lanes = [lane for plan in plans for lane in _level_lanes(plan, root_seeds, theta0, coupling)]
     states = iter(_run_lanes(model, lanes, reproj)[0])
     out = []
     for plan in plans:
@@ -162,7 +166,6 @@ def _run_plan_ensemble(model: FiniteLevelModel, plans, root_seeds,
         cost = 0.0
         for l in range(plan.L + 1):
             st = next(states)
-            # level 0 is a single chain; level l >= 1 a fine-minus-coarse pair
             estimates[l] = st.theta[0] - st.theta[1] if l > 0 else st.theta[0]
             cost += plan.n_l[l] * (2.0 ** (l * kappa)
                                    + (2.0 ** ((l - 1) * kappa) if l > 0 else 0.0))

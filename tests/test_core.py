@@ -168,3 +168,21 @@ def test_settings_refuse_nan(build, message):
     # every comparison with nan is false, so each check asks for the admissible case
     with pytest.raises(ParameterError, match=f"{message}, got nan"):
         build()
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StepSchedule("polynomial", INF, 0.75), "polynomial schedule needs a finite gamma0"),
+    (lambda: StepSchedule("constant", INF), "constant schedule needs a finite gamma0"),
+    (lambda: ReprojectionFamily(INF, 1.0), "r0 must be finite"),
+    (lambda: ReprojectionFamily(2.0, INF), "growth must be finite"),
+    (lambda: RateParameters(alpha=INF, beta=1.0, zeta=1.0, kappa=0.5), "alpha must be finite"),
+    (lambda: RateParameters(alpha=1.0, beta=INF, zeta=1.0, kappa=0.5), "beta must be finite"),
+    (lambda: RateParameters(alpha=1.0, beta=1.0, zeta=1.0, kappa=INF), "kappa must be finite"),
+], ids=["schedule-gamma0", "constant-gamma0", "r0", "growth", "alpha", "beta", "kappa"])
+def test_settings_refuse_inf(build, message):
+    # inf passes every lower bound, so it is refused by name after them
+    with pytest.raises(ParameterError, match=f"{message}, got inf"):
+        build()

@@ -8,13 +8,13 @@ from mlmsa.core import (
     ParameterError,
     RateParameters,
     ReprojectionFamily,
-    StepSchedule,
 )
-from mlmsa.engine import _run_ensemble
+from mlmsa.engine import _run_lanes
 from mlmsa.exact import level_root
-from mlmsa.model import build_model
+from mlmsa.model import COUPLINGS
 from mlmsa.multilevel import (
     LevelPlan,
+    _level_lanes,
     ml_estimate,
     mse_cost_experiment,
     schedule_levels,
@@ -35,6 +35,8 @@ class TestScheduleLevels:
         assert plan.L == 1
         assert plan.n_l == (4, 3)
         assert plan.gamma_l == (0.25, 1 / 3)
+        # the steps follow the budgets, also in a replaced plan
+        assert dataclasses.replace(plan, n_l=(8, 3)).gamma_l == (0.125, 1 / 3)
 
     def test_floor_applies(self):
         plan = schedule_levels(0.5, RATES, n_min=100, c_n=1.0)
@@ -70,14 +72,15 @@ class TestScheduleLevels:
 
     def test_plan_invariants_enforced(self):
         with pytest.raises(ParameterError):
-            LevelPlan(epsilon=0.1, L=0, n_l=(10,), gamma_l=(0.1,),
-                      predicted_cost=1.0, rates=RATES, c_n=1.0, n_min=1,
-                      cost_note="")
+            LevelPlan(epsilon=0.1, L=0, n_l=(10,), predicted_cost=1.0, rates=RATES,
+                      c_n=1.0, n_min=1, cost_note="")
         plan = schedule_levels(0.2, RATES, n_min=10)
         for change, message in [
                 (dict(L=0), "plan must have L >= 1"),
                 (dict(n_l=plan.n_l[:-1]), "n_l must have one entry per level"),
                 (dict(n_l=(9, *plan.n_l[1:])), "every level budget must be >= n_min"),
+                (dict(n_min=0, n_l=(0,) * (plan.L + 1)),
+                 "every level budget must be >= n_min >= 1"),
                 (dict(predicted_cost=math.inf), "predicted cost must be finite")]:
             with pytest.raises(ParameterError, match=message):
                 dataclasses.replace(plan, **change)
@@ -85,6 +88,7 @@ class TestScheduleLevels:
     def test_serializable(self):
         d = dataclasses.asdict(schedule_levels(0.2, RATES))
         assert d["L"] >= 1 and len(d["n_l"]) == d["L"] + 1
+        assert d["gamma_l"] == tuple(1.0 / n for n in d["n_l"])
         assert d["rates"]["kappa"] == 0.5
 
 
@@ -119,21 +123,23 @@ class TestMlEstimate:
         assert a.theta_hat == b.theta_hat
         assert a.level_estimates == b.level_estimates
 
-    def test_level_runs_are_exchangeable(self, default_model, plan):
-        # each level owns a child stream of SeedSequence(seed): recomputing the
-        # levels in any order reproduces the assembled estimate bit for bit
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_level_runs_are_exchangeable(self, default_model, plan, coupling):
+        # each level owns a child stream of SeedSequence(seed): running each
+        # level's lane alone, in reverse order, reproduces the estimate of the
+        # shared loop bit for bit (under independent, level 0 draws 2 uniforms
+        # a step and shares that loop with 4-draw lanes)
         seed = 99
-        est = ml_estimate(default_model, plan, seed=seed)
-        fam = ReprojectionFamily(2.0, 1.0)
+        est = ml_estimate(default_model, plan, seed=seed, coupling=coupling)
+        lanes = _level_lanes(plan, [seed], 0.0, coupling)
         parts = {}
-        for l in reversed(range(plan.L + 1)):
-            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(plan.L + 1)[l])
-            n = plan.n_l[l]
-            sched = StepSchedule("constant", plan.gamma_l[l])
-            st, _ = _run_ensemble(default_model, l, sched, fam, n, [rng],
-                                  0.0, None, 0.0, None, coupled=l > 0)
-            # rows: the fine chain, then (l >= 1) the coarse chain
-            parts[l] = float(st.theta[0, 0] - st.theta[1, 0]) if l > 0 else float(st.theta[0, 0])
+        for l, lane in reversed(list(enumerate(lanes))):
+            # the stream rule, restated: child l of SeedSequence(seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(len(lanes))[l])
+            [st], _ = _run_lanes(default_model, [lane._replace(rngs=[rng])], ReprojectionFamily())
+            # rows: the fine chain, then (coupled) the coarse chain
+            theta = st.theta[:, 0]
+            parts[l] = float(theta[0] - theta[1]) if lane.coupled else float(theta[0])
         assert tuple(parts[l] for l in range(plan.L + 1)) == est.level_estimates
 
     def test_seed_bookkeeping(self, default_model, plan):
