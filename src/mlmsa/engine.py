@@ -28,22 +28,38 @@ mutually independent and are executed as one vectorized ensemble, whose
 state has layout (chains, replicates): row 0 is the fine chain at level
 l, row 1 (coupled runs only) the coarse chain at level l - 1.
 
-The stepping loop is one code path for every run, and its cost is numpy
-call overhead, so it keeps the calls per step few.  It advances lanes: a
-lane is one run (a single chain, or a coupled pair) with its own level,
-step vector, run length, generators and starts, and every lane of a loop
-lives in one (chains, columns) state, R columns per lane, with one move
-table over every level the lanes use.  A multilevel estimate runs all of
-its levels as lanes of one loop, which takes max n_l steps where the
-levels one after another take sum n_l.  The lanes are placed longest
-first, and the loop runs in segments: each ends where the shortest
-running lane ends, whose state is read off before the arrays are cut to
-the lanes still running.  A single-chain lane in a loop with coupled
-lanes carries an identical copy of its chain as its second row (same
-level, start and uniforms), so the joint reset rule, one per column
-over both rows, resets it exactly when its own chain leaves the set.
-Each lane does the arithmetic of its standalone run on the same
+The stepping loop, with its one-column kernel, serves every run.  Its
+cost is numpy call overhead, so it keeps the calls per step few.  It
+advances lanes: a lane is one run (a single chain, or a coupled pair)
+with its own level, step vector, run length, generators and starts, and
+every lane of a loop lives in one (chains, columns) state, R columns per
+lane, with one move table over every level the lanes use.  A multilevel
+estimate runs all of its levels as lanes of one loop, which takes max n_l
+steps where the levels one after another take sum n_l.  The lanes are
+placed longest first, and the loop runs in segments: each ends where the
+shortest running lane ends, whose state is read off before the arrays
+are cut to the lanes still running.  A single-chain lane in a loop with
+coupled lanes carries an identical copy of its chain as its second row
+(same level, start and uniforms), so the joint reset rule, one per
+column over both rows, resets it exactly when its own chain leaves the
+set.  Each lane does the arithmetic of its standalone run on the same
 uniforms, so its result is bit-identical to that run.
+
+A segment that starts with one running column, a run at R = 1 from step 0
+or the tail of an R = 1 multilevel loop, is stepped by _step_column on
+Python scalars instead: on 1- and 2-element arrays numpy's per-call
+overhead is the whole cost of a step.  The running column count alone
+selects it.  It reads the loop's move table, statistic, step vector,
+starts and generator, and does the loop's arithmetic bit for bit: +, -
+and * on Python floats are numpy's IEEE operations, none fused; np.exp of
+a Python float is numpy's vectorized exp (math.exp differs in the last
+bit for about 5% of arguments, so it is not used); and it accepts when
+p >= 0 or u < exp(p), for u in [0, 1) the loop's u < exp(p), an overflow
+to inf accepting and a nan p failing both.  One column resets exactly
+when its own set test fails, so it tests every step with abs and skips no
+chunk.  No chunk of the loop draws past a segment's end, so the generator
+is at the next step's uniforms when the kernel takes over.  A single chain
+in a two-chain loop is stepped alone, and its copy row is filled from it.
 
 Inside the loop a chain's state x is held as its move-table index base
 2*(x + b*m), b being its level's block of the table: a move's table
@@ -280,6 +296,48 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
     return need
 
 
+def _step_column(run: _Placed, step: int, end: int, theta, x, psi, last_reproj, bound,
+                 theta0, x0, diff, dest2, s2, family: ReprojectionFamily, paths):
+    """Advance the loop's one running column, run's only replicate, from
+    step to end on Python scalars, reading the loop's tables, starts and
+    paths; returns its (theta, x, psi, last_reproj, bound) as the loop
+    holds them, a single chain's copy row filled from its chain."""
+    C, W, (rng,) = 1 + run.lane.coupled, run.draws, run.rngs
+    diff, dest2, s2, gammas = map(memoryview, (diff, dest2, s2, run.gammas))
+    th, xs, th0, xs0 = (a[:C, 0].tolist() for a in (theta, x, theta0, x0))
+    # chain c reads its (direction, acceptance) pair at 2c of a step's W
+    # uniforms under the independent coupling, at 0 otherwise
+    pairs = [(c, 2 * c % W) for c in range(C)]
+    ps, last, b = int(psi[0]), int(last_reproj[0]), float(bound[0])
+    if paths:
+        pt, px, pp = (memoryview(paths[k].reshape(-1)) for k in ("theta", "x", "psi"))
+    buf = np.empty(min(end - step, _CHUNK) * W)
+    u = memoryview(buf)
+    while step < end:
+        span = min(end - step, _CHUNK)
+        rng.random(out=buf[:span * W])
+        for k in range(0, span * W, W):
+            g, inside = gammas[step], True
+            step += 1
+            for c, o in pairs:
+                i = xs[c] + (u[k + o] < 0.5)
+                p = th[c] * diff[i]
+                if p >= 0.0 or u[k + o + 1] < np.exp(p):
+                    xs[c] = dest2[i]
+                th[c] += g * (s2[xs[c]] - th[c])
+                inside = inside and abs(th[c]) <= b
+            if not inside:
+                th, xs, ps, last = list(th0), list(xs0), ps + 1, step
+                b = float(family.radius(np.array([ps]))[0])
+            if paths:
+                pp[step] = ps
+                for c in range(C):
+                    pt[step * C + c], px[step * C + c] = th[c], xs[c]
+    psi = np.array([ps])
+    return (np.resize(th, theta.shape), np.resize(xs, x.shape), psi, np.array([last]),
+            family.radius(psi))
+
+
 @np.errstate(over="ignore")  # exp(theta * increment) may overflow to inf: accepted
 def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                record: bool = False):
@@ -361,6 +419,11 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     step = 0
     while runs:
         end = runs[-1].lane.n_steps  # the shortest running lane ends this segment
+        if theta.shape[1] == 1:  # one running column: its segment runs on scalars
+            theta, x, psi, last_reproj, bound = _step_column(
+                runs[0], step, end, theta, x, psi, last_reproj, bound, theta0, x0,
+                diff, dest2, s2, family, paths)
+            step = end  # the vector body below then takes no step
         bmin = bound.min()  # every column of the segment is in its set if max|theta| <= bmin
         chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (4 * theta.size)))
         # one set of chunk arrays per segment, refilled in place: allocated

@@ -45,7 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import NumericalError, ParameterError, _check_bytes, level_delta
+from .core import NumericalError, ParameterError, _check_bytes, _check_positive, level_delta
 
 __all__ = [
     "FiniteLevelModel",
@@ -74,7 +74,7 @@ class FiniteLevelModel:
     """Validated, immutable model: five settings and the arrays they derive.
 
     m >= 3 keeps the nearest-neighbour proposal meaningful and m <= 2**20
-    bounds the grid's arrays; beta0 > 0 is the synthetic bias rate;
+    bounds the grid's arrays; a finite beta0 > 0 is the synthetic bias rate;
     lyap_exponent in (0, 1) shapes the Lyapunov function pi**-lyap_exponent.
     """
 
@@ -91,8 +91,7 @@ class FiniteLevelModel:
         m, phi_choice, bias_choice = self.m, self.phi_choice, self.bias_choice
         if not isinstance(m, int) or not 3 <= m <= _MAX_STATES:
             raise ParameterError(f"m must be an integer in [3, {_MAX_STATES}], got {m!r}")
-        if not self.beta0 > 0:  # refuses nan, which would void |phi_l| <= 0.96
-            raise ParameterError(f"beta0 must be positive, got {self.beta0}")
+        _check_positive(beta0=self.beta0)  # nan would void |phi_l| <= 0.96, inf the rates
         if not (0.0 < self.lyap_exponent < 1.0):
             raise ParameterError(f"lyap_exponent must lie in (0, 1), got {self.lyap_exponent}")
         if phi_choice not in _PHI_CHOICES:

@@ -311,7 +311,8 @@ class TestSkippedSetTest:
     def test_runs_at_the_defaults_skip_the_set_test(self, tmp_path, monkeypatch):
         # no run at the command line's defaults can reset, so the set test,
         # one np.abs per step wherever it runs, is skipped in every chunk;
-        # each step makes one np.exp call
+        # each vector step makes one np.exp call, and the one-column kernel
+        # one per chain and step where its move's p is negative
         reads = Counter()
 
         class CountingNumpy:
@@ -436,15 +437,17 @@ class TestRunEnsemble:
             assert st.psi[i] == traj.psi_path[-1]
             assert (st.psi[i] > 0) == (family is not FAMILY)
 
-    @pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
-    def test_blow_up_resets_and_counts_as_a_reprojection(self, default_model, coupled):
+    # R = 2 steps through the vector loop, R = 1 through the one-column kernel
+    @pytest.mark.parametrize("coupled, R", [(False, 2), (True, 2), (False, 1), (True, 1)],
+                             ids=["single", "coupled", "single-R1", "coupled-R1"])
+    def test_blow_up_resets_and_counts_as_a_reprojection(self, default_model, coupled, R):
         class NanEverySeventhStep:
             def step_sizes(self, n_steps):
                 g = poly().step_sizes(n_steps)
                 g[::7] = np.nan
                 return g
 
-        n, R = 300, 2
+        n = 300
         rngs = [np.random.default_rng(i) for i in range(R)]
         st, paths = _run_ensemble(default_model, 2, NanEverySeventhStep(), FAMILY, n, rngs,
                                   0.0, None, coupled=coupled, record=True)
@@ -504,6 +507,15 @@ class TestRunEnsemble:
             assert ens.last_reproj[i] == (reprojection_events(traj.psi_path) or (0,))[-1]
 
 
+def test_scalar_exp_is_the_vectorized_exp():
+    # the one-column kernel takes np.exp of one Python float where the vector
+    # loop takes it of an array; math.exp rounds about 5% of these p
+    # differently in the last bit, so the kernel may not use it
+    p = np.random.default_rng(3).uniform(-700.0, 0.0, 100_000)
+    vector = np.exp(p)
+    assert sum(np.exp(v) != e for v, e in zip(p.tolist(), vector.tolist())) == 0
+
+
 class TestRunLanes:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), m=st.integers(3, 12),
@@ -561,6 +573,38 @@ class TestRunLanes:
                 a, b = getattr(joint, name), getattr(alone, name)
                 assert a.shape == b.shape and (a == b).all(), name
         assert (states[1].psi > 0).all() == (family is TIGHT)
+
+    @pytest.mark.parametrize("family", [FAMILY, TIGHT], ids=["roomy", "tight"])
+    @pytest.mark.parametrize("coupled, coupling", [(False, "crn"), (True, "crn"),
+                                                   (True, "independent")],
+                             ids=["single", "crn", "independent"])
+    def test_last_column_continues_where_the_vector_loop_left_it(self, default_model, family,
+                                                                 coupled, coupling):
+        # the longer lane's one replicate is stepped by the vector loop, in a
+        # 4-wide two-chain state, until the shorter lane ends at step 8, and
+        # by the one-column kernel from there; its final state is that of
+        # its standalone run, which the kernel steps throughout, and of its
+        # column in an R = 2 ensemble, which the vector loop steps throughout
+        l, n, handoff, seed = 2, _CHUNK + 200, 8, 41
+        lane = _Lane(l, poly(), n, [np.random.default_rng(seed)], 0.0, None, 0.0, None,
+                     coupled, coupling)
+        short = _Lane(3, poly(), handoff, _Streams([7, 8]), 0.0, None, 0.0, None,
+                      coupled=True, coupling="independent")
+        joint = _run_lanes(default_model, [short, lane], family)[0][1]
+        alone, _ = _run_ensemble(default_model, l, poly(), family, n,
+                                 [np.random.default_rng(seed)], 0.0, None,
+                                 coupled=coupled, coupling=coupling)
+        pair, paths = _run_ensemble(default_model, l, poly(), family, n,
+                                    [np.random.default_rng(s) for s in (seed, seed + 1)],
+                                    0.0, None, coupled=coupled, coupling=coupling, record=True)
+        for name in ("theta", "x", "psi", "last_reproj"):
+            a, b, c = getattr(joint, name), getattr(alone, name), getattr(pair, name)
+            assert a.shape == b.shape and (a == b).all() and (a == c[..., :1]).all(), name
+        rises = np.flatnonzero(np.diff(paths["psi"][:, 0])) + 1
+        if family is TIGHT:  # resets fall on both sides of the handoff
+            assert rises.min() <= handoff < rises.max()
+        else:
+            assert rises.size == 0
 
     def test_chunk_uniforms_do_not_grow_with_the_lane_count(self):
         # 40 lanes of 100 replicates under the independent coupling draw ten

@@ -53,7 +53,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("kwargs", [
         dict(beta0=0.0), dict(lyap_exponent=0.0), dict(lyap_exponent=1.0),
         dict(phi_choice="triangle"), dict(bias_choice="sawtooth"),
-        dict(beta0=math.nan),
+        dict(beta0=math.nan), dict(beta0=math.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         for build in (build_model, FiniteLevelModel):

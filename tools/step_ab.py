@@ -9,9 +9,10 @@ package is copied into one temporary directory under its own name,
 ``mlmsa_parent`` and ``mlmsa_change``, and both are imported into this
 process.  Each round calls ``engine._run_ensemble`` of both sides once per
 case, alternating which side goes first, with generators seeded alike: at
-R = 1 a single chain and a CRN pair, at R = 50 and R = 400 a CRN pair and
-an independent pair (m = 32, level 3, steps 1 / n**0.75, reprojection
-r0 = 2 and growth 1, the command line's defaults).
+R = 1 a single chain, a CRN pair and an independent pair, at R = 50 and
+R = 400 a CRN pair and an independent pair (m = 32, level 3, steps
+1 / n**0.75, reprojection r0 = 2 and growth 1, the command line's
+defaults).
 
 For each case it prints the median ns per replicate-step of each side and
 the median over rounds of the paired ratio change / parent, with the number
@@ -38,6 +39,7 @@ SIDES = ("parent", "change")
 CASES = (
     ("R1 single", 1, False, "crn", 20_000),
     ("R1 crn", 1, True, "crn", 20_000),
+    ("R1 independent", 1, True, "independent", 20_000),
     ("R50 crn", 50, True, "crn", 5_000),
     ("R50 independent", 50, True, "independent", 5_000),
     ("R400 crn", 400, True, "crn", 2_048),
