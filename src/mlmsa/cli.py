@@ -37,7 +37,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
 
@@ -60,7 +60,7 @@ from .exact import (
     lemma_diagnostics,
     rate_diagnostics,
 )
-from .model import COUPLINGS, build_model
+from .model import COUPLINGS, FiniteLevelModel, build_model
 from .multilevel import ml_estimate, mse_cost_experiment, schedule_levels
 
 OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
@@ -69,9 +69,8 @@ OUTPUT_ENV = "MLMSA_OUTPUT_DIR"
 # a subcommand does not read reaches the builder at its default here
 # (model.coupling is read by the commands, not by build_model)
 _BLOCKS = {
-    "model": ({"m": 32, "beta0": 1.0, "lyap_exponent": 0.5, "phi_choice": "sine",
-               "bias_choice": "cosine", "coupling": "crn"},
-              lambda coupling, **kw: build_model(**kw)),
+    "model": ({f.name: f.default for f in fields(FiniteLevelModel) if f.init}
+              | {"coupling": "crn"}, lambda coupling, **kw: build_model(**kw)),
     "schedule": ({"kind": "polynomial", "gamma0": 1.0, "rho": 0.75}, StepSchedule),
     "reprojection": (asdict(ReprojectionFamily()), ReprojectionFamily),
     "rates": ({"alpha": 1.0, "beta": 1.0, "zeta": 1.0, "kappa": 0.5}, RateParameters),

@@ -45,21 +45,21 @@ column over both rows, resets it exactly when its own chain leaves the
 set.  Each lane does the arithmetic of its standalone run on the same
 uniforms, so its result is bit-identical to that run.
 
-A segment that starts with one running column, a run at R = 1 from step 0
-or the tail of an R = 1 multilevel loop, is stepped by _step_column on
-Python scalars instead: on 1- and 2-element arrays numpy's per-call
-overhead is the whole cost of a step.  The running column count alone
-selects it.  It reads the loop's move table, statistic, step vector,
-starts and generator, and does the loop's arithmetic bit for bit: +, -
-and * on Python floats are numpy's IEEE operations, none fused; np.exp of
-a Python float is numpy's vectorized exp (math.exp differs in the last
-bit for about 5% of arguments, so it is not used); and it accepts when
-p >= 0 or u < exp(p), for u in [0, 1) the loop's u < exp(p), an overflow
-to inf accepting and a nan p failing both.  One column resets exactly
-when its own set test fails, so it tests every step with abs and skips no
-chunk.  No chunk of the loop draws past a segment's end, so the generator
-is at the next step's uniforms when the kernel takes over.  A single chain
-in a two-chain loop is stepped alone, and its copy row is filled from it.
+A segment that starts with one running column (an R = 1 run, or the tail
+of an R = 1 multilevel loop) is stepped by _step_column on Python scalars:
+on 1- and 2-element arrays numpy's per-call overhead is the whole cost of
+a step.  One if/else on the running column count picks each segment's
+stepper, so only the vector body builds chunk arrays.  The kernel reads
+the loop's move table, statistic, step vector, starts and generator, and
+does the loop's arithmetic bit for bit: +, - and * on Python floats are
+numpy's IEEE operations, none fused; np.exp of a Python float is numpy's
+vectorized exp (math.exp differs in the last bit for about 5% of
+arguments); it accepts when p >= 0 or u < exp(p), for u in [0, 1) the
+loop's u < exp(p), an overflow to inf accepting and a nan p failing both.
+One column resets exactly when its own set test fails, so it tests every
+step with abs and skips no chunk.  No chunk draws past a segment's end, so
+the generator is at the next step's uniforms when the kernel takes over.
+A single chain in a two-chain loop is stepped alone and copied to row 1.
 
 Inside the loop a chain's state x is held as its move-table index base
 2*(x + b*m), b being its level's block of the table: a move's table
@@ -107,14 +107,14 @@ every step is at most 1.  This is the reprojection of Andrieu, Moulines
 and Priouret (2005) in the regime where its sets are never left.
 
 The run inputs are checked once, in the lane loop every procedure goes
-through, for every lane before any step vector or generator of the loop
-exists: the level by the model's rule, n_steps >= 1, the coupling, a
-coupled run's finite level l >= 1, the bytes the lane holds (its step
-vector, a generator and the loop's column arrays per replicate and, when
-recorded, its paths), each start parameter in K_0 and each configured
-start state on the grid; then the bytes of all lanes and of the loop's
-chunk together.  Generators are built only by iterating a lane's
-_Streams, after the checks.
+through, before any step vector or generator of the loop exists: a
+recorded loop is one lane; per lane the level by the model's rule,
+n_steps >= 1, the coupling, a coupled run's finite level l >= 1, at least
+one replicate per lane, the bytes the lane holds (its step vector, a
+generator and the loop's column arrays per replicate and, when recorded,
+its paths), each start parameter in K_0 and each configured start state
+on the grid; then the bytes of all lanes and of the loop's chunk
+together.  Generators are built only by iterating a lane's _Streams.
 
 The uniforms are drawn per chunk of steps: each replicate draws its
 chunk from its own generator straight into its row of one
@@ -279,6 +279,8 @@ def _check_lane(lane: _Lane, m: int, family: ReprojectionFamily, record: bool) -
     if lane.coupled and (lane.level == math.inf or lane.level < 1):
         raise ParameterError(f"coupled run needs a finite level l >= 1, got {lane.level!r}")
     chains, R = 1 + lane.coupled, len(lane.rngs)
+    if R < 1:
+        raise ParameterError(f"a run needs at least one replicate, got R={R}")
     # the step vector, a generator and the column arrays per replicate and,
     # when recorded, the paths (theta and x per chain, psi)
     need = (8 * lane.n_steps + R * (_GENERATOR_BYTES + _COLUMN_BYTES)
@@ -342,8 +344,8 @@ def _step_column(run: _Placed, step: int, end: int, theta, x, psi, last_reproj, 
 def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
                record: bool = False):
     """Advance every lane its own n_steps in one loop; returns each lane's
-    _LaneState, in the order given, and the recorded paths of a one-lane run
-    (record=True needs exactly one lane).
+    _LaneState, in the order given, and the recorded paths of a one-lane run;
+    record=True is refused for any other number of lanes.
 
     The state is one (chains, columns) array: a lane owns R adjacent
     columns, and the lanes are placed longest first, so the lanes still
@@ -354,6 +356,8 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
     one buffer (batching does not change a generator's stream), and a
     chunk's chain-column steps over every running lane are capped at
     _CHUNK_VALUES / 4."""
+    if record and len(lanes) != 1:
+        raise ParameterError(f"a recorded loop holds exactly one lane, got {len(lanes)}")
     m, C = model.m, 2 if any(lane.coupled for lane in lanes) else 1
     need = sum(_check_lane(lane, m, family, record) for lane in lanes)
     # a chunk takes at most _CHUNK steps over every chain and column and,
@@ -423,68 +427,69 @@ def _run_lanes(model: FiniteLevelModel, lanes, family: ReprojectionFamily,
             theta, x, psi, last_reproj, bound = _step_column(
                 runs[0], step, end, theta, x, psi, last_reproj, bound, theta0, x0,
                 diff, dest2, s2, family, paths)
-            step = end  # the vector body below then takes no step
-        bmin = bound.min()  # every column of the segment is in its set if max|theta| <= bmin
-        chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (4 * theta.size)))
-        # one set of chunk arrays per segment, refilled in place: allocated
-        # afresh per chunk, their pages were faulted in again every chunk,
-        # which cost about 18% of a run at R = 400 under the independent
-        # coupling.  drawn is (columns, chunk + 1 padding step, W), W the
-        # widest lane's draws per step; a lane that draws fewer fills both
-        # halves of its row, so its second chain reads its first chain's
-        # pair.  accs is a (chunk, chains, columns) view of it, its chain
-        # axis of stride 0 when W = 2; ups holds the move offsets (1 where
-        # the proposal is +1) step-major and contiguous, as the gather's add
-        # takes an int64 row fastest, filled per chunk from the bool
-        # comparison dirs by one transposing copy.  gammas is a full-shape
-        # array: a step row of the state's shape multiplies as fast as one
-        # scalar step, where a broadcast row is slower
-        W = max(run.draws for run in runs)
-        steps = (chunk,) + theta.shape
-        drawn = dirs = ups = accs = gammas = None
-        drawn = np.empty((theta.shape[1], chunk + 1, W))
-        dirs = np.empty((theta.shape[1], chunk + 1, W // 2), bool)
-        ups = np.empty(steps, np.int64)
-        accs = np.broadcast_to(drawn[:, :chunk, 1::2].transpose(1, 2, 0), steps)
-        gammas = np.empty(steps)
-        while step < end:
-            span = min(end - step, chunk)
-            for run in runs:
-                for col, rng in enumerate(run.rngs, run.cols.start):
-                    if run.draws < W:
-                        drawn[col, :span, 2:] = drawn[col, :span, :2] = rng.random((span, 2))
+            step = end
+        else:
+            bmin = bound.min()  # every column of the segment is in its set if max|theta| <= bmin
+            chunk = min(end - step, _CHUNK, max(1, _CHUNK_VALUES // (4 * theta.size)))
+            # one set of chunk arrays per segment, refilled in place: allocated
+            # afresh per chunk, their pages were faulted in again every chunk,
+            # which cost about 18% of a run at R = 400 under the independent
+            # coupling.  drawn is (columns, chunk + 1 padding step, W), W the
+            # widest lane's draws per step; a lane that draws fewer fills both
+            # halves of its row, so its second chain reads its first chain's
+            # pair.  accs is a (chunk, chains, columns) view of it, its chain
+            # axis of stride 0 when W = 2; ups holds the move offsets (1 where
+            # the proposal is +1) step-major and contiguous, as the gather's add
+            # takes an int64 row fastest, filled per chunk from the bool
+            # comparison dirs by one transposing copy.  gammas is a full-shape
+            # array: a step row of the state's shape multiplies as fast as one
+            # scalar step, where a broadcast row is slower
+            W = max(run.draws for run in runs)
+            steps = (chunk,) + theta.shape
+            drawn = dirs = ups = accs = gammas = None
+            drawn = np.empty((theta.shape[1], chunk + 1, W))
+            dirs = np.empty((theta.shape[1], chunk + 1, W // 2), bool)
+            ups = np.empty(steps, np.int64)
+            accs = np.broadcast_to(drawn[:, :chunk, 1::2].transpose(1, 2, 0), steps)
+            gammas = np.empty(steps)
+            while step < end:
+                span = min(end - step, chunk)
+                for run in runs:
+                    for col, rng in enumerate(run.rngs, run.cols.start):
+                        if run.draws < W:
+                            drawn[col, :span, 2:] = drawn[col, :span, :2] = rng.random((span, 2))
+                        else:
+                            rng.random(out=drawn[col, :span])
+                    gammas[:span, :, run.cols] = run.gammas[step:step + span, None, None]
+                # no step of this chunk can leave its set (module docstring)
+                unguarded = S <= bmin / 2 and all(0.0 <= g.min() and g.max() <= 1.0 for g in (
+                    run.gammas[step:step + span] for run in runs))
+                np.less(drawn[:, :span, 0::2], 0.5, out=dirs[:, :span])
+                np.copyto(ups[:span], dirs[:, :span].transpose(1, 2, 0))
+                for t in range(span):
+                    step += 1
+                    # the Metropolis move: gather the entry, accept with
+                    # probability min(exp(theta * increment), 1); u < exp(p) is
+                    # u < exp(min(p, 0)) for u in [0, 1), an overflow to inf too
+                    i = x + ups[t]
+                    np.putmask(x, accs[t] < np.exp(theta * diff[i]), dest2[i])
+                    theta_half = theta + gammas[t] * (s2[x] - theta)
+                    # an unguarded chunk keeps every step untested; otherwise the
+                    # maximum propagates nan, which fails <= and takes the branch below
+                    if unguarded or np.maximum.reduce(np.abs(theta_half), axis=None) <= bmin:
+                        theta = theta_half
                     else:
-                        rng.random(out=drawn[col, :span])
-                gammas[:span, :, run.cols] = run.gammas[step:step + span, None, None]
-            # no step of this chunk can leave its set (module docstring)
-            unguarded = S <= bmin / 2 and all(0.0 <= g.min() and g.max() <= 1.0 for g in (
-                run.gammas[step:step + span] for run in runs))
-            np.less(drawn[:, :span, 0::2], 0.5, out=dirs[:, :span])
-            np.copyto(ups[:span], dirs[:, :span].transpose(1, 2, 0))
-            for t in range(span):
-                step += 1
-                # the Metropolis move: gather the entry, accept with
-                # probability min(exp(theta * increment), 1); u < exp(p) is
-                # u < exp(min(p, 0)) for u in [0, 1), an overflow to inf too
-                i = x + ups[t]
-                np.putmask(x, accs[t] < np.exp(theta * diff[i]), dest2[i])
-                theta_half = theta + gammas[t] * (s2[x] - theta)
-                # an unguarded chunk keeps every step untested; otherwise the
-                # maximum propagates nan, which fails <= and takes the branch below
-                if unguarded or np.maximum.reduce(np.abs(theta_half), axis=None) <= bmin:
-                    theta = theta_half
-                else:
-                    # one chain outside its set, or nan, resets both chains;
-                    # columns whose bounds exceed bmin may all still be inside
-                    reset = ~(np.abs(theta_half) <= bound).all(axis=0)
-                    theta = np.where(reset, theta0, theta_half)
-                    x = np.where(reset, x0, x)
-                    psi = psi + reset
-                    last_reproj = np.where(reset, step, last_reproj)
-                    bound = family.radius(psi)
-                    bmin = bound.min()
-                if record:
-                    paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
+                        # one chain outside its set, or nan, resets both chains;
+                        # columns whose bounds exceed bmin may all still be inside
+                        reset = ~(np.abs(theta_half) <= bound).all(axis=0)
+                        theta = np.where(reset, theta0, theta_half)
+                        x = np.where(reset, x0, x)
+                        psi = psi + reset
+                        last_reproj = np.where(reset, step, last_reproj)
+                        bound = family.radius(psi)
+                        bmin = bound.min()
+                    if record:
+                        paths["theta"][step], paths["x"][step], paths["psi"][step] = theta, x, psi
         while runs and runs[-1].lane.n_steps == step:
             run = runs.pop()
             rows, sl = slice(0, 1 + run.lane.coupled), run.cols

@@ -118,10 +118,9 @@ class FiniteLevelModel:
         return np.arange(self.m) / (self.m - 1)
 
 
-def build_model(m: int = 32, beta0: float = 1.0, lyap_exponent: float = 0.5,
-                phi_choice: str = "sine", bias_choice: str = "cosine") -> FiniteLevelModel:
+def build_model(**settings) -> FiniteLevelModel:
     """FiniteLevelModel of these settings; a function, so wrapping it leaves the class alone."""
-    return FiniteLevelModel(m, beta0, lyap_exponent, phi_choice, bias_choice)
+    return FiniteLevelModel(**settings)
 
 
 def _check_level(l, minimum: int = 0) -> None:

@@ -326,6 +326,27 @@ class TestSkippedSetTest:
         assert reads["abs"] <= reads["exp"] // _CHUNK
 
 
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+def test_only_the_vector_body_builds_chunk_arrays(monkeypatch, default_model, coupled):
+    # an R = 1 run is stepped by the one-column kernel alone; an R = 2 run by
+    # the vector body, which builds its acceptance view once per segment
+    reads = Counter()
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            reads[name] += 1
+            return getattr(np, name)
+    monkeypatch.setattr(engine, "np", CountingNumpy())
+    if coupled:
+        coupled_msa_run(default_model, 2, poly(), FAMILY, 50, seed=1)
+    else:
+        msa_run(default_model, 2, poly(), FAMILY, 50, 0.0, None, seed=1)
+    assert reads["broadcast_to"] == 0
+    _run_ensemble(default_model, 2, poly(), FAMILY, 50, _Streams([1, 2]), 0.0, None,
+                  coupled=coupled)
+    assert reads["broadcast_to"] == 1
+
+
 class TestEmpiricalCltVariance:
     def test_replicates_equal_standalone_runs(self, default_model):
         n, R, seed0 = 4000, 100, 50
@@ -347,6 +368,19 @@ class TestEmpiricalCltVariance:
         sched = poly()
         est = empirical_clt_variance(build_model(m=8), 2, sched, 14, 100, 0)
         assert est.gamma_n == sched.step_sizes(14)[-1]
+
+    def test_keeps_a_replicate_that_last_reprojects_at_the_half(self):
+        # the second half of the run starts after step n/2: a nan step n/2
+        # resets every replicate there, and every one of them is kept
+        class NanAtHalf(StepSchedule):
+            def step_sizes(self, n_steps):
+                gammas = super().step_sizes(n_steps)
+                gammas[n_steps // 2 - 1] = math.nan
+                return gammas
+        n, R = 200, 100
+        est = empirical_clt_variance(build_model(m=8), 2, NanAtHalf("polynomial", 1.0, 0.75),
+                                     n, R, 0)
+        assert (est.n_kept, est.n_discarded) == (R, 0)
 
     def test_builds_the_step_vector_once(self, monkeypatch):
         calls = []
@@ -705,10 +739,36 @@ class TestRunLanes:
             tracemalloc.stop()
         assert held < 2 * 16 * m
 
+    @staticmethod
+    def refused_before_any_generator(monkeypatch, lanes, record, match):
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+        monkeypatch.setattr(np.random, "default_rng", built)
+        with pytest.raises(ParameterError, match=match):
+            _run_lanes(build_model(m=8), lanes, FAMILY, record)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["longer-first", "shorter-first"])
+    def test_recorded_loop_is_one_lane(self, monkeypatch, order):
+        # the paths hold the steps of one run, so two lanes are refused in
+        # either order, before a generator is built
+        lanes = [_Lane(2, poly(), n, _Streams([0, 1]), 0.0, None) for n in (10, 5)]
+        self.refused_before_any_generator(monkeypatch, lanes[::order], True,
+                                          "a recorded loop holds exactly one lane, got 2")
+
+    @pytest.mark.parametrize("beside", [[], [1]], ids=["alone", "beside-one-replicate"])
+    def test_lane_without_replicates_is_refused(self, monkeypatch, beside):
+        lanes = [_Lane(2, poly(), 5, _Streams(beside), 0.0, None)] if beside else []
+        lanes.append(_Lane(2, poly(), 10, [], 0.0, None))
+        self.refused_before_any_generator(monkeypatch, lanes, False,
+                                          "a run needs at least one replicate, got R=0")
+
     def test_step_vectors_of_all_lanes_are_checked_together(self, default_model):
         # each lane fits the byte budget alone, the two step vectors do not
         n = 20_000_000
-        lanes = [_Lane(l, poly(), n, [], 0.0, None) for l in (0, 1)]
+        lanes = [_Lane(l, poly(), n, _Streams([l]), 0.0, None) for l in (0, 1)]
         with pytest.raises(ParameterError, match="step vectors of 2 runs"):
             _run_lanes(default_model, lanes, FAMILY)
 
